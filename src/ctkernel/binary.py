@@ -13,39 +13,30 @@ The unary relations become relations on pairs:
   arguments
 
 Equality of members is the evaluation closure of those relations;
-equality of sets is identity of the relations themselves.  The quantifier
-clause is the functionality constraint: a function witness must send
-related inputs to related outputs, and functionality of a term at a
-family is literally reflexive equality at the quantified type.
+equality of sets is identity of the relations themselves, so two empty
+relations are equal whatever their components.  The quantifier clause is
+the functionality constraint: a function witness must send related
+inputs to related outputs, and functionality of a term at a family is
+literally reflexive equality at the quantified type.
 
 Related domain inputs are found by enumerating canonical witnesses and
 filtering all pairs (diagonal and cross) through the equality check
-itself; the same completeness discipline as the unary module applies,
+itself; the same completeness discipline as the unary model applies,
 and a provably empty domain discharges the constraint vacuously.
+
+The clauses are the arity-2 reading of the relational engine in
+``unary``; this module holds the public entry points of the model.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
 from .config import DEFAULT_DEPTH, DEFAULT_FUEL
 from .evaluation import FuelExhausted, Strategy, Stuck, Tank, run
-from .judgments import (
-    Blocked, Both, CanonClosureIn, CanonEmpty, CanonEq, CanonIn, CanonNeq,
-    CanonNotIn, Evals, EqMember, EqSet, Gen, Hyp, Status, Trace, TraceStep,
-    Verdict, diverged, refuted, unknown, verified, worst,
-)
-from .syntax import describe, pretty
-from .terms import (
-    Disj, Exists, Forall, Inl, Inr, It, Lam, Pair, TFalse, TTrue, Term, Var,
-    alpha_eq, free_vars, fresh_name, require_closed, substitute,
-)
-from .unary import Inhabitation, _check_budgets, _enumerate, _inhabited
+from .judgments import Blocked, CanonNotIn, Trace, TraceStep, Verdict, diverged, refuted
+from .terms import Forall, Lam, Term, require_closed
+from .unary import _check_budgets, _check_eq_set, _relate, _related_pairs
 
 CBN = Strategy.CALL_BY_NAME
-
-
-# -- related-pair enumeration ----------------------------------------------
 
 
 def related_pairs(
@@ -63,27 +54,6 @@ def related_pairs(
     return _related_pairs(domain, depth, Tank(fuel), strategy)
 
 
-def _related_pairs(domain: Term, depth: int, tank: Tank, strategy: Strategy):
-    ed = _enumerate(domain, depth, tank, strategy)
-    if ed.failure is not None:
-        return (), False, ed.failure
-    complete = ed.complete
-    pairs: List[Tuple[Term, Term]] = []
-    for u in ed.witnesses:
-        for v in ed.witnesses:
-            verdict = _check_eq_member(u, v, domain, tank, depth, strategy)
-            if verdict.status is Status.DIVERGED:
-                return (), False, verdict
-            if verdict.verified:
-                pairs.append((u, v))
-            elif not verdict.refuted:
-                complete = False
-    return tuple(pairs), complete, None
-
-
-# -- equal membership --------------------------------------------------------
-
-
 def check_eq_member(
     m: Term,
     n: Term,
@@ -97,222 +67,7 @@ def check_eq_member(
     require_closed("right term", n)
     require_closed("type", a)
     _check_budgets(fuel, depth)
-    return _check_eq_member(m, n, a, Tank(fuel), depth, strategy)
-
-
-def val_related(
-    mc: Term,
-    nc: Term,
-    ac: Term,
-    fuel: int = DEFAULT_FUEL,
-    depth: int = DEFAULT_DEPTH,
-    strategy: Strategy = CBN,
-) -> Verdict:
-    """Relation-level equality of two canonical witnesses at a canonical type."""
-    require_closed("left term", mc)
-    require_closed("right term", nc)
-    require_closed("type", ac)
-    _check_budgets(fuel, depth)
-    head = TraceStep(EqMember(mc, nc, ac), "equal-membership")
-    return _canon_related(mc, nc, ac, mc, nc, ac, 0, Tank(fuel), depth, strategy, head)
-
-
-def _check_eq_member(
-    m: Term, n: Term, a: Term, tank: Tank, depth: int, strategy: Strategy
-) -> Verdict:
-    head = TraceStep(EqMember(m, n, a), "equal-membership")
-    ra = run(a, tank, strategy)
-    if isinstance(ra, FuelExhausted):
-        return diverged(f"type diverged: {ra.remaining}", Trace((head,)))
-    if isinstance(ra, Stuck):
-        return refuted(Trace((head, TraceStep(Blocked(ra.offending), "stuck-type"))))
-    rm = run(m, tank, strategy)
-    if isinstance(rm, FuelExhausted):
-        return diverged(f"left term diverged: {rm.remaining}", Trace((head,)))
-    if isinstance(rm, Stuck):
-        return refuted(Trace((head, TraceStep(Blocked(rm.offending), "stuck-term"))))
-    rn = run(n, tank, strategy)
-    if isinstance(rn, FuelExhausted):
-        return diverged(f"right term diverged: {rn.remaining}", Trace((head,)))
-    if isinstance(rn, Stuck):
-        return refuted(Trace((head, TraceStep(Blocked(rn.offending), "stuck-term"))))
-    return _canon_related(
-        m, n, a, rm.term, rn.term, ra.term, ra.steps, tank, depth, strategy, head
-    )
-
-
-def _canon_related(
-    m0: Term, n0: Term, a0: Term, mc: Term, nc: Term, ac: Term, a_steps: int,
-    tank: Tank, depth: int, strategy: Strategy, head: TraceStep,
-) -> Verdict:
-    evals: List = []
-    if a_steps:
-        evals.append(Evals(a0, ac))
-    evals.append(Evals(m0, mc))
-    if not (alpha_eq(m0, n0) and alpha_eq(mc, nc)):
-        evals.append(Evals(n0, nc))
-    evals = tuple(evals)
-
-    def claim(rule: str, children: Tuple[Trace, ...] = ()) -> TraceStep:
-        return TraceStep(Both(evals + (CanonIn(ac, (mc, nc)),)), rule, children)
-
-    def mismatch(rule: str) -> Verdict:
-        return refuted(Trace((
-            head,
-            TraceStep(Both(evals), "evaluate"),
-            TraceStep(CanonNotIn(ac, (mc, nc)), rule),
-        )))
-
-    def wrap(rule: str, subs: Tuple[Verdict, ...]) -> Verdict:
-        status = worst(v.status for v in subs)
-        out = Trace((head, claim(rule, tuple(v.trace for v in subs))))
-        if status is Status.VERIFIED:
-            return verified(out)
-        picked = next(v for v in subs if v.status is status)
-        return Verdict(status, out, bound=picked.bound,
-                       fuel_report=picked.fuel_report,
-                       pair=picked.pair, instance=picked.instance)
-
-    match ac:
-        case TTrue():
-            if isinstance(mc, It) and isinstance(nc, It):
-                return verified(Trace((head, claim("canon-true"))))
-            return mismatch("canon-true")
-        case TFalse():
-            return refuted(Trace((
-                head,
-                TraceStep(Both(evals), "evaluate"),
-                TraceStep(CanonEmpty(ac), "canon-false"),
-            )))
-        case Disj(l, r):
-            match mc, nc:
-                case Inl(x), Inl(y):
-                    return wrap("canon-disj-left",
-                                (_check_eq_member(x, y, l, tank, depth, strategy),))
-                case Inr(x), Inr(y):
-                    return wrap("canon-disj-right",
-                                (_check_eq_member(x, y, r, tank, depth, strategy),))
-                case _:
-                    return mismatch("canon-disj")
-        case Exists(d, b, f):
-            match mc, nc:
-                case Pair(x1, y1), Pair(x2, y2):
-                    subs = [_check_eq_member(x1, x2, d, tank, depth, strategy)]
-                    if subs[0].verified and b in free_vars(f):
-                        # family precondition: related firsts must give
-                        # equal instance sets, else the type is ill-formed
-                        subs.append(_check_eq_set(
-                            substitute(f, b, x1), substitute(f, b, x2),
-                            tank, depth, strategy,
-                        ))
-                    subs.append(_check_eq_member(
-                        y1, y2, substitute(f, b, x1), tank, depth, strategy,
-                    ))
-                    return wrap("canon-exists", tuple(subs))
-                case _:
-                    return mismatch("canon-exists")
-        case Forall(_, _, _):
-            match mc, nc:
-                case Lam(_, _), Lam(_, _):
-                    return _forall_related(
-                        mc, nc, ac, evals, tank, depth, strategy, head
-                    )
-                case _:
-                    return mismatch("canon-forall")
-        case _:
-            return mismatch("no-former")
-
-
-def _forall_related(
-    mc: Lam, nc: Lam, ac: Forall, evals: Tuple,
-    tank: Tank, depth: int, strategy: Strategy, head: TraceStep,
-) -> Verdict:
-    d, b, f = ac.domain, ac.binder, ac.family
-    y, left_body = mc.binder, mc.body
-    z, right_body = nc.binder, nc.body
-    if z == y:
-        z = fresh_name(y, free_vars(left_body) | free_vars(right_body) | {y})
-        right_body = substitute(nc.body, nc.binder, Var(z))
-
-    rd = run(d, tank, strategy)
-    if isinstance(rd, FuelExhausted):
-        return diverged(f"domain diverged: {rd.remaining}", Trace((head,)))
-    if isinstance(rd, Stuck):
-        return refuted(Trace((head, TraceStep(Blocked(rd.offending), "stuck-type"))))
-    dc = rd.term
-    fam_display = substitute(f, b, Var(y)) if b != y else f
-    gen_stmt = Gen(
-        (y, z),
-        Hyp((EqMember(Var(y), Var(z), d),),
-            EqMember(left_body, right_body, fam_display)),
-    )
-    claim = TraceStep(Both(evals + (CanonIn(ac, (mc, nc)),)), "canonical-closure")
-
-    inh = _inhabited(dc, tank, strategy)
-    if inh is Inhabitation.DIVERGED:
-        return diverged(f"domain inhabitation diverged: {describe(dc)}", Trace((head,)))
-    if inh is Inhabitation.UNINHABITED:
-        step3 = TraceStep(gen_stmt, "canon-forall")
-        step4 = TraceStep(
-            Gen((y, z), Hyp((CanonClosureIn(dc, (Var(y), Var(z))),),
-                            EqMember(left_body, right_body, fam_display))),
-            "hypothesis-membership",
-        )
-        step5 = TraceStep(
-            Gen((y, z), Hyp((CanonIn(dc, (Var(y), Var(z))),),
-                            EqMember(left_body, right_body, fam_display))),
-            "membership-closure",
-            (Trace((TraceStep(CanonEmpty(dc), "vacuous-discharge"),)),),
-        )
-        return verified(Trace((head, claim, step3, step4, step5)))
-
-    pairs, complete, failure = _related_pairs(dc, depth, tank, strategy)
-    if failure is not None:
-        if failure.status is Status.DIVERGED:
-            return diverged(failure.fuel_report or "domain enumeration diverged",
-                            Trace((head,)))
-        return refuted(Trace((head,) + tuple(failure.trace.steps)))
-
-    dependent = b in free_vars(f)
-    subs: List[Verdict] = []
-    instance_traces: List[Trace] = []
-    counterexample: Optional[Tuple[Term, Term]] = None
-    failing_stmt = None
-    for (u, v) in pairs:
-        inst_left = substitute(left_body, y, u)
-        inst_right = substitute(right_body, z, v)
-        inst_type = substitute(f, b, u)
-        if dependent:
-            # family precondition: related inputs give equal instance sets
-            vfam = _check_eq_set(inst_type, substitute(f, b, v), tank, depth, strategy)
-            subs.append(vfam)
-            if vfam.status is Status.REFUTED and counterexample is None:
-                counterexample = (u, v)
-                failing_stmt = EqSet(inst_type, substitute(f, b, v))
-        vd = _check_eq_member(inst_left, inst_right, inst_type, tank, depth, strategy)
-        subs.append(vd)
-        instance_traces.append(Trace((
-            TraceStep(EqMember(inst_left, inst_right, inst_type),
-                      f"instance [{pretty(u)}, {pretty(v)}]", (vd.trace,)),
-        )))
-        if vd.status is Status.REFUTED and counterexample is None:
-            counterexample = (u, v)
-            failing_stmt = EqMember(inst_left, inst_right, inst_type)
-
-    gen = TraceStep(gen_stmt, "instances", tuple(instance_traces))
-    out = Trace((head, claim, gen))
-    status = worst(v.status for v in subs) if subs else Status.VERIFIED
-    if status is Status.REFUTED:
-        return Verdict(Status.REFUTED, out, pair=counterexample, instance=failing_stmt)
-    if status is Status.DIVERGED:
-        picked = next(v for v in subs if v.status is status)
-        return diverged(picked.fuel_report or "instance diverged", out)
-    if status is Status.UNKNOWN or not complete:
-        return unknown(depth, out)
-    return verified(out)
-
-
-# -- equal sets ---------------------------------------------------------------
+    return _relate((m, n), a, Tank(fuel), depth, strategy)
 
 
 def check_eq_set(
@@ -327,129 +82,6 @@ def check_eq_set(
     require_closed("right type", b)
     _check_budgets(fuel, depth)
     return _check_eq_set(a, b, Tank(fuel), depth, strategy)
-
-
-def _check_eq_set(a: Term, b: Term, tank: Tank, depth: int, strategy: Strategy) -> Verdict:
-    head = TraceStep(EqSet(a, b), "equal-sets")
-    ra = run(a, tank, strategy)
-    if isinstance(ra, FuelExhausted):
-        return diverged(f"left type diverged: {ra.remaining}", Trace((head,)))
-    if isinstance(ra, Stuck):
-        return refuted(Trace((head, TraceStep(Blocked(ra.offending), "stuck-type"))))
-    rb = run(b, tank, strategy)
-    if isinstance(rb, FuelExhausted):
-        return diverged(f"right type diverged: {rb.remaining}", Trace((head,)))
-    if isinstance(rb, Stuck):
-        return refuted(Trace((head, TraceStep(Blocked(rb.offending), "stuck-type"))))
-    ac, bc = ra.term, rb.term
-
-    evals: List = []
-    if ra.steps:
-        evals.append(Evals(a, ac))
-    if rb.steps:
-        evals.append(Evals(b, bc))
-    evals = tuple(evals)
-
-    def claim(rule: str, children: Tuple[Trace, ...] = ()) -> TraceStep:
-        return TraceStep(Both(evals + (CanonEq(ac, bc),)), rule, children)
-
-    def wrap(rule: str, subs: Tuple[Verdict, ...]) -> Verdict:
-        status = worst(v.status for v in subs)
-        out = Trace((head, claim(rule, tuple(v.trace for v in subs))))
-        if status is Status.VERIFIED:
-            return verified(out)
-        picked = next(v for v in subs if v.status is status)
-        return Verdict(status, out, bound=picked.bound,
-                       fuel_report=picked.fuel_report, instance=picked.instance)
-
-    if type(ac) is not type(bc) or not _is_former(ac) or not _is_former(bc):
-        return _cross_head_eq_set(ac, bc, evals, tank, depth, strategy, head)
-
-    match ac, bc:
-        case (TTrue(), TTrue()) | (TFalse(), TFalse()):
-            return verified(Trace((head, claim("same-base"))))
-        case Disj(l1, r1), Disj(l2, r2):
-            return wrap("components", (
-                _check_eq_set(l1, l2, tank, depth, strategy),
-                _check_eq_set(r1, r2, tank, depth, strategy),
-            ))
-        case (Forall(d1, b1, f1), Forall(d2, b2, f2)) | (Exists(d1, b1, f1), Exists(d2, b2, f2)):
-            vd = _check_eq_set(d1, d2, tank, depth, strategy)
-            if vd.status is not Status.VERIFIED:
-                return wrap("domains", (vd,))
-            inh = _inhabited(d1, tank, strategy)
-            if inh is Inhabitation.DIVERGED:
-                return diverged("domain inhabitation diverged", Trace((head,)))
-            if inh is Inhabitation.UNINHABITED:
-                return verified(Trace((head, claim("vacuous-families", (vd.trace,)))))
-            ed = _enumerate(d1, depth, tank, strategy)
-            if ed.failure is not None:
-                return wrap("domains", (vd, ed.failure))
-            subs = [vd]
-            for w in ed.witnesses:
-                subs.append(_check_eq_set(
-                    substitute(f1, b1, w), substitute(f2, b2, w), tank, depth, strategy
-                ))
-            v = wrap("pointwise-families", tuple(subs))
-            if v.status is Status.VERIFIED and not ed.complete:
-                return unknown(depth, v.trace)
-            return v
-    raise AssertionError("unreachable")
-
-
-def _is_former(t: Term) -> bool:
-    return isinstance(t, (TTrue, TFalse, Forall, Exists, Disj))
-
-
-def _relation_emptiness(tc: Term, tank: Tank, depth: int, strategy: Strategy):
-    """'empty', 'nonempty', 'unknown' or a DIVERGED verdict for a canonical type."""
-    if not _is_former(tc):
-        return refuted(Trace((TraceStep(CanonNotIn(tc, ()), "no-former"),)))
-    inh = _inhabited(tc, tank, strategy)
-    if inh is Inhabitation.DIVERGED:
-        return diverged(f"inhabitation diverged: {describe(tc)}")
-    if inh is Inhabitation.INHABITED:
-        return "nonempty"
-    if inh is Inhabitation.UNINHABITED:
-        return "empty"
-    ed = _enumerate(tc, depth, tank, strategy)
-    if ed.failure is not None:
-        return ed.failure
-    if ed.witnesses:
-        return "nonempty"
-    return "empty" if ed.complete else "unknown"
-
-
-def _cross_head_eq_set(
-    ac: Term, bc: Term, evals: Tuple, tank: Tank, depth: int,
-    strategy: Strategy, head: TraceStep,
-) -> Verdict:
-    # Former heads differ, so the relations can only coincide by both
-    # being empty; canonical shapes are disjoint otherwise.
-    left = _relation_emptiness(ac, tank, depth, strategy)
-    if isinstance(left, Verdict):
-        return Verdict(left.status, Trace((head,) + tuple(left.trace.steps)),
-                       fuel_report=left.fuel_report)
-    right = _relation_emptiness(bc, tank, depth, strategy)
-    if isinstance(right, Verdict):
-        return Verdict(right.status, Trace((head,) + tuple(right.trace.steps)),
-                       fuel_report=right.fuel_report)
-    if left == "empty" and right == "empty":
-        return verified(Trace((
-            head,
-            TraceStep(Both(evals + (CanonEmpty(ac), CanonEmpty(bc), CanonEq(ac, bc))),
-                      "both-empty"),
-        )))
-    if "unknown" in (left, right):
-        return unknown(depth, Trace((head,)))
-    return refuted(Trace((
-        head,
-        TraceStep(Both(evals), "evaluate"),
-        TraceStep(CanonNeq(ac, bc), "distinct-relations"),
-    )))
-
-
-# -- functionality -------------------------------------------------------------
 
 
 def check_functionality(
@@ -480,4 +112,4 @@ def check_functionality(
         return refuted(Trace((
             TraceStep(CanonNotIn(ty, (rf.term, rf.term)), "not-a-function"),
         )))
-    return _check_eq_member(fn, fn, ty, tank, depth, strategy)
+    return _relate((fn, fn), ty, tank, depth, strategy)

@@ -24,7 +24,7 @@ from .config import (
     DEFAULT_DEPTH, DEFAULT_FUEL, DEFAULT_INSTANCE_DEPTH, DEFAULT_SEARCH_DEPTH,
     RunConfig,
 )
-from .judgments import Status, Verdict, dump_machine, machine_doc
+from .judgments import Status, Verdict, dump_machine, machine_doc, worst
 from .syntax import ParseError, parse, pretty
 from .terms import OpenTermError, free_vars
 from .worlds import ModelError
@@ -253,31 +253,29 @@ def _cmd_rule(args, out) -> int:
             return EXIT_INPUT
     else:
         schemes = [rules.parse_rule(args.rule)]
-    worst_exit = EXIT_OK
-    reports = []
-    for scheme in schemes:
-        report = rules.compare_readings(
+    reports = [
+        rules.compare_readings(
             scheme,
             search_depth=cfg.search_depth,
             instance_depth=args.instance_depth,
             witness_depth=cfg.depth,
             fuel=cfg.fuel,
         )
-        reports.append(report)
-        worst_exit = max(worst_exit, _STATUS_EXIT[report.admissibility.status])
+        for scheme in schemes
+    ]
+    status = worst(r.admissibility.status for r in reports)
     if cfg.output_mode == "machine":
         payload = [_report_json(r) for r in reports]
-        verdict = reports[-1].admissibility.status.value
         doc = machine_doc(
             "rule",
             _config_json(cfg, instance_depth=args.instance_depth),
-            verdict,
+            status.value,
             payload if len(payload) > 1 else payload[0],
         )
         print(dump_machine(doc), file=out)
     else:
         print("\n\n".join(r.render() for r in reports), file=out)
-    return worst_exit
+    return _STATUS_EXIT[status]
 
 
 def _cmd_kripke(args, out) -> int:

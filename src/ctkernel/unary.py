@@ -1,4 +1,4 @@
-"""Unary realizability model: set-hood, membership, inhabitation, enumeration.
+"""Relational model: set-hood, membership, inhabitation, enumeration.
 
 Every type denotes a relation of canonical witnesses:
 
@@ -23,6 +23,13 @@ that enumeration is provably complete, and UNKNOWN when the bound ran
 out first.  Refutations and verifications are definitive; larger budgets
 can only resolve UNKNOWN and DIVERGED.
 
+The clauses are written once, by ``_relate``, at arity 1 (membership)
+and at arity 2 (equal membership, the binary model of ``binary``):
+membership is reflexive equality read on the diagonal.  The arities
+differ only where the binary model asks for more: its quantifier
+clause ranges over related pairs of domain witnesses, and dependent
+families must send related inputs to equal sets.
+
 Function-witness enumeration draws lambda bodies from canonical members
 of the family instances lifted to constant functions, plus the identity
 when the domain and family coincide, plus the identity as the canonical
@@ -42,20 +49,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .config import DEFAULT_DEPTH, DEFAULT_FUEL
-from .evaluation import FuelExhausted, Strategy, Stuck, Tank, run
+from .evaluation import Canonical, FuelExhausted, Strategy, Stuck, Tank, run
 from .judgments import (
-    Blocked, Both, CanonClosureIn, CanonDefined, CanonEmpty, CanonIn,
-    CanonNotIn, Evals, Gen, Hyp, IsSet, Member, Status, Trace, TraceStep,
-    Verdict, diverged, refuted, unknown, verified, worst,
+    Blocked, Both, CanonClosureIn, CanonDefined, CanonEmpty, CanonEq, CanonIn,
+    CanonNeq, CanonNotIn, EqMember, EqSet, Evals, Gen, Hyp, IsSet, Member,
+    Status, Trace, TraceStep, Verdict, diverged, refuted, unknown, verified,
+    worst,
 )
 from .syntax import describe, pretty
 from .terms import (
     Disj, Exists, Forall, Inl, Inr, It, Lam, Pair, TFalse, TTrue, Term,
-    TRUE, FALSE, IT, Var, alpha_eq, constructor_depth, free_vars,
-    require_closed, substitute, term_key,
+    TRUE, FALSE, IT, Var, alpha_eq, constructor_depth, free_vars, fresh_name,
+    is_type_former, require_closed, substitute, term_key,
 )
 
 CBN = Strategy.CALL_BY_NAME
@@ -220,11 +228,12 @@ def enumerate_canonical(
 
 
 def _dedupe_sorted(ws: List[Term]) -> Tuple[Term, ...]:
-    out: List[Term] = []
-    for w in sorted(ws, key=term_key):
-        if not any(alpha_eq(w, seen) for seen in out):
-            out.append(w)
-    return tuple(out)
+    # Witnesses are closed, so equal keys mean alpha-equivalent terms;
+    # the first of each class is kept.
+    first = {}
+    for w in ws:
+        first.setdefault(term_key(w), w)
+    return tuple(first[k] for k in sorted(first))
 
 
 def _enumerate(a: Term, depth: int, tank: Tank, strategy: Strategy) -> EnumResult:
@@ -313,7 +322,7 @@ def _enumerate_functions(
         ok = True
         for w in ed.witnesses:
             instance = substitute(cand.body, cand.binder, w)
-            v = _check_member(instance, substitute(f, b, w), tank, depth, strategy)
+            v = _relate((instance,), substitute(f, b, w), tank, depth, strategy)
             if v.status is Status.REFUTED:
                 ok = False
                 break
@@ -333,6 +342,55 @@ def _enumerate_functions(
     if dependent and not provably_empty_instance:
         complete = False
     return EnumResult(tuple(kept), complete)
+
+
+# -- evaluation prelude and status combination ------------------------------
+
+
+def _evaluate(
+    head: TraceStep, roles: Tuple[str, ...], terms: Tuple[Term, ...],
+    tank: Tank, strategy: Strategy,
+) -> Union[List[Term], Verdict]:
+    """Evaluate the terms in order, drawing on the shared tank.
+
+    Returns their canonical forms, or the DIVERGED or REFUTED verdict of
+    the first one that runs out of fuel or gets stuck; its role ("type",
+    "left term", "domain"...) names it in the verdict.  A term that is
+    already canonical is its own form, so ``form is not term`` tells
+    whether it computed."""
+    forms = []
+    for t in terms:
+        r = run(t, tank, strategy)
+        if isinstance(r, Canonical):
+            forms.append(r.term)
+            continue
+        role = roles[len(forms)]
+        if isinstance(r, FuelExhausted):
+            return diverged(f"{role} diverged: {r.remaining}", Trace((head,)))
+        rule = "stuck-term" if role.endswith("term") else "stuck-type"
+        return refuted(Trace((head, TraceStep(Blocked(r.offending), rule))))
+    return forms
+
+
+def _combine(out: Trace, subs: Sequence[Verdict], depth: int, complete: bool = True) -> Verdict:
+    """The worst status among ``subs``, reported with ``out`` and with the
+    diagnostics of the first sub-verdict that has it.  All verified over
+    an incomplete enumeration is UNKNOWN at ``depth``."""
+    status = worst(v.status for v in subs)
+    if status is Status.VERIFIED:
+        return verified(out) if complete else unknown(depth, out)
+    picked = next(v for v in subs if v.status is status)
+    return Verdict(status, out, bound=picked.bound, fuel_report=picked.fuel_report,
+                   pair=picked.pair, instance=picked.instance)
+
+
+def _claim(
+    head: TraceStep, statement, rule: str, subs: Sequence[Verdict],
+    depth: int, complete: bool = True,
+) -> Verdict:
+    """``statement`` by ``rule``, with the sub-verdicts as its premises."""
+    out = Trace((head, TraceStep(statement, rule, tuple(v.trace for v in subs))))
+    return _combine(out, subs, depth, complete)
 
 
 # -- set-hood --------------------------------------------------------------
@@ -356,53 +414,34 @@ def check_is_set(
 
 def _check_is_set(a: Term, tank: Tank, depth: int, strategy: Strategy) -> Verdict:
     head = TraceStep(IsSet(a), "set-formation")
-    res = run(a, tank, strategy)
-    if isinstance(res, FuelExhausted):
-        return diverged(f"type diverged: {res.remaining}", Trace((head,)))
-    if isinstance(res, Stuck):
-        return refuted(Trace((head, TraceStep(Blocked(res.offending), "stuck-type"))))
-    ac = res.term
-    evals = (Evals(a, ac),) if res.steps else ()
-
-    def assemble(rule: str, subs: Tuple[Verdict, ...]) -> Verdict:
-        status = worst(v.status for v in subs)
-        body = TraceStep(
-            Both(evals + (CanonDefined(ac),)), rule,
-            tuple(v.trace for v in subs),
-        )
-        out = Trace((head, body))
-        if status is Status.VERIFIED:
-            return verified(out)
-        picked = next(v for v in subs if v.status is status)
-        return Verdict(status, out, bound=picked.bound, fuel_report=picked.fuel_report,
-                       instance=picked.instance)
-
+    res = _evaluate(head, ("type",), (a,), tank, strategy)
+    if isinstance(res, Verdict):
+        return res
+    (ac,) = res
+    evals = (Evals(a, ac),) if ac is not a else ()
+    defined = Both(evals + (CanonDefined(ac),))
     match ac:
         case TTrue() | TFalse():
-            return verified(Trace((head, TraceStep(Both(evals + (CanonDefined(ac),)), "former-base"))))
+            return verified(Trace((head, TraceStep(defined, "former-base"))))
         case Disj(l, r):
-            return assemble(
-                "former-disj",
-                (_check_is_set(l, tank, depth, strategy),
-                 _check_is_set(r, tank, depth, strategy)),
-            )
+            return _claim(head, defined, "former-disj", (
+                _check_is_set(l, tank, depth, strategy),
+                _check_is_set(r, tank, depth, strategy),
+            ), depth)
         case Forall(d, b, f) | Exists(d, b, f):
             rule = "former-forall" if isinstance(ac, Forall) else "former-exists"
             vd = _check_is_set(d, tank, depth, strategy)
             if vd.status is not Status.VERIFIED:
-                return assemble(rule, (vd,))
+                return _claim(head, defined, rule, (vd,), depth)
             if b not in free_vars(f):
-                return assemble(rule, (vd, _check_is_set(f, tank, depth, strategy)))
+                return _claim(head, defined, rule, (vd, _check_is_set(f, tank, depth, strategy)), depth)
             ed = _enumerate(d, depth, tank, strategy)
             if ed.failure is not None:
-                return assemble(rule, (vd, ed.failure))
+                return _claim(head, defined, rule, (vd, ed.failure), depth)
             subs = [vd]
             for w in ed.witnesses:
                 subs.append(_check_is_set(substitute(f, b, w), tank, depth, strategy))
-            v = assemble(rule, tuple(subs))
-            if v.status is Status.VERIFIED and not ed.complete:
-                return unknown(depth, v.trace)
-            return v
+            return _claim(head, defined, rule, subs, depth, ed.complete)
         case _:
             return refuted(
                 Trace((head, TraceStep(Both(evals + (CanonNotIn(ac, ()),)), "no-former"))),
@@ -423,7 +462,7 @@ def check_member(
     require_closed("term", m)
     require_closed("type", a)
     _check_budgets(fuel, depth)
-    return _check_member(m, a, Tank(fuel), depth, strategy)
+    return _relate((m,), a, Tank(fuel), depth, strategy)
 
 
 def _check_budgets(fuel: int, depth: int) -> None:
@@ -431,21 +470,6 @@ def _check_budgets(fuel: int, depth: int) -> None:
         raise ValueError("fuel must be >= 1")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-
-
-def _check_member(m: Term, a: Term, tank: Tank, depth: int, strategy: Strategy) -> Verdict:
-    head = TraceStep(Member(m, a), "membership")
-    ra = run(a, tank, strategy)
-    if isinstance(ra, FuelExhausted):
-        return diverged(f"type diverged: {ra.remaining}", Trace((head,)))
-    if isinstance(ra, Stuck):
-        return refuted(Trace((head, TraceStep(Blocked(ra.offending), "stuck-type"))))
-    rm = run(m, tank, strategy)
-    if isinstance(rm, FuelExhausted):
-        return diverged(f"term diverged: {rm.remaining}", Trace((head,)))
-    if isinstance(rm, Stuck):
-        return refuted(Trace((head, TraceStep(Blocked(rm.offending), "stuck-term"))))
-    return _canon_member(m, a, rm.term, ra.term, ra.steps, tank, depth, strategy, head)
 
 
 def val_member(
@@ -459,172 +483,322 @@ def val_member(
 
     This is the half of membership that remains once both sides have
     been evaluated; exposed so tests can exercise the factoring of
-    membership into evaluation plus relation membership."""
+    membership into evaluation plus relation membership.  Canonical
+    inputs evaluate in zero steps, so no fuel goes to evaluating them."""
     require_closed("term", mc)
     require_closed("type", ac)
     _check_budgets(fuel, depth)
-    head = TraceStep(Member(mc, ac), "membership")
-    return _canon_member(mc, ac, mc, ac, 0, Tank(fuel), depth, strategy, head)
+    return _relate((mc,), ac, Tank(fuel), depth, strategy)
 
 
-def _eval_statements(m0: Term, mc: Term, a0: Term, ac: Term, a_steps: int) -> Tuple:
+# -- the relational clauses, at arity 1 and 2 ---------------------------------
+
+# Per arity: the judgment form, the rule that states it, and the roles
+# of the type and of the terms, in evaluation order.
+_FORMS = {
+    1: (Member, "membership", ("type", "term")),
+    2: (EqMember, "equal-membership", ("type", "left term", "right term")),
+}
+
+# The clause a canonical type names when the witnesses do not match it.
+_CLAUSE = {TTrue: "canon-true", Disj: "canon-disj", Exists: "canon-exists",
+           Forall: "canon-forall"}
+
+
+def _same(x: Term, y: Term) -> bool:
+    return x is y or alpha_eq(x, y)
+
+
+def _relate(args: Tuple[Term, ...], a: Term, tank: Tank, depth: int, strategy: Strategy) -> Verdict:
+    """Membership of ``args[0]``, or equal membership of ``args``, in ``a``.
+
+    The type and the terms are evaluated; the type's former picks the
+    clause of ``canon(A)`` and the terms' components are related in the
+    component types."""
+    form, rule, roles = _FORMS[len(args)]
+    head = TraceStep(form(*args, a), rule)
+    res = _evaluate(head, roles, (a,) + args, tank, strategy)
+    if isinstance(res, Verdict):
+        return res
+    ac, cs = res[0], tuple(res[1:])
     # The type's evaluation is recorded only when it actually computes,
     # so a canonical type keeps the derivation at its minimal length.
-    out = []
-    if a_steps:
-        out.append(Evals(a0, ac))
-    out.append(Evals(m0, mc))
-    return tuple(out)
+    evals = (Evals(a, ac), Evals(args[0], cs[0])) if ac is not a else (Evals(args[0], cs[0]),)
+    if len(args) == 2 and not (_same(args[0], args[1]) and _same(cs[0], cs[1])):
+        # the right side of a diagonal would repeat the left side's evaluation
+        evals += (Evals(args[1], cs[1]),)
 
-
-def _canon_member(
-    m0: Term, a0: Term, mc: Term, ac: Term, a_steps: int,
-    tank: Tank, depth: int, strategy: Strategy, head: TraceStep,
-) -> Verdict:
-    evals = _eval_statements(m0, mc, a0, ac, a_steps)
-
-    def claim(rule: str, children: Tuple[Trace, ...] = ()) -> TraceStep:
-        return TraceStep(Both(evals + (CanonIn(ac, (mc,)),)), rule, children)
-
-    def mismatch(rule: str) -> Verdict:
-        return refuted(Trace((
-            head,
-            TraceStep(Both(evals), "evaluate"),
-            TraceStep(CanonNotIn(ac, (mc,)), rule),
-        )))
-
-    def wrap(rule: str, subs: Tuple[Verdict, ...]) -> Verdict:
-        status = worst(v.status for v in subs)
-        out = Trace((head, claim(rule, tuple(v.trace for v in subs))))
-        if status is Status.VERIFIED:
-            return verified(out)
-        picked = next(v for v in subs if v.status is status)
-        return Verdict(status, out, bound=picked.bound,
-                       fuel_report=picked.fuel_report,
-                       pair=picked.pair, instance=picked.instance)
+    shape = type(cs[0])
+    for c in cs:
+        if type(c) is not shape:
+            shape = None
 
     match ac:
-        case TTrue():
-            if isinstance(mc, It):
-                return verified(Trace((head, claim("canon-true"))))
-            return mismatch("canon-true")
+        case TTrue() if shape is It:
+            return verified(Trace((head, TraceStep(Both(evals + (CanonIn(ac, cs),)), "canon-true"))))
         case TFalse():
             return refuted(Trace((
                 head,
                 TraceStep(Both(evals), "evaluate"),
                 TraceStep(CanonEmpty(ac), "canon-false"),
             )))
-        case Disj(l, r):
-            match mc:
-                case Inl(x):
-                    return wrap("canon-disj-left",
-                                (_check_member(x, l, tank, depth, strategy),))
-                case Inr(x):
-                    return wrap("canon-disj-right",
-                                (_check_member(x, r, tank, depth, strategy),))
-                case _:
-                    return mismatch("canon-disj")
-        case Exists(d, b, f):
-            match mc:
-                case Pair(x, y):
-                    return wrap("canon-exists", (
-                        _check_member(x, d, tank, depth, strategy),
-                        _check_member(y, substitute(f, b, x), tank, depth, strategy),
-                    ))
-                case _:
-                    return mismatch("canon-exists")
-        case Forall(d, b, f):
-            match mc:
-                case Lam(_, _):
-                    return _forall_member(
-                        m0, a0, mc, ac, evals, tank, depth, strategy, head
-                    )
-                case _:
-                    return mismatch("canon-forall")
+        case Disj(l, _) if shape is Inl:
+            rule = "canon-disj-left"
+            subs = (_relate(tuple([c.arg for c in cs]), l, tank, depth, strategy),)
+        case Disj(_, r) if shape is Inr:
+            rule = "canon-disj-right"
+            subs = (_relate(tuple([c.arg for c in cs]), r, tank, depth, strategy),)
+        case Exists(d, b, f) if shape is Pair:
+            rule = "canon-exists"
+            firsts = tuple([c.fst for c in cs])
+            subs = [_relate(firsts, d, tank, depth, strategy)]
+            if len(args) == 2 and subs[0].verified and b in free_vars(f):
+                # family precondition: related firsts must give equal
+                # instance sets, else the type is ill-formed
+                subs.append(_check_eq_set(
+                    substitute(f, b, firsts[0]), substitute(f, b, firsts[1]),
+                    tank, depth, strategy,
+                ))
+            subs.append(_relate(
+                tuple([c.snd for c in cs]), substitute(f, b, firsts[0]), tank, depth, strategy,
+            ))
+        case Forall() if shape is Lam:
+            return _relate_forall(cs, ac, head, evals, tank, depth, strategy)
         case _:
-            # Canonical, but no witness relation is defined at this shape.
-            return mismatch("no-former")
+            # No clause matches the witnesses, or the canonical type has
+            # no witness relation at all.
+            return refuted(Trace((
+                head,
+                TraceStep(Both(evals), "evaluate"),
+                TraceStep(CanonNotIn(ac, cs), _CLAUSE.get(type(ac), "no-former")),
+            )))
+    return _claim(head, Both(evals + (CanonIn(ac, cs),)), rule, subs, depth)
 
 
-def _family_at(binder: str, family: Term, value: Term) -> Term:
-    return substitute(family, binder, value)
-
-
-def _forall_member(
-    m0: Term, a0: Term, mc: Lam, ac: Forall, evals: Tuple,
-    tank: Tank, depth: int, strategy: Strategy, head: TraceStep,
+def _relate_forall(
+    lams: Tuple[Lam, ...], ac: Forall, head: TraceStep, evals: Tuple,
+    tank: Tank, depth: int, strategy: Strategy,
 ) -> Verdict:
+    """The hypothetical-general clause: for all related domain arguments,
+    the instances of the function bodies are related in the family."""
     d, b, f = ac.domain, ac.binder, ac.family
-    y, body = mc.binder, mc.body
-    rd = run(d, tank, strategy)
-    if isinstance(rd, FuelExhausted):
-        return diverged(f"domain diverged: {rd.remaining}", Trace((head,)))
-    if isinstance(rd, Stuck):
-        return refuted(Trace((head, TraceStep(Blocked(rd.offending), "stuck-type"))))
-    dc = rd.term
-    fam_display = _family_at(b, f, Var(y)) if b != y else f
+    names: List[str] = []
+    bodies: List[Term] = []
+    for lam in lams:
+        x, body = lam.binder, lam.body
+        if x in names:
+            # rename apart, so the general closure binds distinct variables
+            avoid = set(names).union(*(free_vars(other.body) for other in lams))
+            x = fresh_name(x, avoid)
+            body = substitute(lam.body, lam.binder, Var(x))
+        names.append(x)
+        bodies.append(body)
+    names = tuple(names)
+    xs = tuple(map(Var, names))
+    form = _FORMS[len(lams)][0]
+    goal = form(*bodies, substitute(f, b, xs[0]) if b != names[0] else f)
+    gen = Gen(names, Hyp((form(*xs, d),), goal))
+    claim = TraceStep(Both(evals + (CanonIn(ac, lams),)), "canonical-closure")
 
-    gen_hyp = TraceStep(
-        Gen((y,), Hyp((Member(Var(y), d),), Member(body, fam_display))),
-        "canon-forall",
-    )
-
+    res = _evaluate(head, ("domain",), (d,), tank, strategy)
+    if isinstance(res, Verdict):
+        return res
+    (dc,) = res
     inh = _inhabited(dc, tank, strategy)
     if inh is Inhabitation.DIVERGED:
         return diverged(f"domain inhabitation diverged: {describe(dc)}", Trace((head,)))
     if inh is Inhabitation.UNINHABITED:
         # Material discharge: the hypothesis can never be verified, so
         # the whole hypothetical-general premise holds vacuously.
-        mvar = "m" if "m" not in free_vars(body) | {y} else "m0"
-        step4 = TraceStep(
-            Gen((y,), Hyp((CanonClosureIn(dc, (Var(y),)),), Member(body, fam_display))),
-            "hypothesis-membership",
-        )
-        step5 = TraceStep(
-            Gen((y,), Hyp(
-                (Both((Evals(Var(y), Var(mvar)), CanonIn(dc, (Var(mvar),)))),),
-                Member(body, fam_display),
-            )),
-            "membership-closure",
-            (Trace((TraceStep(CanonEmpty(dc), "vacuous-discharge"),)),),
-        )
-        claim = TraceStep(Both(evals + (CanonIn(ac, (mc,)),)), "canonical-closure")
-        return verified(Trace((head, claim, gen_hyp, step4, step5)))
-
-    ed = _enumerate(dc, depth, tank, strategy)
-    if ed.failure is not None:
-        fv = ed.failure
-        if fv.status is Status.DIVERGED:
-            return diverged(fv.fuel_report or "domain enumeration diverged", Trace((head,)))
-        return refuted(Trace((head,) + tuple(fv.trace.steps)))
-
-    subs: List[Verdict] = []
-    instance_traces: List[Trace] = []
-    failing: Optional[Verdict] = None
-    failing_stmt = None
-    for w in ed.witnesses:
-        inst_term = substitute(body, y, w)
-        inst_type = _family_at(b, f, w)
-        v = _check_member(inst_term, inst_type, tank, depth, strategy)
-        subs.append(v)
-        instance_traces.append(Trace((
-            TraceStep(Member(inst_term, inst_type), f"instance [{pretty(w)}]", (v.trace,)),
+        if len(lams) == 1:
+            # membership unfolds the hypothesis into an evaluation
+            m = "m" if "m" not in free_vars(bodies[0]) | {names[0]} else "m0"
+            unfolded = Both((Evals(xs[0], Var(m)), CanonIn(dc, (Var(m),))))
+        else:
+            unfolded = CanonIn(dc, xs)
+        return verified(Trace((
+            head, claim,
+            TraceStep(gen, "canon-forall"),
+            TraceStep(Gen(names, Hyp((CanonClosureIn(dc, xs),), goal)), "hypothesis-membership"),
+            TraceStep(Gen(names, Hyp((unfolded,), goal)), "membership-closure",
+                      (Trace((TraceStep(CanonEmpty(dc), "vacuous-discharge"),)),)),
         )))
-        if v.status is Status.REFUTED and failing is None:
-            failing = v
-            failing_stmt = Member(inst_term, inst_type)
 
-    claim = TraceStep(Both(evals + (CanonIn(ac, (mc,)),)), "canonical-closure")
-    gen = TraceStep(gen_hyp.statement, "instances", tuple(instance_traces))
-    out = Trace((head, claim, gen))
+    if len(lams) == 1:
+        ed = _enumerate(dc, depth, tank, strategy)
+        items, complete, failure = [(w,) for w in ed.witnesses], ed.complete, ed.failure
+    else:
+        items, complete, failure = _related_pairs(dc, depth, tank, strategy)
+    if failure is not None:
+        if failure.status is Status.DIVERGED:
+            return diverged(failure.fuel_report or "domain enumeration diverged",
+                            Trace((head,)))
+        return refuted(Trace((head,) + failure.trace.steps))
 
-    status = worst(v.status for v in subs) if subs else Status.VERIFIED
-    if status is Status.REFUTED:
-        assert failing is not None
-        return Verdict(Status.REFUTED, out, pair=failing.pair, instance=failing_stmt)
-    if status is Status.DIVERGED:
-        picked = next(v for v in subs if v.status is status)
-        return diverged(picked.fuel_report or "instance diverged", out)
-    if status is Status.UNKNOWN or not ed.complete:
-        return unknown(depth, out)
-    return verified(out)
+    dependent = len(lams) == 2 and b in free_vars(f)
+    subs: List[Verdict] = []
+    instances: List[Trace] = []
+    for item in items:
+        family = substitute(f, b, item[0])
+        if dependent:
+            # family precondition: related inputs give equal instance sets
+            other = substitute(f, b, item[1])
+            vfam = _check_eq_set(family, other, tank, depth, strategy)
+            subs.append(_blame(vfam, item, EqSet(family, other)))
+        inst = tuple(map(substitute, bodies, names, item))
+        statement = form(*inst, family)
+        v = _relate(inst, family, tank, depth, strategy)
+        subs.append(_blame(v, item, statement))
+        label = f"instance [{', '.join(map(pretty, item))}]"
+        instances.append(Trace((TraceStep(statement, label, (v.trace,)),)))
+    out = Trace((head, claim, TraceStep(gen, "instances", tuple(instances))))
+    return _combine(out, subs, depth, complete)
+
+
+def _blame(v: Verdict, item: Tuple[Term, ...], statement) -> Verdict:
+    """A refuted instance names its statement and, in the binary model,
+    the related input pair."""
+    if not v.refuted:
+        return v
+    return refuted(v.trace, pair=item if len(item) == 2 else None, instance=statement)
+
+
+def _related_pairs(domain: Term, depth: int, tank: Tank, strategy: Strategy):
+    ed = _enumerate(domain, depth, tank, strategy)
+    if ed.failure is not None:
+        return (), False, ed.failure
+    complete = ed.complete
+    pairs: List[Tuple[Term, Term]] = []
+    for u in ed.witnesses:
+        for v in ed.witnesses:
+            verdict = _relate((u, v), domain, tank, depth, strategy)
+            if verdict.status is Status.DIVERGED:
+                return (), False, verdict
+            if verdict.verified:
+                pairs.append((u, v))
+            elif not verdict.refuted:
+                complete = False
+    return tuple(pairs), complete, None
+
+
+# -- equal sets ---------------------------------------------------------------
+
+
+def _check_eq_set(a: Term, b: Term, tank: Tank, depth: int, strategy: Strategy) -> Verdict:
+    head = TraceStep(EqSet(a, b), "equal-sets")
+    res = _evaluate(head, ("left type", "right type"), (a, b), tank, strategy)
+    if isinstance(res, Verdict):
+        return res
+    ac, bc = res
+    evals = ((Evals(a, ac),) if ac is not a else ()) + ((Evals(b, bc),) if bc is not b else ())
+    if type(ac) is not type(bc) or not is_type_former(ac):
+        return _cross_head_eq_set(ac, bc, evals, tank, depth, strategy, head)
+
+    same = Both(evals + (CanonEq(ac, bc),))
+    match ac, bc:
+        case (TTrue(), TTrue()) | (TFalse(), TFalse()):
+            return verified(Trace((head, TraceStep(same, "same-base"))))
+        case Disj(l1, r1), Disj(l2, r2):
+            return _claim(head, same, "components", (
+                _check_eq_set(l1, l2, tank, depth, strategy),
+                _check_eq_set(r1, r2, tank, depth, strategy),
+            ), depth)
+        case (Forall(d1, b1, f1), Forall(d2, b2, f2)) | (Exists(d1, b1, f1), Exists(d2, b2, f2)):
+            vd = _check_eq_set(d1, d2, tank, depth, strategy)
+            # Different domains still give equal relations when both
+            # relations are empty; the domains' refutation stands only
+            # when one relation is nonempty.
+            if vd.status is Status.REFUTED:
+                v = _both_empty(ac, bc, evals, tank, depth, strategy, head)
+                if v is not None:
+                    return v
+            if vd.status is not Status.VERIFIED:
+                return _claim(head, same, "domains", (vd,), depth)
+            inh = _inhabited(d1, tank, strategy)
+            if inh is Inhabitation.DIVERGED:
+                return diverged("domain inhabitation diverged", Trace((head,)))
+            if inh is Inhabitation.UNINHABITED:
+                # No instance exists, but non-dependent families must
+                # still be sets, as set-hood asks of them; alpha-equal
+                # families are checked once.
+                subs = [vd]
+                for bf, family in ((b1, f1),) if _same(f1, f2) else ((b1, f1), (b2, f2)):
+                    if bf not in free_vars(family):
+                        subs.append(_check_is_set(family, tank, depth, strategy))
+                return _claim(head, same, "vacuous-families", subs, depth)
+            ed = _enumerate(d1, depth, tank, strategy)
+            if ed.failure is not None:
+                return _claim(head, same, "domains", (vd, ed.failure), depth)
+            subs = [vd]
+            for w in ed.witnesses:
+                subs.append(_check_eq_set(
+                    substitute(f1, b1, w), substitute(f2, b2, w), tank, depth, strategy
+                ))
+            return _claim(head, same, "pointwise-families", subs, depth, ed.complete)
+    raise AssertionError("unreachable")
+
+
+def _relation_emptiness(tc: Term, tank: Tank, depth: int, strategy: Strategy):
+    """'empty', 'nonempty', 'unknown' or a failed verdict for a type former."""
+    inh = _inhabited(tc, tank, strategy)
+    if inh is Inhabitation.DIVERGED:
+        return diverged(f"inhabitation diverged: {describe(tc)}")
+    if inh is Inhabitation.INHABITED:
+        return "nonempty"
+    if inh is Inhabitation.UNINHABITED:
+        return "empty"
+    ed = _enumerate(tc, depth, tank, strategy)
+    if ed.failure is not None:
+        return ed.failure
+    if ed.witnesses:
+        return "nonempty"
+    return "empty" if ed.complete else "unknown"
+
+
+def _cross_head_eq_set(
+    ac: Term, bc: Term, evals: Tuple, tank: Tank, depth: int,
+    strategy: Strategy, head: TraceStep,
+) -> Verdict:
+    # Two relations of different shapes can only coincide by both being
+    # empty; canonical shapes are disjoint otherwise.
+    v = _both_empty(ac, bc, evals, tank, depth, strategy, head)
+    if v is not None:
+        return v
+    return refuted(Trace((
+        head,
+        TraceStep(Both(evals), "evaluate"),
+        TraceStep(CanonNeq(ac, bc), "distinct-relations"),
+    )))
+
+
+def _both_empty(
+    ac: Term, bc: Term, evals: Tuple, tank: Tank, depth: int,
+    strategy: Strategy, head: TraceStep,
+) -> Optional[Verdict]:
+    """Equality of two canonical types by both relations being empty.
+
+    None when one relation is provably nonempty, so the caller's
+    refutation holds.  Short of that, a side that is not a set refutes,
+    a divergent or undecided emptiness test gives DIVERGED or UNKNOWN,
+    and two empty relations are equal when both types are sets."""
+    for tc in (ac, bc):
+        if not is_type_former(tc):
+            return refuted(Trace((head, TraceStep(CanonNotIn(tc, ()), "no-former"))))
+    readings = []
+    for tc in (ac, bc):
+        r = _relation_emptiness(tc, tank, depth, strategy)
+        if r == "nonempty":
+            return None
+        if isinstance(r, Verdict) and r.refuted:
+            return Verdict(r.status, Trace((head,) + r.trace.steps), fuel_report=r.fuel_report)
+        readings.append(r)
+    for r in readings:
+        if isinstance(r, Verdict):
+            return Verdict(r.status, Trace((head,) + r.trace.steps), fuel_report=r.fuel_report)
+    if "unknown" in readings:
+        return unknown(depth, Trace((head,)))
+    statement = Both(evals + (CanonEmpty(ac), CanonEmpty(bc), CanonEq(ac, bc)))
+    return _claim(head, statement, "both-empty", (
+        _check_is_set(ac, tank, depth, strategy),
+        _check_is_set(bc, tank, depth, strategy),
+    ), depth)

@@ -6,7 +6,7 @@ from ctkernel.binary import (
     check_eq_member, check_eq_set, check_functionality, related_pairs,
 )
 from ctkernel.evaluation import evaluate
-from ctkernel.judgments import EqMember, Status, replay
+from ctkernel.judgments import EqMember, Gen, Status, replay
 from ctkernel.syntax import parse, pretty
 from ctkernel.terms import IT, Inl, Inr, TRUE, FALSE
 from ctkernel.unary import (
@@ -36,6 +36,27 @@ class TestEqSet:
     def test_cross_head_both_empty(self):
         assert check_eq_set(FALSE, parse("True /\\ False")).status is Status.VERIFIED
         assert check_eq_set(parse("True => False"), parse("False /\\ False")).status is Status.VERIFIED
+
+    def test_same_head_both_empty(self):
+        # different domains, yet both relations are empty, so they are equal
+        for a, b in [
+            ("True /\\ False", "False /\\ True"),
+            ("True => False", "(True \\/ True) => False"),
+            ("(True /\\ False) => True", "(False /\\ True) => False"),
+            ("True \\/ (True /\\ False)", "True \\/ (False /\\ True)"),
+        ]:
+            assert check_eq_set(parse(a), parse(b)).status is Status.VERIFIED, (a, b)
+        v = check_eq_set(parse("True => True"), parse("(True \\/ True) => True"))
+        assert v.status is Status.REFUTED
+        # equal sets are sets: an empty relation over a non-set is refuted
+        for a, b in [("True /\\ False", "False /\\ it"), ("False", "False /\\ it")]:
+            assert check_eq_set(parse(a), parse(b)).status is Status.REFUTED, (a, b)
+        # an undecided emptiness test does not refute
+        v = check_eq_set(
+            parse("(forall x : True \\/ True . case x of inl a -> True | inr b -> True) => False"),
+            parse("True => False"),
+        )
+        assert v.status is Status.UNKNOWN
 
     def test_cross_head_one_inhabited(self):
         assert check_eq_set(FALSE, TRUE).status is Status.REFUTED
@@ -85,6 +106,24 @@ class TestEqMember:
         v = check_eq_member(parse("lam x. it"), parse("lam y. <it, it>"),
                             parse("False => True"))
         assert v.status is Status.VERIFIED
+
+    def test_vacuous_trace_shape(self):
+        v = check_eq_member(parse("lam x. x"), parse("lam x. it"), parse("False => True"))
+        steps = v.trace.steps
+        assert [s.rule for s in steps] == [
+            "equal-membership", "canonical-closure", "canon-forall",
+            "hypothesis-membership", "membership-closure",
+        ]
+        # equal binders are renamed apart in the general closure
+        assert isinstance(steps[2].statement, Gen)
+        assert steps[2].statement.binders == ("x", "x1")
+        assert steps[4].children[0].steps[0].rule == "vacuous-discharge"
+
+    def test_instances_trace_shape(self):
+        v = check_eq_member(parse("lam x. x"), parse("lam x. it"), parse("True => True"))
+        assert [s.rule for s in v.trace.steps] == [
+            "equal-membership", "canonical-closure", "instances",
+        ]
 
     def test_verified_traces_replay(self):
         v = check_eq_member(parse("lam x. x"), parse("lam y. it"), parse("True => True"))
@@ -150,7 +189,7 @@ class TestStructuralBridges:
         candidates = [
             TRUE, FALSE, IT, parse("True => (True \\/ False)"),
             parse("lam x. x"), parse("(True /\\ True) \\/ False"),
-            parse("fst <True, it>"),
+            parse("fst <True, it>"), parse("False => it"), parse("False /\\ it"),
         ]
         for ty in candidates:
             isset = check_is_set(ty)

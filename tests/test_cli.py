@@ -115,6 +115,17 @@ class TestRule:
         assert code == 0
         assert text.count("rule:") == 2
 
+    def test_rule_file_worst_verdict(self, tmp_path):
+        # the refuted rule comes first: the file's verdict is the worst
+        # of its rules, not the last one, in both modes
+        path = tmp_path / "rules.txt"
+        path.write_text("P \\/ Q true |- P true\n\nP true; Q true |- P /\\ Q true\n")
+        code, text = run(["rule", "--file", str(path), "--machine"])
+        assert code == 4
+        assert json.loads(text)["verdict"] == "refuted"
+        code, _ = run(["rule", "--file", str(path)])
+        assert code == 4
+
 
 class TestKripke:
     @pytest.fixture
