@@ -1,15 +1,21 @@
 """Fueled weak evaluation to canonical form.
 
-Big-step behaviour is implemented as an iterative head-reduction loop so
-divergent programs burn fuel instead of the Python stack.  Evaluation is
-weak: nothing is rewritten under a lambda, inside pair components,
-injection arguments or type-former fields; canonical forms are values
-exactly as constructed.
+Evaluation is weak: nothing is rewritten under a lambda, inside pair
+components, injection arguments or type-former fields; canonical forms
+are values exactly as constructed.
+
+The evaluator is an abstract machine in the style of Krivine's: a focus
+term and an explicit stack of pending eliminator frames.  Walking into
+an eliminator's head pushes a frame and costs no fuel; a redex fires on
+the focus and the top frame alone.  Finding each step's redex therefore
+costs O(1) amortized whatever the depth of the head, and neither deep
+spines nor divergent programs touch the Python stack: divergence burns
+fuel.  Fuel counts one step per beta, projection and case dispatch.
 
 The default strategy is call-by-name: beta substitutes the unevaluated
 argument.  A call-by-value variant (the argument is reduced to canonical
-form first) exists purely so tests can demonstrate that verdicts do not
-depend on the strategy; step counts do.
+form first, under one more frame) exists purely so tests can demonstrate
+that verdicts do not depend on the strategy; step counts do.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .syntax import describe
+from .syntax import PREC_APP, PREC_ATOM, PREC_OR, PREC_TERM, clip, pretty_at
 from .terms import (
     App, Case, CanonicalForm, Fst, Inl, Inr, Lam, Pair, Snd, Term, Var,
     classify, substitute,
@@ -60,86 +66,139 @@ class Tank:
     remaining: int
 
 
-@dataclass(frozen=True)
-class _StuckAt:
-    subterm: Term
-
-
-def _step(t: Term, strategy: Strategy):
-    """One head reduction; returns the reduct or a _StuckAt marker."""
-    match t:
-        case App(fn, arg):
-            match fn:
-                case Lam(b, body):
-                    if strategy is Strategy.CALL_BY_VALUE and classify(arg) is None:
-                        inner = _step(arg, strategy)
-                        if isinstance(inner, _StuckAt):
-                            return inner
-                        return App(fn, inner)
-                    return substitute(body, b, arg)
-                case _ if classify(fn) is not None:
-                    return _StuckAt(t)
-                case _:
-                    inner = _step(fn, strategy)
-                    if isinstance(inner, _StuckAt):
-                        return inner
-                    return App(inner, arg)
-        case Fst(p):
-            match p:
-                case Pair(l, _):
-                    return l
-                case _ if classify(p) is not None:
-                    return _StuckAt(t)
-                case _:
-                    inner = _step(p, strategy)
-                    if isinstance(inner, _StuckAt):
-                        return inner
-                    return Fst(inner)
-        case Snd(p):
-            match p:
-                case Pair(_, r):
-                    return r
-                case _ if classify(p) is not None:
-                    return _StuckAt(t)
-                case _:
-                    inner = _step(p, strategy)
-                    if isinstance(inner, _StuckAt):
-                        return inner
-                    return Snd(inner)
-        case Case(s, lb, lbody, rb, rbody):
-            match s:
-                case Inl(v):
-                    return substitute(lbody, lb, v)
-                case Inr(v):
-                    return substitute(rbody, rb, v)
-                case _ if classify(s) is not None:
-                    return _StuckAt(t)
-                case _:
-                    inner = _step(s, strategy)
-                    if isinstance(inner, _StuckAt):
-                        return inner
-                    return Case(inner, lb, lbody, rb, rbody)
-        case Var(_):
-            return _StuckAt(t)
-        case _:
-            raise AssertionError(f"no step for canonical term {t!r}")
+# A frame is an eliminator with a hole where its head was, outermost
+# frame first on the stack.  It keeps only what the redex needs: an App
+# frame holds the argument, not the App node, so the reduced head chain
+# is never kept alive.  (Lam, lam) is the call-by-value frame of a
+# function waiting for its argument's value.
+#   (App, arg)  (Fst,)  (Snd,)  (Case, lb, lbody, rb, rbody)  (Lam, lam)
 
 
 def run(t: Term, tank: Tank, strategy: Strategy = Strategy.CALL_BY_NAME) -> EvalResult:
     """Reduce to canonical form, drawing steps from the shared tank."""
+    form = classify(t)
+    if form is not None:
+        return Canonical(t, form, 0)
+    by_value = strategy is Strategy.CALL_BY_VALUE
+    stack: list = []
+    push, pop = stack.append, stack.pop
     steps = 0
     while True:
-        form = classify(t)
-        if form is not None:
-            return Canonical(t, form, steps)
+        kind = type(t)
+        if kind is App:
+            push((App, t.arg))
+            t = t.fn
+            continue
+        if kind is Fst or kind is Snd:
+            push((kind,))
+            t = t.pair
+            continue
+        if kind is Case:
+            push((Case, t.left_binder, t.left_body, t.right_binder, t.right_body))
+            t = t.scrutinee
+            continue
+        # The focus is canonical or a variable: the whole term is
+        # canonical, or it must step, or it is stuck.
+        if not stack and kind is not Var:
+            return Canonical(t, classify(t), steps)
         if tank.remaining <= 0:
-            return FuelExhausted(describe(t))
-        nxt = _step(t, strategy)
-        if isinstance(nxt, _StuckAt):
-            return Stuck(nxt.subterm)
+            return FuelExhausted(_describe(stack, t))
+        if kind is Var:
+            return Stuck(t)
+        frame = pop()
+        tag = frame[0]
+        if tag is App:
+            if kind is not Lam:
+                return Stuck(App(t, frame[1]))
+            arg = frame[1]
+            if by_value and classify(arg) is None:
+                push((Lam, t))
+                t = arg
+                continue
+            t = substitute(t.body, t.binder, arg)
+        elif tag is Fst:
+            if kind is not Pair:
+                return Stuck(Fst(t))
+            t = t.fst
+        elif tag is Snd:
+            if kind is not Pair:
+                return Stuck(Snd(t))
+            t = t.snd
+        elif tag is Case:
+            if kind is Inl:
+                t = substitute(frame[2], frame[1], t.arg)
+            elif kind is Inr:
+                t = substitute(frame[4], frame[3], t.arg)
+            else:
+                return Stuck(Case(t, *frame[1:]))
+        else:
+            lam = frame[1]
+            t = substitute(lam.body, lam.binder, t)
         tank.remaining -= 1
         steps += 1
-        t = nxt
+
+
+# Per frame tag: the printer's precedence level of the eliminator, and
+# the level at which it prints its hole.
+_LEVEL = {App: PREC_APP, Fst: PREC_APP, Snd: PREC_APP, Case: PREC_TERM, Lam: PREC_APP}
+_HOLE = {App: PREC_APP, Fst: PREC_ATOM, Snd: PREC_ATOM, Case: PREC_OR, Lam: PREC_ATOM}
+
+
+def _opener(frame: tuple) -> str:
+    """What the printer writes for a frame before its hole."""
+    tag = frame[0]
+    if tag is Fst:
+        return "fst "
+    if tag is Snd:
+        return "snd "
+    if tag is Case:
+        return "case "
+    if tag is Lam:
+        return pretty_at(frame[1], PREC_APP) + " "
+    return ""
+
+
+def _closer(frame: tuple) -> str:
+    """What the printer writes for a frame after its hole."""
+    tag = frame[0]
+    if tag is App:
+        return " " + pretty_at(frame[1], PREC_ATOM)
+    if tag is Case:
+        _, lb, lbody, rb, rbody = frame
+        return (f" of inl {lb} -> {pretty_at(lbody, PREC_TERM)}"
+                f" | inr {rb} -> {pretty_at(rbody, PREC_TERM)}")
+    return ""
+
+
+def _describe(stack: list, focus: Term, limit: int = 120) -> str:
+    """``describe`` of the term that the stack plugged with the focus
+    spells, without building that term.
+
+    The openers are written outermost frame first, then the focus, then
+    the closers innermost frame first; writing stops once past ``limit``
+    characters.  A frame is parenthesised when its level binds more
+    loosely than the hole of the frame around it."""
+    out: list = []
+    size = 0
+    ctx = PREC_TERM
+    for frame in stack:
+        piece = ("(" if _LEVEL[frame[0]] < ctx else "") + _opener(frame)
+        out.append(piece)
+        size += len(piece)
+        if size > limit:
+            return clip("".join(out), limit)
+        ctx = _HOLE[frame[0]]
+    out.append(pretty_at(focus, ctx))
+    size += len(out[-1])
+    for i in range(len(stack) - 1, -1, -1):
+        if size > limit:
+            break
+        frame = stack[i]
+        ctx = _HOLE[stack[i - 1][0]] if i else PREC_TERM
+        piece = _closer(frame) + (")" if _LEVEL[frame[0]] < ctx else "")
+        out.append(piece)
+        size += len(piece)
+    return clip("".join(out), limit)
 
 
 def evaluate(t: Term, fuel: int, strategy: Strategy = Strategy.CALL_BY_NAME) -> EvalResult:

@@ -261,19 +261,22 @@ def parse(text: str) -> Term:
 
 # -- printing ----------------------------------------------------------
 
-_TERM, _OR, _AND, _APP, _ATOM = range(5)
+# Precedence levels, loosest first.
+PREC_TERM, PREC_OR, PREC_AND, PREC_APP, PREC_ATOM = range(5)
 
 
 def pretty(t: Term) -> str:
     """Render a term; parse(pretty(t)) is alpha-equivalent to t."""
-    return _pp(t, _TERM)
+    return pretty_at(t, PREC_TERM)
 
 
 def _wrap(s: str, level: int, ctx: int) -> str:
     return f"({s})" if level < ctx else s
 
 
-def _pp(t: Term, ctx: int) -> str:
+def pretty_at(t: Term, ctx: int) -> str:
+    """Render ``t`` where a term of precedence ``ctx`` is expected,
+    parenthesised when it binds more loosely."""
     match t:
         case Var(n):
             return n
@@ -284,40 +287,48 @@ def _pp(t: Term, ctx: int) -> str:
         case TFalse():
             return "False"
         case Lam(b, body):
-            return _wrap(f"lam {b}. {_pp(body, _TERM)}", _TERM, ctx)
+            return _wrap(f"lam {b}. {pretty_at(body, PREC_TERM)}", PREC_TERM, ctx)
         case App(f, a):
-            return _wrap(f"{_pp(f, _APP)} {_pp(a, _ATOM)}", _APP, ctx)
+            return _wrap(f"{pretty_at(f, PREC_APP)} {pretty_at(a, PREC_ATOM)}", PREC_APP, ctx)
         case Pair(l, r):
-            return f"<{_pp(l, _TERM)}, {_pp(r, _TERM)}>"
+            return f"<{pretty_at(l, PREC_TERM)}, {pretty_at(r, PREC_TERM)}>"
         case Fst(p):
-            return _wrap(f"fst {_pp(p, _ATOM)}", _APP, ctx)
+            return _wrap(f"fst {pretty_at(p, PREC_ATOM)}", PREC_APP, ctx)
         case Snd(p):
-            return _wrap(f"snd {_pp(p, _ATOM)}", _APP, ctx)
+            return _wrap(f"snd {pretty_at(p, PREC_ATOM)}", PREC_APP, ctx)
         case Inl(p):
-            return _wrap(f"inl {_pp(p, _ATOM)}", _APP, ctx)
+            return _wrap(f"inl {pretty_at(p, PREC_ATOM)}", PREC_APP, ctx)
         case Inr(p):
-            return _wrap(f"inr {_pp(p, _ATOM)}", _APP, ctx)
+            return _wrap(f"inr {pretty_at(p, PREC_ATOM)}", PREC_APP, ctx)
         case Case(s, lb, lbody, rb, rbody):
             body = (
-                f"case {_pp(s, _OR)} of inl {lb} -> {_pp(lbody, _TERM)}"
-                f" | inr {rb} -> {_pp(rbody, _TERM)}"
+                f"case {pretty_at(s, PREC_OR)} of inl {lb} -> {pretty_at(lbody, PREC_TERM)}"
+                f" | inr {rb} -> {pretty_at(rbody, PREC_TERM)}"
             )
-            return _wrap(body, _TERM, ctx)
+            return _wrap(body, PREC_TERM, ctx)
         case Forall(d, b, f):
             if b not in free_vars(f):
-                return _wrap(f"{_pp(d, _OR)} => {_pp(f, _TERM)}", _TERM, ctx)
-            return _wrap(f"forall {b} : {_pp(d, _OR)} . {_pp(f, _TERM)}", _TERM, ctx)
+                body = f"{pretty_at(d, PREC_OR)} => {pretty_at(f, PREC_TERM)}"
+            else:
+                body = f"forall {b} : {pretty_at(d, PREC_OR)} . {pretty_at(f, PREC_TERM)}"
+            return _wrap(body, PREC_TERM, ctx)
         case Exists(d, b, f):
             if b not in free_vars(f):
-                return _wrap(f"{_pp(d, _AND)} /\\ {_pp(f, _APP)}", _AND, ctx)
-            return _wrap(f"exists {b} : {_pp(d, _OR)} . {_pp(f, _TERM)}", _TERM, ctx)
+                body = f"{pretty_at(d, PREC_AND)} /\\ {pretty_at(f, PREC_APP)}"
+                return _wrap(body, PREC_AND, ctx)
+            body = f"exists {b} : {pretty_at(d, PREC_OR)} . {pretty_at(f, PREC_TERM)}"
+            return _wrap(body, PREC_TERM, ctx)
         case Disj(l, r):
-            return _wrap(f"{_pp(l, _OR)} \\/ {_pp(r, _AND)}", _OR, ctx)
+            return _wrap(f"{pretty_at(l, PREC_OR)} \\/ {pretty_at(r, PREC_AND)}", PREC_OR, ctx)
         case _:
             raise TypeError(f"not a term: {t!r}")
 
 
 def describe(t: Term, limit: int = 120) -> str:
     """Short rendering for error reports."""
-    s = pretty(t)
+    return clip(pretty(t), limit)
+
+
+def clip(s: str, limit: int = 120) -> str:
+    """``s`` cut to ``limit`` characters, marking a cut with '...'."""
     return s if len(s) <= limit else s[: limit - 3] + "..."

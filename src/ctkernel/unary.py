@@ -63,7 +63,7 @@ from .syntax import describe, pretty
 from .terms import (
     Disj, Exists, Forall, Inl, Inr, It, Lam, Pair, TFalse, TTrue, Term,
     TRUE, FALSE, IT, Var, alpha_eq, constructor_depth, free_vars, fresh_name,
-    is_type_former, require_closed, substitute, term_key,
+    is_canonical, is_type_former, require_closed, substitute, term_key,
 )
 
 CBN = Strategy.CALL_BY_NAME
@@ -684,12 +684,49 @@ def _related_pairs(domain: Term, depth: int, tank: Tank, strategy: Strategy):
 # -- equal sets ---------------------------------------------------------------
 
 
+def _same_budget(sides: Sequence, test, tank: Tank, decisive):
+    """Readings of ``test(side, fuel)``, each side on its own copy of the
+    remaining budget.
+
+    Returns ``(reading, [])`` for the first side whose reading is
+    decisive, and the tank pays for that side alone; else ``(None,
+    readings)``, and the tank pays for every side.  So the readings do
+    not depend on the order of the sides, and one side's divergence
+    cannot hide the other side's decisive reading."""
+    budget = tank.remaining
+    readings = []
+    for side in sides:
+        own = Tank(budget)
+        r = test(side, own)
+        if decisive(r):
+            tank.remaining = own.remaining
+            return r, []
+        readings.append(r)
+        tank.remaining = max(0, tank.remaining - (budget - own.remaining))
+    return None, readings
+
+
+def _refutes(r) -> bool:
+    return isinstance(r, Verdict) and r.refuted
+
+
 def _check_eq_set(a: Term, b: Term, tank: Tank, depth: int, strategy: Strategy) -> Verdict:
     head = TraceStep(EqSet(a, b), "equal-sets")
-    res = _evaluate(head, ("left type", "right type"), (a, b), tank, strategy)
-    if isinstance(res, Verdict):
-        return res
-    ac, bc = res
+    if is_canonical(a) and is_canonical(b):
+        ac, bc = a, b
+    else:
+        # A stuck type refutes even when the other type diverges.
+        stuck, res = _same_budget(
+            (("left type", a), ("right type", b)),
+            lambda side, fuel: _evaluate(head, (side[0],), (side[1],), fuel, strategy),
+            tank, _refutes,
+        )
+        if stuck is not None:
+            return stuck
+        for r in res:
+            if isinstance(r, Verdict):
+                return r
+        (ac,), (bc,) = res
     evals = ((Evals(a, ac),) if ac is not a else ()) + ((Evals(b, bc),) if bc is not b else ())
     if type(ac) is not type(bc) or not is_type_former(ac):
         return _cross_head_eq_set(ac, bc, evals, tank, depth, strategy, head)
@@ -726,6 +763,12 @@ def _check_eq_set(a: Term, b: Term, tank: Tank, depth: int, strategy: Strategy) 
                     if bf not in free_vars(family):
                         subs.append(_check_is_set(family, tank, depth, strategy))
                 return _claim(head, same, "vacuous-families", subs, depth)
+            if b1 not in free_vars(f1) and _same(f1, f2):
+                # One non-dependent family: the relations agree exactly
+                # when it is a set, whatever the domain's witnesses.
+                return _claim(head, same, "same-family", (
+                    vd, _check_is_set(f1, tank, depth, strategy),
+                ), depth)
             ed = _enumerate(d1, depth, tank, strategy)
             if ed.failure is not None:
                 return _claim(head, same, "domains", (vd, ed.failure), depth)
@@ -780,19 +823,19 @@ def _both_empty(
     None when one relation is provably nonempty, so the caller's
     refutation holds.  Short of that, a side that is not a set refutes,
     a divergent or undecided emptiness test gives DIVERGED or UNKNOWN,
-    and two empty relations are equal when both types are sets."""
+    and two empty relations are equal when both types are sets.  Each
+    side is tested on the same budget, so a nonempty or not-a-set side
+    decides even when the other side's test diverges."""
     for tc in (ac, bc):
         if not is_type_former(tc):
             return refuted(Trace((head, TraceStep(CanonNotIn(tc, ()), "no-former"))))
-    readings = []
-    for tc in (ac, bc):
-        r = _relation_emptiness(tc, tank, depth, strategy)
-        if r == "nonempty":
-            return None
-        if isinstance(r, Verdict) and r.refuted:
-            return Verdict(r.status, Trace((head,) + r.trace.steps), fuel_report=r.fuel_report)
-        readings.append(r)
-    for r in readings:
+    decided, readings = _same_budget(
+        (ac, bc), lambda tc, fuel: _relation_emptiness(tc, fuel, depth, strategy), tank,
+        lambda r: r == "nonempty" or _refutes(r),
+    )
+    if decided == "nonempty":
+        return None
+    for r in (decided, *readings):
         if isinstance(r, Verdict):
             return Verdict(r.status, Trace((head,) + r.trace.steps), fuel_report=r.fuel_report)
     if "unknown" in readings:

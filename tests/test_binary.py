@@ -58,6 +58,17 @@ class TestEqSet:
         )
         assert v.status is Status.UNKNOWN
 
+    def test_order_independent(self):
+        # each side is evaluated and tested on the same budget, so a stuck
+        # or not-a-set side refutes even when the other side diverges
+        for a, b in [
+            ("True => (lam o. o o) (lam o. o o)",
+             "forall y : True \\/ True . case y of inl a -> True | inr b -> it"),
+            ("fst (inl it) => True", "(lam o. o o) (lam o. o o) => True"),
+        ]:
+            for x, y in ((a, b), (b, a)):
+                assert check_eq_set(parse(x), parse(y)).status is Status.REFUTED, (x, y)
+
     def test_cross_head_one_inhabited(self):
         assert check_eq_set(FALSE, TRUE).status is Status.REFUTED
         assert check_eq_set(parse("True /\\ True"), TRUE).status is Status.REFUTED
@@ -190,6 +201,7 @@ class TestStructuralBridges:
             TRUE, FALSE, IT, parse("True => (True \\/ False)"),
             parse("lam x. x"), parse("(True /\\ True) \\/ False"),
             parse("fst <True, it>"), parse("False => it"), parse("False /\\ it"),
+            parse("(forall x : True \\/ True . case x of inl a -> True | inr b -> True) => True"),
         ]
         for ty in candidates:
             isset = check_is_set(ty)

@@ -30,6 +30,12 @@ class TestEval:
         code, _ = run(["eval", "(lam x. x x) (lam x. x x)", "--fuel", "100"])
         assert code == 2
 
+    def test_triple_self_application_exit_2(self):
+        # the spine grows by one application per step: no Python recursion
+        code, text = run(["eval", "(lam x. x x x) (lam x. x x x)"])
+        assert code == 2
+        assert text.startswith("fuel exhausted after 10000 steps at: (lam x. x x x) ")
+
     def test_stuck_exit_3(self):
         code, _ = run(["eval", "fst inl it"])
         assert code == 3

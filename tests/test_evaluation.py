@@ -1,16 +1,19 @@
-"""Fueled evaluation: examples and the four operational invariants."""
+"""Fueled evaluation: examples, the four operational invariants, agreement
+with the reference evaluator, and stack safety on deep and long runs."""
 
 import pytest
 from hypothesis import given, settings
 
+import eval_oracle
 from ctkernel.evaluation import (
-    Canonical, FuelExhausted, Strategy, Stuck, evaluate,
+    Canonical, FuelExhausted, Strategy, Stuck, Tank, evaluate, run,
 )
 from ctkernel.syntax import parse
 from ctkernel.terms import (
-    App, CanonicalForm, Fst, IT, Inl, Lam, Pair, Var, classify, is_canonical,
+    App, Case, CanonicalForm, Fst, IT, Inl, Inr, Lam, Pair, Var, classify,
+    is_canonical,
 )
-from termgen import OMEGA, closed_terms
+from termgen import OMEGA, closed_terms, generated_checks, terms
 
 CBV = Strategy.CALL_BY_VALUE
 
@@ -118,3 +121,91 @@ class TestStrategies:
         cbv = evaluate(t, 300, CBV)
         if isinstance(cbn, Canonical) and isinstance(cbv, Canonical):
             assert classify(cbn.term) == classify(cbv.term)
+
+
+ORACLE_FUELS = (1, 2, 3, 7, 50, 300)
+
+
+def assert_matches_oracle(t):
+    """Same result (class, term, form, steps, offending, remaining) and
+    the same fuel drawn as the reference evaluator, at every budget."""
+    for strategy in Strategy:
+        for fuel in ORACLE_FUELS:
+            tank, ref_tank = Tank(fuel), Tank(fuel)
+            assert run(t, tank, strategy) == eval_oracle.run(t, ref_tank, strategy)
+            assert tank.remaining == ref_tank.remaining
+
+
+class TestAgainstOracle:
+    @given(closed_terms())
+    @settings(max_examples=200, deadline=None)
+    def test_closed_terms(self, t):
+        assert_matches_oracle(t)
+
+    @given(terms())
+    @settings(max_examples=300, deadline=None)
+    def test_open_terms(self, t):
+        assert_matches_oracle(t)
+
+    @pytest.mark.parametrize("seed, count", [(2026, 1000), (501, 500)])
+    def test_criterion_pools(self, seed, count):
+        for m, a in generated_checks(seed=seed, count=count):
+            assert_matches_oracle(m)
+            assert_matches_oracle(a)
+
+    def test_long_descriptions(self):
+        # remaining text past the 120-character cut, under every frame kind
+        big = parse("<lam z. <z, z>, <inl it, inr <it, it>>>")
+        for text in (
+            "(lam x. x x x) (lam x. x x x)",
+            "fst (snd ((lam o. o o) (lam o. o o)))",
+            "case (lam o. o o) (lam o. o o) of inl a -> <a, a> | inr b -> <b, <b, b>>",
+            "(lam x. x) ((lam y. y) ((lam o. o o o) (lam o. o o o)))",
+        ):
+            t = parse(text)
+            for _ in range(3):
+                assert_matches_oracle(t)
+                t = App(App(Lam("w", Var("w")), t), big)
+        # openers alone pass the cut
+        t = OMEGA
+        for i in range(40):
+            t = Fst(t) if i % 2 else Case(t, "a", Var("a"), "b", big)
+        assert_matches_oracle(t)
+
+
+class TestStackSafety:
+    def test_projection_spine(self):
+        n = 100_000
+        t = IT
+        for _ in range(n):
+            t = Pair(t, IT)
+        for _ in range(n):
+            t = Fst(t)
+        r = evaluate(t, 10 * n)
+        assert isinstance(r, Canonical)
+        assert r.term is IT and r.steps == n
+
+    def test_beta_spine(self):
+        n = 10_000
+        ident = Lam("x", Var("x"))
+        t = ident
+        for _ in range(n - 1):
+            t = App(t, ident)
+        r = evaluate(App(t, IT), 10 * n)
+        assert isinstance(r, Canonical)
+        assert r.term is IT and r.steps == n
+
+    def test_case_spine(self):
+        n = 10_000
+        t = Inl(IT)
+        for _ in range(n):
+            t = Case(t, "a", Inr(Var("a")), "b", Inl(Var("b")))
+        r = evaluate(t, 10 * n)
+        assert isinstance(r, Canonical)
+        assert r.form is CanonicalForm.INL and r.term.arg is IT and r.steps == n
+
+    def test_triple_self_application_exhausts_fuel(self):
+        r = evaluate(parse("(lam x. x x x) (lam x. x x x)"), 100_000)
+        assert isinstance(r, FuelExhausted)
+        assert r.remaining.startswith("(lam x. x x x) (lam x. x x x) (lam x. x x x) ")
+        assert len(r.remaining) == 120 and r.remaining.endswith("...")
