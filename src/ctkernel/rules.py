@@ -12,12 +12,15 @@ arbitrary ground propositions).  Two readings are contrasted:
   shrinks the goal, a failed exhaustive search is definitive, and the
   result says so.
 
-* *Admissible*: for every ground instantiation of the metavariables (up
-  to an instance-depth bound) under which every premise has a canonical
-  verification (up to a witness-depth bound), the conclusion has one
-  too.  This is the material reading: it looks at what verifications
-  can exist, not at derivations, so it is certified only relative to
-  its bounds.  A refutation ships a concrete instantiation together
+* *Admissible*: for every ground instantiation of the metavariables
+  under which every premise has a canonical verification, the
+  conclusion has one too.  This is the material reading: it looks at
+  what verifications can exist, not at derivations.  Inhabitation of
+  ground types is two-valued and compositional, so an instantiation
+  matters only through which metavariables it makes inhabited, and the
+  check over the 2^k True/False valuations is exact: a verification is
+  a theorem about every ground instantiation, not a bound-relative
+  certificate.  A refutation ships a concrete instantiation together
   with premise witnesses whose conclusion is uninhabited.
 
 The interesting quadrant is admissible-but-not-derivable: rules the
@@ -34,17 +37,16 @@ from typing import Dict, List, Optional, Tuple, Union
 from .config import (
     DEFAULT_DEPTH, DEFAULT_FUEL, DEFAULT_INSTANCE_DEPTH, DEFAULT_SEARCH_DEPTH,
 )
-from .evaluation import Strategy
+from .evaluation import Strategy, Tank
 from .judgments import (
-    IsTrue, Status, Trace, TraceStep, Verdict, diverged, refuted, unknown,
-    verified,
+    IsTrue, Trace, TraceStep, Verdict, diverged, refuted, unknown, verified,
 )
-from .syntax import ParseError, _Parser, pretty, tokenize
+from .syntax import ParseError, _Parser, describe, pretty, tokenize
 from .terms import (
     Disj, Exists, Forall, Inl, Inr, It, Lam, Pair, TFalse, TTrue, Term, Var,
-    alpha_eq, free_vars, substitute,
+    TRUE, FALSE, alpha_eq, free_vars, substitute,
 )
-from .unary import enumerate_canonical, ground_types
+from .unary import Inhabitation, _combine_and, _enumerate, _inhabited, _member
 
 CBN = Strategy.CALL_BY_NAME
 
@@ -348,78 +350,100 @@ def admissible(
     fuel: int = DEFAULT_FUEL,
     strategy: Strategy = CBN,
 ) -> Verdict:
-    """Bounded admissibility over ground instantiations.
+    """Exact admissibility over the True/False valuations.
 
-    Walks every instantiation of the metavariables by ground types of
-    former depth <= instance_depth; an instantiation passes when some
-    premise is provably uninhabited (vacuous), or the conclusion has a
-    canonical witness within witness_depth.  The verification is a
-    bound-relative certificate, never an unconditional theorem."""
+    Every ground type is inhabited or not, and inhabitation of a
+    proposition depends only on that of its parts, so each ground
+    instantiation acts as the valuation that sends a metavariable to
+    True when its value is inhabited.  The scheme is admissible exactly
+    when no valuation makes every premise inhabited and the conclusion
+    uninhabited; all 2^k valuations are tried, True before False, the
+    last metavariable changing fastest.  Every instance depth >= 1
+    already contains True and False, so the verdict does not depend on
+    instance_depth.  The first refuting valuation is shipped with, for
+    each premise, its first canonical witness within witness_depth, or a
+    member read off its inhabitation structure when the bound holds
+    none.  One tank serves the whole check.  A proposition outside the
+    ground fragment (possible only for schemes not built by
+    ``parse_rule``) leaves its valuation undecided: the verdict is then
+    UNKNOWN unless another valuation refutes."""
     if instance_depth < 1 or witness_depth < 1:
         raise ValueError("bounds must be >= 1")
-    space = ground_types(instance_depth)
-    exhausted = True
+    tank = Tank(fuel)
+    undecided: Optional[Term] = None
     checked = 0
-    for values in itertools.product(space, repeat=len(rule.metavariables)):
+    for values in itertools.product((TRUE, FALSE), repeat=len(rule.metavariables)):
         assignment = dict(zip(rule.metavariables, values))
         checked += 1
         premise_props = [instantiate(p.a, assignment) for p in rule.premises]
         conclusion_prop = instantiate(rule.conclusion.a, assignment)
 
-        premise_enums = []
-        vacuous = False
-        undetermined = False
+        premises = Inhabitation.INHABITED
         for prop in premise_props:
-            er = enumerate_canonical(prop, witness_depth, fuel, strategy)
-            if er.failure is not None and er.failure.status is Status.DIVERGED:
-                return diverged(er.failure.fuel_report or "premise enumeration diverged")
-            if not er.witnesses:
-                if er.complete:
-                    vacuous = True
-                    break
-                undetermined = True
-            premise_enums.append(er)
-        if vacuous:
+            premises = _combine_and(premises, _inhabited(prop, tank, strategy))
+            if premises is Inhabitation.UNINHABITED:
+                break
+        if premises is Inhabitation.UNINHABITED:
             continue
-
-        ec = enumerate_canonical(conclusion_prop, witness_depth, fuel, strategy)
-        if ec.failure is not None and ec.failure.status is Status.DIVERGED:
-            return diverged(ec.failure.fuel_report or "conclusion enumeration diverged")
-        if ec.witnesses:
+        conclusion = _inhabited(conclusion_prop, tank, strategy)
+        if conclusion is Inhabitation.INHABITED:
             continue
-        if not ec.complete or undetermined:
-            exhausted = False
+        if Inhabitation.DIVERGED in (premises, conclusion):
+            return diverged(f"rule instance diverged at [{_render_assignment(assignment)}]")
+        if Inhabitation.NOT_GROUND in (premises, conclusion):
+            if undecided is None:
+                undecided = conclusion_prop
             continue
-        witness_tuple = tuple(er.witnesses[0] for er in premise_enums)
-        counter_steps = [
-            TraceStep(
-                IsTrue(instantiate(p.a, assignment)),
-                f"premise witness {pretty(w)}",
-            )
-            for p, w in zip(rule.premises, witness_tuple)
-        ]
-        counter_steps.append(TraceStep(IsTrue(conclusion_prop), "conclusion uninhabited"))
-        return refuted(
-            Trace(tuple(counter_steps)),
-            instantiation=assignment,
-            premise_witnesses=witness_tuple,
-        )
+        return _refutation(assignment, premise_props, conclusion_prop,
+                           witness_depth, tank, strategy)
 
     bounds = {
         "instance_depth": instance_depth,
         "witness_depth": witness_depth,
         "instantiations": checked,
+        "exact": undecided is None,
     }
+    if undecided is not None:
+        return unknown(
+            witness_depth,
+            Trace((TraceStep(IsTrue(undecided), "undecided-outside-ground-fragment"),)),
+            bounds=bounds,
+        )
     cert = Trace((
-        TraceStep(
-            IsTrue(rule.conclusion.a),
-            f"admissible-at-bound(instance_depth={instance_depth}, "
-            f"witness_depth={witness_depth}, instantiations={checked})",
-        ),
+        TraceStep(IsTrue(rule.conclusion.a), f"admissible-exact(valuations={checked})"),
     ))
-    if not exhausted:
-        return unknown(witness_depth, cert, bounds=bounds)
     return verified(cert, bounds=bounds)
+
+
+def _refutation(
+    assignment: Dict[str, Term],
+    premise_props: List[Term],
+    conclusion_prop: Term,
+    witness_depth: int,
+    tank: Tank,
+    strategy: Strategy,
+) -> Verdict:
+    witnesses = []
+    for prop in premise_props:
+        found = _enumerate(prop, witness_depth, tank, strategy).witnesses
+        w = found[0] if found else _member(prop, tank, strategy)
+        if w is None:
+            return diverged(f"premise witness diverged: {describe(prop)}")
+        witnesses.append(w)
+    steps = [
+        TraceStep(IsTrue(prop), f"premise witness {pretty(w)}")
+        for prop, w in zip(premise_props, witnesses)
+    ]
+    steps.append(TraceStep(IsTrue(conclusion_prop), "conclusion uninhabited"))
+    return refuted(
+        Trace(tuple(steps)),
+        instantiation=assignment,
+        premise_witnesses=tuple(witnesses),
+    )
+
+
+def _render_assignment(assignment: Dict[str, Term]) -> str:
+    return ", ".join(f"{k} := {pretty(v)}" for k, v in assignment.items())
 
 
 # -- the joint report -----------------------------------------------------------
@@ -456,13 +480,11 @@ class ReadingsReport:
             lines.append(
                 "admissible: verified at bound "
                 f"(instance depth {b.get('instance_depth')}, "
-                f"witness depth {b.get('witness_depth')}, "
-                f"{b.get('instantiations')} instantiations)"
+                f"witness depth {b.get('witness_depth')}); "
+                f"exact over all valuations ({b.get('instantiations')} checked)"
             )
         elif adm.refuted:
-            inst = ", ".join(
-                f"{k} := {pretty(v)}" for k, v in (adm.instantiation or {}).items()
-            )
+            inst = _render_assignment(adm.instantiation or {})
             ws = ", ".join(pretty(w) for w in adm.premise_witnesses or ())
             lines.append(f"admissible: refuted at [{inst}] with premise witness {ws}")
         else:

@@ -208,6 +208,36 @@ def _combine_and(il: Inhabitation, ir: Inhabitation) -> Inhabitation:
     return Inhabitation.INHABITED
 
 
+def _member(a: Term, tank: Tank, strategy: Strategy) -> Optional[Term]:
+    """A canonical member of a type that ``_inhabited`` finds inhabited,
+    read off the same structure: ``it``, a pair, the first inhabited
+    injection, a constant function, or the identity over an empty
+    domain.  None when evaluation runs out of fuel."""
+    res = run(a, tank, strategy)
+    if not isinstance(res, Canonical):
+        return None
+    match res.term:
+        case TTrue():
+            return IT
+        case Exists(d, _, f):
+            m = _member(d, tank, strategy)
+            n = _member(f, tank, strategy) if m is not None else None
+            return Pair(m, n) if n is not None else None
+        case Disj(l, r):
+            if _inhabited(l, tank, strategy) is Inhabitation.INHABITED:
+                m = _member(l, tank, strategy)
+                return Inl(m) if m is not None else None
+            m = _member(r, tank, strategy)
+            return Inr(m) if m is not None else None
+        case Forall(d, _, f):
+            if _inhabited(f, tank, strategy) is Inhabitation.INHABITED:
+                m = _member(f, tank, strategy)
+                return Lam("_", m) if m is not None else None
+            if _inhabited(d, tank, strategy) is Inhabitation.UNINHABITED:
+                return Lam("x", Var("x"))
+    return None
+
+
 # -- witness enumeration ---------------------------------------------------
 
 

@@ -112,6 +112,12 @@ class TestRule:
         assert "P := False" in text and "Q := True" in text
         assert "inr it" in text
 
+    def test_witness_beyond_depth_refuted(self):
+        # the premise witness <it, it> is deeper than --depth 1
+        code, text = run(["rule", "P /\\ P true |- False true", "--depth", "1"])
+        assert code == 4
+        assert "P := True" in text and "<it, it>" in text
+
     def test_rule_file(self, tmp_path):
         path = tmp_path / "rules.txt"
         path.write_text(

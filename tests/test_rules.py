@@ -5,9 +5,10 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from ctkernel.judgments import Status
+from admissibility_oracle import bounded_admissible
+from ctkernel.judgments import IsTrue, Status
 from ctkernel.rules import (
-    Derivation, NotDerivable, admissible, check_derivation,
+    Derivation, NotDerivable, RuleScheme, admissible, check_derivation,
     compare_readings, derivation_size, derive, extract_realizer,
     instantiate, parse_rule, parse_rule_file,
 )
@@ -185,6 +186,75 @@ class TestAdmissible:
         v = admissible(parse_rule("P true; P => Q true |- Q true"), 2, 3)
         assert v.status is Status.VERIFIED
 
+    def test_exact_bounds(self):
+        v = admissible(parse_rule("P /\\ Q true |- P true"), 2, 3)
+        assert v.bounds == {"instance_depth": 2, "witness_depth": 3,
+                            "instantiations": 4, "exact": True}
+
+    def test_peirce_premise_verified(self):
+        # the bounded walk cannot see every witness of (R => P) => R
+        v = admissible(parse_rule("(R => P) => R true |- R true"))
+        assert v.status is Status.VERIFIED
+
+    def test_derivable_conditional_verified(self):
+        rule = parse_rule("R true |- True /\\ R => R true")
+        assert isinstance(derive(rule, 5), Derivation)
+        assert admissible(rule).status is Status.VERIFIED
+
+    def test_witness_beyond_bound_refuted(self):
+        # <it, it> has depth 2: built from the inhabitation structure
+        v = admissible(parse_rule("P /\\ P true |- False true"), witness_depth=1)
+        assert v.status is Status.REFUTED
+        assert {k: pretty(t) for k, t in v.instantiation.items()} == {"P": "True"}
+        assert [pretty(w) for w in v.premise_witnesses] == ["<it, it>"]
+
+    def test_fallback_witnesses_are_members(self):
+        rule = parse_rule(
+            "P /\\ P true; False \\/ (P => Q) true; P => False \\/ Q true; "
+            "False => False true |- False true"
+        )
+        v = admissible(rule, witness_depth=1)
+        assert v.status is Status.REFUTED
+        assert [pretty(w) for w in v.premise_witnesses] == [
+            "<it, it>", "inr (lam _. it)", "lam _. inr it", "lam x. x",
+        ]
+        _assert_witnesses_are_members(rule, v)
+
+
+class TestOutsideGroundFragment:
+    """Schemes built without parse_rule may hold non-ground propositions."""
+
+    def test_not_ground_is_unknown(self):
+        for prop in (parse("lam x. x"), parse("forall x : True . x"), Var("Z")):
+            v = admissible(RuleScheme(("P",), (IsTrue(Var("P")),), IsTrue(prop)))
+            assert v.status is Status.UNKNOWN
+            assert v.bounds["exact"] is False
+
+    def test_non_ground_premise_is_unknown(self):
+        rule = RuleScheme(("P",), (IsTrue(parse("lam x. x")),), IsTrue(FALSE))
+        assert admissible(rule).status is Status.UNKNOWN
+
+    def test_refutation_beats_undecided(self):
+        # P := True is undecided, P := False refutes
+        rule = RuleScheme(("P",), (IsTrue(TRUE),), IsTrue(parse("P /\\ lam x. x")))
+        v = admissible(rule)
+        assert v.status is Status.REFUTED
+        assert v.instantiation == {"P": FALSE}
+
+    def test_vacuous_premise_decides_despite_non_ground(self):
+        rule = RuleScheme((), (IsTrue(parse("lam x. x")), IsTrue(FALSE)), IsTrue(FALSE))
+        assert admissible(rule).status is Status.VERIFIED
+
+    def test_divergence_is_diverged(self):
+        omega = parse("(lam x. x x) (lam x. x x)")
+        for rule in (
+            RuleScheme(("P",), (IsTrue(Var("P")),), IsTrue(omega)),
+            RuleScheme(("P",), (IsTrue(omega),), IsTrue(FALSE)),
+        ):
+            v = admissible(rule, fuel=50)
+            assert v.status is Status.DIVERGED
+            assert v.fuel_report
+
 
 class TestCompareReadings:
     def test_and_elim_flagged(self):
@@ -239,7 +309,36 @@ def rule_schemes(draw):
 @given(rule_schemes())
 @settings(max_examples=80, deadline=None)
 def test_derivable_implies_admissible(rule):
+    # admissibility is exact, so soundness is VERIFIED, not just "not refuted"
     d = derive(rule, 6)
     if isinstance(d, Derivation):
         v = admissible(rule, 1, 3)
-        assert v.status is not Status.REFUTED, rule.render()
+        assert v.status is Status.VERIFIED, rule.render()
+
+
+def _assert_witnesses_are_members(rule, v):
+    assert len(v.premise_witnesses) == len(rule.premises)
+    for premise, w in zip(rule.premises, v.premise_witnesses):
+        prop = instantiate(premise.a, v.instantiation)
+        assert check_member(w, prop).status is Status.VERIFIED, (pretty(w), pretty(prop))
+
+
+@given(rule_schemes(), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_premise_witnesses_are_members(rule, witness_depth):
+    v = admissible(rule, 1, witness_depth)
+    assert v.definitive, rule.render()
+    if v.refuted:
+        _assert_witnesses_are_members(rule, v)
+
+
+@given(rule_schemes(), st.integers(1, 2))
+@settings(max_examples=30, deadline=None)
+def test_agrees_with_bounded_walk(rule, instance_depth):
+    walk = bounded_admissible(rule, instance_depth, 3)
+    exact = admissible(rule, instance_depth, 3)
+    assert exact.definitive, rule.render()
+    if walk.definitive:
+        assert exact.status is walk.status, rule.render()
+        assert exact.instantiation == walk.instantiation, rule.render()
+        assert exact.premise_witnesses == walk.premise_witnesses, rule.render()
