@@ -75,7 +75,11 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="compare derivability and admissibility")
     p_rule.add_argument("rule", nargs="?")
     p_rule.add_argument("--file", help="rule file, one rule per blank-separated block")
-    p_rule.add_argument("--instance-depth", type=int, default=DEFAULT_INSTANCE_DEPTH)
+    p_rule.add_argument(
+        "--instance-depth", type=int, default=DEFAULT_INSTANCE_DEPTH,
+        help="reported among the bounds; admissibility is exact over the "
+             "True/False valuations, so it changes no verdict",
+    )
 
     p_kripke = sub.add_parser("kripke", parents=[common], help="finite world-model forcing")
     p_kripke.add_argument("model")

@@ -68,10 +68,15 @@ class Tank:
 
 # A frame is an eliminator with a hole where its head was, outermost
 # frame first on the stack.  It keeps only what the redex needs: an App
-# frame holds the argument, not the App node, so the reduced head chain
-# is never kept alive.  (Lam, lam) is the call-by-value frame of a
-# function waiting for its argument's value.
-#   (App, arg)  (Fst,)  (Snd,)  (Case, lb, lbody, rb, rbody)  (Lam, lam)
+# frame is the bare argument term, not the App node, so the reduced head
+# chain is never kept alive and a frame costs one list slot.  The other
+# frames are tuples, and no term is a tuple.  (Lam, lam) is the
+# call-by-value frame of a function waiting for its argument's value.
+#   arg  (Fst,)  (Snd,)  (Case, lb, lbody, rb, rbody)  (Lam, lam)
+
+
+def _tag(frame) -> type:
+    return frame[0] if type(frame) is tuple else App
 
 
 def run(t: Term, tank: Tank, strategy: Strategy = Strategy.CALL_BY_NAME) -> EvalResult:
@@ -86,7 +91,7 @@ def run(t: Term, tank: Tank, strategy: Strategy = Strategy.CALL_BY_NAME) -> Eval
     while True:
         kind = type(t)
         if kind is App:
-            push((App, t.arg))
+            push(t.arg)
             t = t.fn
             continue
         if kind is Fst or kind is Snd:
@@ -106,16 +111,15 @@ def run(t: Term, tank: Tank, strategy: Strategy = Strategy.CALL_BY_NAME) -> Eval
         if kind is Var:
             return Stuck(t)
         frame = pop()
-        tag = frame[0]
+        tag = frame[0] if type(frame) is tuple else App
         if tag is App:
             if kind is not Lam:
-                return Stuck(App(t, frame[1]))
-            arg = frame[1]
-            if by_value and classify(arg) is None:
+                return Stuck(App(t, frame))
+            if by_value and classify(frame) is None:
                 push((Lam, t))
-                t = arg
+                t = frame
                 continue
-            t = substitute(t.body, t.binder, arg)
+            t = substitute(t.body, t.binder, frame)
         elif tag is Fst:
             if kind is not Pair:
                 return Stuck(Fst(t))
@@ -144,9 +148,9 @@ _LEVEL = {App: PREC_APP, Fst: PREC_APP, Snd: PREC_APP, Case: PREC_TERM, Lam: PRE
 _HOLE = {App: PREC_APP, Fst: PREC_ATOM, Snd: PREC_ATOM, Case: PREC_OR, Lam: PREC_ATOM}
 
 
-def _opener(frame: tuple) -> str:
+def _opener(frame) -> str:
     """What the printer writes for a frame before its hole."""
-    tag = frame[0]
+    tag = _tag(frame)
     if tag is Fst:
         return "fst "
     if tag is Snd:
@@ -158,11 +162,11 @@ def _opener(frame: tuple) -> str:
     return ""
 
 
-def _closer(frame: tuple) -> str:
+def _closer(frame) -> str:
     """What the printer writes for a frame after its hole."""
-    tag = frame[0]
+    tag = _tag(frame)
     if tag is App:
-        return " " + pretty_at(frame[1], PREC_ATOM)
+        return " " + pretty_at(frame, PREC_ATOM)
     if tag is Case:
         _, lb, lbody, rb, rbody = frame
         return (f" of inl {lb} -> {pretty_at(lbody, PREC_TERM)}"
@@ -182,20 +186,21 @@ def _describe(stack: list, focus: Term, limit: int = 120) -> str:
     size = 0
     ctx = PREC_TERM
     for frame in stack:
-        piece = ("(" if _LEVEL[frame[0]] < ctx else "") + _opener(frame)
+        tag = _tag(frame)
+        piece = ("(" if _LEVEL[tag] < ctx else "") + _opener(frame)
         out.append(piece)
         size += len(piece)
         if size > limit:
             return clip("".join(out), limit)
-        ctx = _HOLE[frame[0]]
+        ctx = _HOLE[tag]
     out.append(pretty_at(focus, ctx))
     size += len(out[-1])
     for i in range(len(stack) - 1, -1, -1):
         if size > limit:
             break
         frame = stack[i]
-        ctx = _HOLE[stack[i - 1][0]] if i else PREC_TERM
-        piece = _closer(frame) + (")" if _LEVEL[frame[0]] < ctx else "")
+        ctx = _HOLE[_tag(stack[i - 1])] if i else PREC_TERM
+        piece = _closer(frame) + (")" if _LEVEL[_tag(frame)] < ctx else "")
         out.append(piece)
         size += len(piece)
     return clip("".join(out), limit)

@@ -15,109 +15,293 @@ them back.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Optional, Union
 
 
-@dataclass(frozen=True)
-class Var:
+_set = object.__setattr__
+_EMPTY: frozenset = frozenset()
+# One free-variable set per variable name, shared by every Var of that
+# name: a set per occurrence would cost about 200 bytes a node.
+_NAME_FV: dict = {}
+
+
+# The constructors reuse an operand when it already holds the union, so
+# that most nodes share their children's set instead of owning a copy:
+#     a if b <= a else b if a <= b else a | b
+# (written out in each, as a call would cost more than the test).
+
+
+def _bind(fv: frozenset, binder: str) -> frozenset:
+    """``fv`` without ``binder``, which it contains."""
+    return fv - {binder} if len(fv) > 1 else _EMPTY
+
+
+class _Node:
+    """Immutable term node.
+
+    The constructor fields live in the instance ``__dict__``, in
+    declaration order, so ``vars(node)`` lists exactly them.  Beside them,
+    in slots: ``fv``, the free variables, computed at construction from
+    the children's; and ``_meta``, the pair (hash, constructor depth),
+    computed on first use for the node and every subterm that lacks it,
+    by a loop rather than recursion, so that neither depends on the
+    Python stack.  One slot for the pair keeps a node that is never
+    hashed 8 bytes smaller.
+    ``repr`` is the dataclass ``repr``; ``term_key`` sorts on it.
+    """
+
+    __slots__ = ("fv", "_meta", "__dict__")
+    __match_args__: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        try:
+            if self._meta[0] != other._meta[0]:
+                return False
+        except AttributeError:
+            pass
+        return _equal(self, other)
+
+    def __hash__(self):
+        try:
+            return self._meta[0]
+        except AttributeError:
+            _fill(self)
+            return self._meta[0]
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+def _fill(t: "_Node") -> None:
+    """Cache the hash and constructor depth of ``t`` and of each of its
+    subterms that lacks them, children first."""
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        fields = [getattr(node, f) for f in node.__match_args__]
+        todo = [v for v in fields if type(v) is not str and not hasattr(v, "_meta")]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        if hasattr(node, "_meta"):
+            continue  # a shared subterm, pushed twice
+        key = [type(node)]
+        depth = 1
+        for v in fields:
+            if type(v) is str:
+                key.append(v)
+            else:
+                h, d = v._meta
+                key.append(h)
+                if d >= depth:
+                    depth = d + 1
+        _set(node, "_meta", (hash(tuple(key)), depth))
+
+
+def _equal(a: "_Node", b: "_Node") -> bool:
+    """Field-by-field equality of two terms, without recursion."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        for f in a.__match_args__:
+            x, y = getattr(a, f), getattr(b, f)
+            if type(x) is str:
+                if x != y:
+                    return False
+            else:
+                stack.append((x, y))
+    return True
+
+
+class Var(_Node):
     """Variable occurrence: x"""
-    name: str
+    __slots__ = ()
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        fv = _NAME_FV.get(name)
+        if fv is None:
+            fv = _NAME_FV[name] = frozenset((name,))
+        _set(self, "fv", fv)
 
 
-@dataclass(frozen=True)
-class Lam:
+class Lam(_Node):
     """Function witness: lam x. M"""
-    binder: str
-    body: "Term"
+    __slots__ = ()
+    __match_args__ = ("binder", "body")
+
+    def __init__(self, binder: str, body: "Term"):
+        _set(self, "binder", binder)
+        _set(self, "body", body)
+        fv = body.fv
+        _set(self, "fv", _bind(fv, binder) if binder in fv else fv)
 
 
-@dataclass(frozen=True)
-class App:
+class App(_Node):
     """Application: M N"""
-    fn: "Term"
-    arg: "Term"
+    __slots__ = ()
+    __match_args__ = ("fn", "arg")
+
+    def __init__(self, fn: "Term", arg: "Term"):
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
+        a, b = fn.fv, arg.fv
+        _set(self, "fv", a if b <= a else b if a <= b else a | b)
 
 
-@dataclass(frozen=True)
-class Pair:
+class Pair(_Node):
     """Pair witness: <M, N>"""
-    fst: "Term"
-    snd: "Term"
+    __slots__ = ()
+    __match_args__ = ("fst", "snd")
+
+    def __init__(self, fst: "Term", snd: "Term"):
+        _set(self, "fst", fst)
+        _set(self, "snd", snd)
+        a, b = fst.fv, snd.fv
+        _set(self, "fv", a if b <= a else b if a <= b else a | b)
 
 
-@dataclass(frozen=True)
-class Fst:
+class Fst(_Node):
     """First projection: fst M"""
-    pair: "Term"
+    __slots__ = ()
+    __match_args__ = ("pair",)
+
+    def __init__(self, pair: "Term"):
+        _set(self, "pair", pair)
+        _set(self, "fv", pair.fv)
 
 
-@dataclass(frozen=True)
-class Snd:
+class Snd(_Node):
     """Second projection: snd M"""
-    pair: "Term"
+    __slots__ = ()
+    __match_args__ = ("pair",)
+
+    def __init__(self, pair: "Term"):
+        _set(self, "pair", pair)
+        _set(self, "fv", pair.fv)
 
 
-@dataclass(frozen=True)
-class Inl:
+class Inl(_Node):
     """Left injection: inl M"""
-    arg: "Term"
+    __slots__ = ()
+    __match_args__ = ("arg",)
+
+    def __init__(self, arg: "Term"):
+        _set(self, "arg", arg)
+        _set(self, "fv", arg.fv)
 
 
-@dataclass(frozen=True)
-class Inr:
+class Inr(_Node):
     """Right injection: inr M"""
-    arg: "Term"
+    __slots__ = ()
+    __match_args__ = ("arg",)
+
+    def __init__(self, arg: "Term"):
+        _set(self, "arg", arg)
+        _set(self, "fv", arg.fv)
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(_Node):
     """Sum eliminator: case M of inl x -> L | inr y -> R"""
-    scrutinee: "Term"
-    left_binder: str
-    left_body: "Term"
-    right_binder: str
-    right_body: "Term"
+    __slots__ = ()
+    __match_args__ = ("scrutinee", "left_binder", "left_body", "right_binder", "right_body")
+
+    def __init__(self, scrutinee: "Term", left_binder: str, left_body: "Term",
+                 right_binder: str, right_body: "Term"):
+        _set(self, "scrutinee", scrutinee)
+        _set(self, "left_binder", left_binder)
+        _set(self, "left_body", left_body)
+        _set(self, "right_binder", right_binder)
+        _set(self, "right_body", right_body)
+        a, b, c = scrutinee.fv, left_body.fv, right_body.fv
+        if left_binder in b:
+            b = _bind(b, left_binder)
+        if right_binder in c:
+            c = _bind(c, right_binder)
+        if not b <= a:
+            a = b if a <= b else a | b
+        _set(self, "fv", a if c <= a else c if a <= c else a | c)
 
 
-@dataclass(frozen=True)
-class It:
+class It(_Node):
     """The trivial witness: it"""
+    __slots__ = ()
+    fv = _EMPTY
 
 
-@dataclass(frozen=True)
-class TTrue:
+class TTrue(_Node):
     """The trivially verified type: True"""
+    __slots__ = ()
+    fv = _EMPTY
 
 
-@dataclass(frozen=True)
-class TFalse:
+class TFalse(_Node):
     """The empty type: False"""
+    __slots__ = ()
+    fv = _EMPTY
 
 
-@dataclass(frozen=True)
-class Forall:
+class Forall(_Node):
     """Universal quantifier: forall x : A . B (binder scopes over B)"""
-    domain: "Term"
-    binder: str
-    family: "Term"
+    __slots__ = ()
+    __match_args__ = ("domain", "binder", "family")
+
+    def __init__(self, domain: "Term", binder: str, family: "Term"):
+        _set(self, "domain", domain)
+        _set(self, "binder", binder)
+        _set(self, "family", family)
+        a, b = domain.fv, family.fv
+        if binder in b:
+            b = _bind(b, binder)
+        _set(self, "fv", a if b <= a else b if a <= b else a | b)
 
 
-@dataclass(frozen=True)
-class Exists:
+class Exists(_Node):
     """Existential quantifier: exists x : A . B (binder scopes over B)"""
-    domain: "Term"
-    binder: str
-    family: "Term"
+    __slots__ = ()
+    __match_args__ = ("domain", "binder", "family")
+
+    def __init__(self, domain: "Term", binder: str, family: "Term"):
+        _set(self, "domain", domain)
+        _set(self, "binder", binder)
+        _set(self, "family", family)
+        a, b = domain.fv, family.fv
+        if binder in b:
+            b = _bind(b, binder)
+        _set(self, "fv", a if b <= a else b if a <= b else a | b)
 
 
-@dataclass(frozen=True)
-class Disj:
+class Disj(_Node):
     """Disjoint union: A \\/ B"""
-    left: "Term"
-    right: "Term"
+    __slots__ = ()
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: "Term", right: "Term"):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        a, b = left.fv, right.fv
+        _set(self, "fv", a if b <= a else b if a <= b else a | b)
 
 
 Term = Union[
@@ -188,33 +372,13 @@ def is_type_former(t: Term) -> bool:
     return isinstance(t, _TYPE_FORMERS)
 
 
-@lru_cache(maxsize=None)
 def free_vars(t: Term) -> frozenset:
-    match t:
-        case Var(n):
-            return frozenset((n,))
-        case Lam(b, body):
-            return free_vars(body) - {b}
-        case App(f, a):
-            return free_vars(f) | free_vars(a)
-        case Pair(l, r) | Disj(l, r):
-            return free_vars(l) | free_vars(r)
-        case Fst(p) | Snd(p) | Inl(p) | Inr(p):
-            return free_vars(p)
-        case Case(s, lb, lbody, rb, rbody):
-            return (
-                free_vars(s)
-                | (free_vars(lbody) - {lb})
-                | (free_vars(rbody) - {rb})
-            )
-        case Forall(d, b, f) | Exists(d, b, f):
-            return free_vars(d) | (free_vars(f) - {b})
-        case _:
-            return frozenset()
+    """The free variables of ``t``, as its node carries them."""
+    return t.fv
 
 
 def is_closed(t: Term) -> bool:
-    return not free_vars(t)
+    return not t.fv
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -226,61 +390,66 @@ def fresh_name(base: str, avoid) -> str:
     raise AssertionError("unreachable")
 
 
-def _avoid_capture(binder: str, body: Term, value: Term):
-    # Rename the binder when it would capture a free variable of value.
-    if binder in free_vars(value):
-        fresh = fresh_name(binder, free_vars(value) | free_vars(body) | {binder})
-        return fresh, substitute(body, binder, Var(fresh))
-    return binder, body
+def _under(binder: str, body: Term, name: str, value: Term):
+    """Substitute into the scope of a binder: (binder, body) afterwards.
+    The binder is renamed when it would capture a free variable of value."""
+    if binder == name or name not in body.fv:
+        return binder, body
+    if binder in value.fv:
+        fresh = fresh_name(binder, value.fv | body.fv | {binder})
+        binder, body = fresh, substitute(body, binder, Var(fresh))
+    return binder, substitute(body, name, value)
 
 
 def substitute(t: Term, name: str, value: Term) -> Term:
     """Replace free occurrences of ``name`` in ``t`` by ``value``, avoiding capture."""
-    if name not in free_vars(t):
+    if name not in t.fv:
         return t
-    match t:
-        case Var(_):
-            return value
-        case Lam(b, body):
-            b, body = _avoid_capture(b, body, value)
-            return Lam(b, substitute(body, name, value))
-        case App(f, a):
-            return App(substitute(f, name, value), substitute(a, name, value))
-        case Pair(l, r):
-            return Pair(substitute(l, name, value), substitute(r, name, value))
-        case Fst(p):
-            return Fst(substitute(p, name, value))
-        case Snd(p):
-            return Snd(substitute(p, name, value))
-        case Inl(p):
-            return Inl(substitute(p, name, value))
-        case Inr(p):
-            return Inr(substitute(p, name, value))
-        case Case(s, lb, lbody, rb, rbody):
-            s = substitute(s, name, value)
-            if lb != name and name in free_vars(lbody):
-                lb, lbody = _avoid_capture(lb, lbody, value)
-                lbody = substitute(lbody, name, value)
-            if rb != name and name in free_vars(rbody):
-                rb, rbody = _avoid_capture(rb, rbody, value)
-                rbody = substitute(rbody, name, value)
-            return Case(s, lb, lbody, rb, rbody)
-        case Forall(d, b, f):
-            d = substitute(d, name, value)
-            if b != name and name in free_vars(f):
-                b, f = _avoid_capture(b, f, value)
-                f = substitute(f, name, value)
-            return Forall(d, b, f)
-        case Exists(d, b, f):
-            d = substitute(d, name, value)
-            if b != name and name in free_vars(f):
-                b, f = _avoid_capture(b, f, value)
-                f = substitute(f, name, value)
-            return Exists(d, b, f)
-        case Disj(l, r):
-            return Disj(substitute(l, name, value), substitute(r, name, value))
-        case _:
-            return t
+    return _SUBSTITUTE[type(t)](t, name, value)
+
+
+def _sub_lam(t: Lam, name: str, value: Term) -> Term:
+    return Lam(*_under(t.binder, t.body, name, value))
+
+
+def _sub_app(t: App, name: str, value: Term) -> Term:
+    return App(substitute(t.fn, name, value), substitute(t.arg, name, value))
+
+
+def _sub_pair(t: Pair, name: str, value: Term) -> Term:
+    return Pair(substitute(t.fst, name, value), substitute(t.snd, name, value))
+
+
+def _sub_case(t: Case, name: str, value: Term) -> Term:
+    return Case(substitute(t.scrutinee, name, value),
+                *_under(t.left_binder, t.left_body, name, value),
+                *_under(t.right_binder, t.right_body, name, value))
+
+
+def _sub_quantifier(t, name: str, value: Term) -> Term:
+    return type(t)(substitute(t.domain, name, value),
+                   *_under(t.binder, t.family, name, value))
+
+
+def _sub_disj(t: Disj, name: str, value: Term) -> Term:
+    return Disj(substitute(t.left, name, value), substitute(t.right, name, value))
+
+
+# Only nodes with a free variable are dispatched: never It, True or False.
+_SUBSTITUTE = {
+    Var: lambda t, name, value: value,
+    Lam: _sub_lam,
+    App: _sub_app,
+    Pair: _sub_pair,
+    Fst: lambda t, name, value: Fst(substitute(t.pair, name, value)),
+    Snd: lambda t, name, value: Snd(substitute(t.pair, name, value)),
+    Inl: lambda t, name, value: Inl(substitute(t.arg, name, value)),
+    Inr: lambda t, name, value: Inr(substitute(t.arg, name, value)),
+    Case: _sub_case,
+    Forall: _sub_quantifier,
+    Exists: _sub_quantifier,
+    Disj: _sub_disj,
+}
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
@@ -332,28 +501,13 @@ def _alpha(a: Term, b: Term, ea: dict, eb: dict, k: int) -> bool:
             return False
 
 
-@lru_cache(maxsize=None)
 def constructor_depth(t: Term) -> int:
     """Nesting depth counting one per tree constructor (leaves count 1)."""
-    match t:
-        case Var(_) | It() | TTrue() | TFalse():
-            return 1
-        case Lam(_, body):
-            return 1 + constructor_depth(body)
-        case App(f, a):
-            return 1 + max(constructor_depth(f), constructor_depth(a))
-        case Pair(l, r) | Disj(l, r):
-            return 1 + max(constructor_depth(l), constructor_depth(r))
-        case Fst(p) | Snd(p) | Inl(p) | Inr(p):
-            return 1 + constructor_depth(p)
-        case Case(s, _, l, _, r):
-            return 1 + max(
-                constructor_depth(s), constructor_depth(l), constructor_depth(r)
-            )
-        case Forall(d, _, f) | Exists(d, _, f):
-            return 1 + max(constructor_depth(d), constructor_depth(f))
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+    try:
+        return t._meta[1]
+    except AttributeError:
+        _fill(t)
+        return t._meta[1]
 
 
 def normalize_binders(t: Term) -> Term:
@@ -415,7 +569,7 @@ def term_key(t: Term):
 
 
 def require_closed(role: str, t: Term) -> None:
-    fv = free_vars(t)
+    fv = t.fv
     if fv:
         names = ", ".join(sorted(fv))
         raise OpenTermError(f"{role} has free variables: {names}")

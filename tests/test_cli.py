@@ -118,6 +118,13 @@ class TestRule:
         assert code == 4
         assert "P := True" in text and "<it, it>" in text
 
+    def test_instance_depth_help(self, capsys):
+        assert run(["rule", "--help"])[0] == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert ("--instance-depth INSTANCE_DEPTH reported among the bounds; "
+                "admissibility is exact over the True/False valuations, "
+                "so it changes no verdict") in help_text
+
     def test_rule_file(self, tmp_path):
         path = tmp_path / "rules.txt"
         path.write_text(

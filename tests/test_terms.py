@@ -1,15 +1,21 @@
-"""Term language: parsing, printing, substitution, alpha-equivalence."""
+"""Term language: nodes, parsing, printing, substitution, alpha-equivalence."""
+
+import copy
+import pickle
+from dataclasses import make_dataclass
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings
 
+import term_oracle as oracle
 from ctkernel.syntax import ParseError, parse, pretty
 from ctkernel.terms import (
-    App, Case, Disj, Exists, Forall, Fst, IT, Inl, Inr, Lam, Pair,
-    TRUE, FALSE, Var, alpha_eq, constructor_depth, free_vars, is_closed,
-    normalize_binders, substitute, term_key,
+    App, Case, Disj, Exists, Forall, Fst, IT, Inl, Inr, It, Lam, Pair, Snd,
+    TRUE, FALSE, TFalse, TTrue, Term, Var, alpha_eq, constructor_depth,
+    free_vars, is_closed, normalize_binders, substitute, term_key,
 )
-from termgen import closed_terms, terms
+from termgen import NAMES, closed_terms, terms
 
 
 class TestParse:
@@ -199,3 +205,138 @@ class TestOrdering:
     def test_closedness(self):
         assert is_closed(Lam("x", Var("x")))
         assert not is_closed(Var("x"))
+
+
+# The constructor fields of every node class, in declaration order.
+FIELDS = {
+    Var: ("name",),
+    Lam: ("binder", "body"),
+    App: ("fn", "arg"),
+    Pair: ("fst", "snd"),
+    Fst: ("pair",),
+    Snd: ("pair",),
+    Inl: ("arg",),
+    Inr: ("arg",),
+    Case: ("scrutinee", "left_binder", "left_body", "right_binder", "right_body"),
+    It: (),
+    TTrue: (),
+    TFalse: (),
+    Forall: ("domain", "binder", "family"),
+    Exists: ("domain", "binder", "family"),
+    Disj: ("left", "right"),
+}
+MIRROR = {cls: make_dataclass(cls.__name__, fields, frozen=True)
+          for cls, fields in FIELDS.items()}
+SAMPLES = (
+    Var("x"), Lam("x", Var("x")), App(Var("f"), IT), Pair(IT, TRUE),
+    Fst(Var("p")), Snd(Var("p")), Inl(IT), Inr(FALSE),
+    Case(Var("s"), "a", Var("a"), "b", Inl(Var("b"))), IT, TRUE, FALSE,
+    Forall(TRUE, "x", Var("x")), Exists(FALSE, "_", TRUE), Disj(TRUE, FALSE),
+)
+
+
+def mirror(t):
+    """The same tree built from frozen dataclasses."""
+    return MIRROR[type(t)](*(v if isinstance(v, str) else mirror(v)
+                             for v in (getattr(t, f) for f in FIELDS[type(t)])))
+
+
+def rebuild(t):
+    """An equal tree that shares no node with ``t``."""
+    return type(t)(*(v if isinstance(v, str) else rebuild(v)
+                     for v in (getattr(t, f) for f in FIELDS[type(t)])))
+
+
+def nested(n: int, leaf):
+    t = leaf
+    for _ in range(n):
+        t = Inl(t)
+    return t
+
+
+class TestNodes:
+    def test_every_class_pinned(self):
+        assert set(FIELDS) == set(get_args(Term))
+        assert {type(t) for t in SAMPLES} == set(FIELDS)
+
+    @pytest.mark.parametrize("t", SAMPLES, ids=lambda t: type(t).__name__)
+    def test_fields_and_repr(self, t):
+        assert list(vars(t)) == list(FIELDS[type(t)])
+        assert repr(t) == repr(mirror(t))
+
+    @pytest.mark.parametrize("t", SAMPLES, ids=lambda t: type(t).__name__)
+    def test_immutable_and_copyable(self, t):
+        with pytest.raises(AttributeError):
+            t.fv = frozenset()
+        for copied in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+            assert copied == t and hash(copied) == hash(t)
+            assert copied.fv == t.fv
+
+    @given(terms())
+    @settings(max_examples=100)
+    def test_repr_matches_dataclass(self, t):
+        assert repr(t) == repr(mirror(t))
+
+
+class TestAgainstTermOracle:
+    @given(terms())
+    @settings(max_examples=200)
+    def test_free_vars_and_depth(self, t):
+        assert free_vars(t) == oracle.free_vars(t)
+        assert constructor_depth(t) == oracle.constructor_depth(t)
+
+    @given(terms(), NAMES, terms(max_leaves=4))
+    @settings(max_examples=300)
+    def test_substitute(self, t, name, value):
+        out = substitute(t, name, value)
+        expected = oracle.substitute(t, name, value)
+        assert out == expected
+        assert hash(out) == hash(expected)
+        assert free_vars(out) == oracle.free_vars(expected)
+
+    @pytest.mark.parametrize("t, value", [
+        (Lam("y", App(Var("x"), Var("y1"))), Var("y")),
+        (Case(Var("x"), "y", App(Var("x"), Var("y1")), "z", Pair(Var("x"), Var("z1"))),
+         Pair(Var("y"), Var("z"))),
+        (Forall(Var("x"), "y", Pair(Var("x"), Var("y1"))), Var("y")),
+        (Exists(Var("x"), "y", Lam("y1", Pair(Var("y"), Var("x")))), Var("y")),
+    ])
+    def test_fresh_name_avoids_body(self, t, value):
+        # the generated terms never hold a digit-suffixed name, which a
+        # fresh binder must avoid
+        out = substitute(t, "x", value)
+        assert out == oracle.substitute(t, "x", value)
+        assert repr(out) == repr(oracle.substitute(t, "x", value))
+
+    @given(terms(), terms())
+    @settings(max_examples=200)
+    def test_equality_is_structural(self, a, b):
+        copy_a = rebuild(a)
+        assert copy_a == a and hash(copy_a) == hash(a)
+        assert (a == b) == (repr(a) == repr(b))
+        hash(b)
+        assert (a == b) == (repr(a) == repr(b))
+        if a == b:
+            assert hash(a) == hash(b)
+
+
+class TestDeepTerms:
+    # Every operation here recursed on depth and raised RecursionError
+    # about 1,000 deep.
+    N = 10_000
+
+    def test_closed(self):
+        a, b = nested(self.N, IT), nested(self.N, IT)
+        assert a == b
+        assert constructor_depth(a) == self.N + 1
+        assert hash(b) == hash(a)
+        assert constructor_depth(b) == self.N + 1
+        assert free_vars(a) == frozenset()
+        assert a != nested(self.N, Inr(IT))
+        assert nested(self.N, Inr(IT)) != nested(self.N, Inl(IT))
+
+    def test_open(self):
+        a = nested(self.N, Var("x"))
+        assert free_vars(a) == {"x"}
+        assert hash(a) == hash(nested(self.N, Var("x")))
+        assert a != nested(self.N, Var("y"))
