@@ -31,9 +31,9 @@ The clauses are the arity-2 reading of the relational engine in
 from __future__ import annotations
 
 from .config import DEFAULT_DEPTH, DEFAULT_FUEL
-from .evaluation import FuelExhausted, Strategy, Stuck, Tank, run
-from .judgments import Blocked, CanonNotIn, Trace, TraceStep, Verdict, diverged, refuted
-from .terms import Forall, Lam, Term, require_closed
+from .evaluation import Strategy, Tank
+from .judgments import Verdict
+from .terms import Forall, Term, require_closed
 from .unary import _check_budgets, _check_eq_set, _relate, _related_pairs
 
 CBN = Strategy.CALL_BY_NAME
@@ -102,14 +102,4 @@ def check_functionality(
     require_closed("function", fn)
     require_closed("quantified type", ty)
     _check_budgets(fuel, depth)
-    tank = Tank(fuel)
-    rf = run(fn, tank, strategy)
-    if isinstance(rf, FuelExhausted):
-        return diverged(f"function diverged: {rf.remaining}")
-    if isinstance(rf, Stuck):
-        return refuted(Trace((TraceStep(Blocked(rf.offending), "stuck-term"),)))
-    if not isinstance(rf.term, Lam):
-        return refuted(Trace((
-            TraceStep(CanonNotIn(ty, (rf.term, rf.term)), "not-a-function"),
-        )))
-    return _relate((fn, fn), ty, tank, depth, strategy)
+    return _relate((fn, fn), ty, Tank(fuel), depth, strategy)

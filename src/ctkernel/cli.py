@@ -116,49 +116,42 @@ def _parse_term(text: str, role: str):
     return term
 
 
-def _emit_verdict(out, cfg: RunConfig, command: str, verdict: Verdict, extra_cfg=None) -> int:
+def _emit(out, cfg: RunConfig, command: str, verdict: str, payload, human: str,
+          exit_code: int, **extra_cfg) -> int:
+    """Print the result, as one JSON document or as text, and return the
+    exit code."""
     if cfg.output_mode == "machine":
-        doc = machine_doc(
-            command, _config_json(cfg, **(extra_cfg or {})),
-            verdict.status.value, verdict.trace.to_json(),
-        )
+        doc = machine_doc(command, _config_json(cfg, **extra_cfg), verdict, payload)
         print(dump_machine(doc), file=out)
-    else:
-        rendered = verdict.trace.render()
-        if rendered:
-            print(rendered, file=out)
-        if verdict.status is Status.UNKNOWN:
-            print(f"verdict: unknown (bound {verdict.bound} exhausted)", file=out)
-        elif verdict.status is Status.DIVERGED:
-            print(f"verdict: diverged ({verdict.fuel_report})", file=out)
-        else:
-            print(f"verdict: {verdict.status.value}", file=out)
-    return _STATUS_EXIT[verdict.status]
-
-
-def _cmd_eval(args, out) -> int:
-    cfg = _config(args)
-    term = _parse_term(args.term, "term")
-    result = evaluation.evaluate(term, cfg.fuel)
-    if isinstance(result, evaluation.Canonical):
-        verdict, payload = "canonical", {
-            "result": pretty(result.term), "steps": result.steps,
-        }
-        exit_code = EXIT_OK
-        human = f"{pretty(result.term)}\ncanonical ({result.steps} steps)"
-    elif isinstance(result, evaluation.FuelExhausted):
-        verdict, payload = "fuel-exhausted", {"remaining": result.remaining}
-        exit_code = EXIT_DIVERGED
-        human = f"fuel exhausted after {cfg.fuel} steps at: {result.remaining}"
-    else:
-        verdict, payload = "stuck", {"offending": pretty(result.offending)}
-        exit_code = EXIT_STUCK
-        human = f"stuck at: {pretty(result.offending)}"
-    if cfg.output_mode == "machine":
-        print(dump_machine(machine_doc("eval", _config_json(cfg), verdict, payload)), file=out)
     else:
         print(human, file=out)
     return exit_code
+
+
+def _verdict_human(verdict: Verdict) -> str:
+    if verdict.status is Status.UNKNOWN:
+        last = f"verdict: unknown (bound {verdict.bound} exhausted)"
+    elif verdict.status is Status.DIVERGED:
+        last = f"verdict: diverged ({verdict.fuel_report})"
+    else:
+        last = f"verdict: {verdict.status.value}"
+    rendered = verdict.trace.render()
+    return f"{rendered}\n{last}" if rendered else last
+
+
+def _cmd_eval(args, cfg: RunConfig, out) -> int:
+    term = _parse_term(args.term, "term")
+    result = evaluation.evaluate(term, cfg.fuel)
+    if isinstance(result, evaluation.Canonical):
+        text = pretty(result.term)
+        return _emit(out, cfg, "eval", "canonical", {"result": text, "steps": result.steps},
+                     f"{text}\ncanonical ({result.steps} steps)", EXIT_OK)
+    if isinstance(result, evaluation.FuelExhausted):
+        return _emit(out, cfg, "eval", "fuel-exhausted", {"remaining": result.remaining},
+                     f"fuel exhausted after {cfg.fuel} steps at: {result.remaining}",
+                     EXIT_DIVERGED)
+    text = pretty(result.offending)
+    return _emit(out, cfg, "eval", "stuck", {"offending": text}, f"stuck at: {text}", EXIT_STUCK)
 
 
 def _split_check_query(query: List[str]):
@@ -177,19 +170,10 @@ def _split_check_query(query: List[str]):
     return " ".join(lhs), None, " ".join(type_parts)
 
 
-def _cmd_check(args, out) -> int:
-    cfg = _config(args)
-    try:
-        left_text, right_text, type_text = _split_check_query(args.query)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def _cmd_check(args, cfg: RunConfig, out) -> int:
+    left_text, right_text, type_text = _split_check_query(args.query)
     if args.binary != (right_text is not None):
-        print(
-            "error: --binary requires two terms separated by ':' (and vice versa)",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
+        raise ValueError("--binary requires two terms separated by ':' (and vice versa)")
     left = parse(left_text)
     ty = parse(type_text)
     if right_text is not None:
@@ -197,32 +181,23 @@ def _cmd_check(args, out) -> int:
         verdict = binary.check_eq_member(left, right, ty, cfg.fuel, cfg.depth)
     else:
         verdict = unary.check_member(left, ty, cfg.fuel, cfg.depth)
-    extra = {"binary": args.binary}
-    return _emit_verdict(out, cfg, "check", verdict, extra)
+    return _emit(out, cfg, "check", verdict.status.value, verdict.trace.to_json(),
+                 _verdict_human(verdict), _STATUS_EXIT[verdict.status], binary=args.binary)
 
 
-def _cmd_enum(args, out) -> int:
-    cfg = _config(args)
+def _cmd_enum(args, cfg: RunConfig, out) -> int:
     ty = parse(args.type)
     result = unary.enumerate_canonical(ty, cfg.depth, cfg.fuel)
     if result.failure is not None:
         verdict = result.failure.status.value
-        exit_code = _STATUS_EXIT[result.failure.status]
-        payload = {"witnesses": [], "complete": False}
-        human = f"enumeration failed: {verdict}"
-    else:
-        verdict = "complete" if result.complete else "incomplete"
-        exit_code = EXIT_OK if result.complete else EXIT_UNKNOWN
-        payload = {
-            "witnesses": [pretty(w) for w in result.witnesses],
-            "complete": result.complete,
-        }
-        human = "\n".join([pretty(w) for w in result.witnesses] + [verdict])
-    if cfg.output_mode == "machine":
-        print(dump_machine(machine_doc("enum", _config_json(cfg), verdict, payload)), file=out)
-    else:
-        print(human, file=out)
-    return exit_code
+        return _emit(out, cfg, "enum", verdict, {"witnesses": [], "complete": False},
+                     f"enumeration failed: {verdict}", _STATUS_EXIT[result.failure.status])
+    verdict = "complete" if result.complete else "incomplete"
+    witnesses = [pretty(w) for w in result.witnesses]
+    return _emit(out, cfg, "enum", verdict,
+                 {"witnesses": witnesses, "complete": result.complete},
+                 "\n".join(witnesses + [verdict]),
+                 EXIT_OK if result.complete else EXIT_UNKNOWN)
 
 
 def _report_json(report: rules.ReadingsReport) -> dict:
@@ -244,17 +219,14 @@ def _report_json(report: rules.ReadingsReport) -> dict:
     return out
 
 
-def _cmd_rule(args, out) -> int:
-    cfg = _config(args)
+def _cmd_rule(args, cfg: RunConfig, out) -> int:
     if bool(args.rule) == bool(args.file):
-        print("error: provide exactly one of an inline rule or --file", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("provide exactly one of an inline rule or --file")
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
             schemes = rules.parse_rule_file(fh.read())
         if not schemes:
-            print("error: no rules found in file", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError("no rules found in file")
     else:
         schemes = [rules.parse_rule(args.rule)]
     reports = [
@@ -268,22 +240,13 @@ def _cmd_rule(args, out) -> int:
         for scheme in schemes
     ]
     status = worst(r.admissibility.status for r in reports)
-    if cfg.output_mode == "machine":
-        payload = [_report_json(r) for r in reports]
-        doc = machine_doc(
-            "rule",
-            _config_json(cfg, instance_depth=args.instance_depth),
-            status.value,
-            payload if len(payload) > 1 else payload[0],
-        )
-        print(dump_machine(doc), file=out)
-    else:
-        print("\n\n".join(r.render() for r in reports), file=out)
-    return _STATUS_EXIT[status]
+    payload = [_report_json(r) for r in reports]
+    return _emit(out, cfg, "rule", status.value, payload if len(payload) > 1 else payload[0],
+                 "\n\n".join(r.render() for r in reports), _STATUS_EXIT[status],
+                 instance_depth=args.instance_depth)
 
 
-def _cmd_kripke(args, out) -> int:
-    cfg = _config(args)
+def _cmd_kripke(args, cfg: RunConfig, out) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
         model = worlds.parse_model(fh.read())
     judgment = worlds.parse_wjudgment(args.judgment)
@@ -313,11 +276,11 @@ def _cmd_kripke(args, out) -> int:
             f"{w}: {'forced' if ok else 'not-forced'}" for w, ok in table.items()
         )
         exit_code = EXIT_OK
-    if cfg.output_mode == "machine":
-        print(dump_machine(machine_doc("kripke", _config_json(cfg), verdict, payload)), file=out)
-    else:
-        print(human, file=out)
-    return exit_code
+    return _emit(out, cfg, "kripke", verdict, payload, human, exit_code)
+
+
+_COMMANDS = {"eval": _cmd_eval, "check": _cmd_check, "enum": _cmd_enum,
+             "rule": _cmd_rule, "kripke": _cmd_kripke}
 
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:
@@ -328,23 +291,10 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
-        cfg_probe = _config(args)  # validates the budget counts
-        del cfg_probe
-        match args.command:
-            case "eval":
-                return _cmd_eval(args, out)
-            case "check":
-                return _cmd_check(args, out)
-            case "enum":
-                return _cmd_enum(args, out)
-            case "rule":
-                return _cmd_rule(args, out)
-            case "kripke":
-                return _cmd_kripke(args, out)
+        return _COMMANDS[args.command](args, _config(args), out)
     except (ParseError, OpenTermError, ModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -191,8 +191,6 @@ class _Parser:
             t = Exists(t, "_", self.app())
         return t
 
-    _ATOM_STARTS = ("it", "True", "False", "<", "(")
-
     def _starts_operand(self) -> bool:
         tok = self.peek()
         if tok.kind == "name":

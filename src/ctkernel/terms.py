@@ -48,7 +48,11 @@ class _Node:
     by a loop rather than recursion, so that neither depends on the
     Python stack.  One slot for the pair keeps a node that is never
     hashed 8 bytes smaller.
-    ``repr`` is the dataclass ``repr``; ``term_key`` sorts on it.
+
+    The binder rule: a string field other than ``Var.name`` is a binder,
+    and its scope is the field right after it (``Lam``, ``Case``,
+    ``Forall`` and ``Exists``).  ``alpha_eq``, ``term_key`` and ``repr``
+    (the dataclass ``repr``) are loops over the fields that follow it.
     """
 
     __slots__ = ("fv", "_meta", "__dict__")
@@ -80,8 +84,7 @@ class _Node:
             return self._meta[0]
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
+        return _write(self, False)
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
@@ -112,6 +115,54 @@ def _fill(t: "_Node") -> None:
                 if d >= depth:
                     depth = d + 1
         _set(node, "_meta", (hash(tuple(key)), depth))
+
+
+def _write(t: "_Node", rename: bool) -> str:
+    """The dataclass ``repr`` of ``t``, written by a loop.  With
+    ``rename``, each binder is written as v0, v1, ... in the order the
+    walk reaches it, and so is each variable it binds."""
+    out = []
+    count = 0
+    # An item is a piece of text, a (subterm, renaming) pair, or a binder
+    # with the field it scopes, the renaming and that field's label.
+    stack = [(t, {})]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        if len(item) == 4:
+            name, scope, env, label = item
+            if rename:
+                env = {**env, name: f"v{count}"}
+                count += 1
+            out.append(f"{env.get(name, name)!r}{label}")
+            stack.append((scope, env))
+            continue
+        node, env = item
+        fields = vars(node)
+        if type(node) is Var:
+            name = fields["name"]
+            out.append(f"Var(name={env.get(name, name)!r})")
+            continue
+        if not fields:
+            out.append(f"{type(node).__qualname__}()")
+            continue
+        out.append(f"{type(node).__qualname__}(")
+        parts = []
+        sep = ""
+        values = iter(fields.items())
+        for f, v in values:
+            parts.append(f"{sep}{f}=")
+            sep = ", "
+            if type(v) is str:
+                g, scope = next(values)
+                parts.append((v, scope, env, f", {g}="))
+            else:
+                parts.append((v, env))
+        parts.append(")")
+        stack.extend(reversed(parts))
+    return "".join(out)
 
 
 def _equal(a: "_Node", b: "_Node") -> bool:
@@ -453,52 +504,30 @@ _SUBSTITUTE = {
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    """Identity up to consistent renaming of bound variables."""
-    return _alpha(a, b, {}, {}, 0)
+    """Identity up to consistent renaming of bound variables.
 
-
-def _alpha(a: Term, b: Term, ea: dict, eb: dict, k: int) -> bool:
-    match a, b:
-        case Var(x), Var(y):
-            return ea.get(x, x) == eb.get(y, y)
-        case Lam(xa, pa), Lam(xb, pb):
-            return _alpha(pa, pb, {**ea, xa: k}, {**eb, xb: k}, k + 1)
-        case App(f1, a1), App(f2, a2):
-            return _alpha(f1, f2, ea, eb, k) and _alpha(a1, a2, ea, eb, k)
-        case Pair(l1, r1), Pair(l2, r2):
-            return _alpha(l1, l2, ea, eb, k) and _alpha(r1, r2, ea, eb, k)
-        case Fst(p1), Fst(p2):
-            return _alpha(p1, p2, ea, eb, k)
-        case Snd(p1), Snd(p2):
-            return _alpha(p1, p2, ea, eb, k)
-        case Inl(p1), Inl(p2):
-            return _alpha(p1, p2, ea, eb, k)
-        case Inr(p1), Inr(p2):
-            return _alpha(p1, p2, ea, eb, k)
-        case Case(s1, lb1, l1, rb1, r1), Case(s2, lb2, l2, rb2, r2):
-            return (
-                _alpha(s1, s2, ea, eb, k)
-                and _alpha(l1, l2, {**ea, lb1: k}, {**eb, lb2: k}, k + 1)
-                and _alpha(r1, r2, {**ea, rb1: k}, {**eb, rb2: k}, k + 1)
-            )
-        case Forall(d1, b1, f1), Forall(d2, b2, f2):
-            return _alpha(d1, d2, ea, eb, k) and _alpha(
-                f1, f2, {**ea, b1: k}, {**eb, b2: k}, k + 1
-            )
-        case Exists(d1, b1, f1), Exists(d2, b2, f2):
-            return _alpha(d1, d2, ea, eb, k) and _alpha(
-                f1, f2, {**ea, b1: k}, {**eb, b2: k}, k + 1
-            )
-        case Disj(l1, r1), Disj(l2, r2):
-            return _alpha(l1, l2, ea, eb, k) and _alpha(r1, r2, ea, eb, k)
-        case It(), It():
-            return True
-        case TTrue(), TTrue():
-            return True
-        case TFalse(), TFalse():
-            return True
-        case _:
+    A bound variable is read as the level of its binder, a free one as
+    its name; the walk carries each side's binder-to-level map."""
+    stack = [(a, b, {}, {}, 0)]
+    while stack:
+        a, b, ea, eb, k = stack.pop()
+        if type(a) is not type(b):
             return False
+        if a is b and not a.fv:
+            continue
+        fa, fb = vars(a), vars(b)
+        if type(a) is Var:
+            x, y = fa["name"], fb["name"]
+            if ea.get(x, x) != eb.get(y, y):
+                return False
+            continue
+        ia, ib = iter(fa.values()), iter(fb.values())
+        for x, y in zip(ia, ib):
+            if type(x) is str:
+                stack.append((next(ia), next(ib), {**ea, x: k}, {**eb, y: k}, k + 1))
+            else:
+                stack.append((x, y, ea, eb, k))
+    return True
 
 
 def constructor_depth(t: Term) -> int:
@@ -510,62 +539,16 @@ def constructor_depth(t: Term) -> int:
         return t._meta[1]
 
 
-def normalize_binders(t: Term) -> Term:
-    """Rename every binder to v0, v1, ... in traversal order.
-
-    Alpha-equivalent terms normalize to identical trees, which gives a
-    cheap canonical representative for ordering and deduplication.
-    """
-    counter = itertools.count()
-
-    def go(t: Term, env: dict) -> Term:
-        match t:
-            case Var(n):
-                return Var(env.get(n, n))
-            case Lam(b, body):
-                nb = f"v{next(counter)}"
-                return Lam(nb, go(body, {**env, b: nb}))
-            case App(f, a):
-                return App(go(f, env), go(a, env))
-            case Pair(l, r):
-                return Pair(go(l, env), go(r, env))
-            case Fst(p):
-                return Fst(go(p, env))
-            case Snd(p):
-                return Snd(go(p, env))
-            case Inl(p):
-                return Inl(go(p, env))
-            case Inr(p):
-                return Inr(go(p, env))
-            case Case(s, lb, lbody, rb, rbody):
-                s = go(s, env)
-                nlb = f"v{next(counter)}"
-                lbody = go(lbody, {**env, lb: nlb})
-                nrb = f"v{next(counter)}"
-                rbody = go(rbody, {**env, rb: nrb})
-                return Case(s, nlb, lbody, nrb, rbody)
-            case Forall(d, b, f):
-                d = go(d, env)
-                nb = f"v{next(counter)}"
-                return Forall(d, nb, go(f, {**env, b: nb}))
-            case Exists(d, b, f):
-                d = go(d, env)
-                nb = f"v{next(counter)}"
-                return Exists(d, nb, go(f, {**env, b: nb}))
-            case Disj(l, r):
-                return Disj(go(l, env), go(r, env))
-            case _:
-                return t
-
-    return go(t, {})
-
-
 def term_key(t: Term):
-    """Total order on terms: constructor depth, then the normalized tree.
+    """Total order on terms: constructor depth, then the tree written
+    with every binder renamed v0, v1, ... in the order the walk reaches
+    it, so that alpha-equivalent terms get the same key.  Free variables
+    keep their names, so the key tells terms apart up to alpha only when
+    no free name has the form v<n>.
 
     Used wherever enumerations must be order-canonical.
     """
-    return (constructor_depth(t), repr(normalize_binders(t)))
+    return (constructor_depth(t), _write(t, True))
 
 
 def require_closed(role: str, t: Term) -> None:

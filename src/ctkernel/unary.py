@@ -502,25 +502,6 @@ def _check_budgets(fuel: int, depth: int) -> None:
         raise ValueError("depth must be >= 1")
 
 
-def val_member(
-    mc: Term,
-    ac: Term,
-    fuel: int = DEFAULT_FUEL,
-    depth: int = DEFAULT_DEPTH,
-    strategy: Strategy = CBN,
-) -> Verdict:
-    """Relation-level membership of a canonical witness in a canonical type.
-
-    This is the half of membership that remains once both sides have
-    been evaluated; exposed so tests can exercise the factoring of
-    membership into evaluation plus relation membership.  Canonical
-    inputs evaluate in zero steps, so no fuel goes to evaluating them."""
-    require_closed("term", mc)
-    require_closed("type", ac)
-    _check_budgets(fuel, depth)
-    return _relate((mc,), ac, Tank(fuel), depth, strategy)
-
-
 # -- the relational clauses, at arity 1 and 2 ---------------------------------
 
 # Per arity: the judgment form, the rule that states it, and the roles

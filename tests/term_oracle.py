@@ -1,13 +1,17 @@
-"""Reference term core: free variables, substitution and constructor
-depth by structural recursion over class patterns, with no caching.
+"""Reference term core: free variables, substitution, constructor depth,
+alpha-equivalence and binder normalization by structural recursion over
+class patterns, with no caching.
 
 ``ctkernel.terms`` reads free variables and depth off the nodes, where
-they are computed once; these must agree with it, fresh names included
-(the differential tests compare with ``==``).  Recursion limits the
-depth of the terms this module accepts.
+they are computed once, and compares and writes terms by loops driven by
+the node fields; these must agree with it, fresh names included (the
+differential tests compare with ``==``).  Recursion limits the depth of
+the terms this module accepts.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from ctkernel.terms import (
     App, Case, Disj, Exists, Forall, Fst, Inl, Inr, It, Lam, Pair, Snd,
@@ -117,3 +121,102 @@ def constructor_depth(t: Term) -> int:
             return 1 + max(constructor_depth(d), constructor_depth(f))
         case _:
             raise TypeError(f"not a term: {t!r}")
+
+
+def alpha_eq(a: Term, b: Term) -> bool:
+    """Identity up to consistent renaming of bound variables."""
+    return _alpha(a, b, {}, {}, 0)
+
+
+def _alpha(a: Term, b: Term, ea: dict, eb: dict, k: int) -> bool:
+    match a, b:
+        case Var(x), Var(y):
+            return ea.get(x, x) == eb.get(y, y)
+        case Lam(xa, pa), Lam(xb, pb):
+            return _alpha(pa, pb, {**ea, xa: k}, {**eb, xb: k}, k + 1)
+        case App(f1, a1), App(f2, a2):
+            return _alpha(f1, f2, ea, eb, k) and _alpha(a1, a2, ea, eb, k)
+        case Pair(l1, r1), Pair(l2, r2):
+            return _alpha(l1, l2, ea, eb, k) and _alpha(r1, r2, ea, eb, k)
+        case Fst(p1), Fst(p2):
+            return _alpha(p1, p2, ea, eb, k)
+        case Snd(p1), Snd(p2):
+            return _alpha(p1, p2, ea, eb, k)
+        case Inl(p1), Inl(p2):
+            return _alpha(p1, p2, ea, eb, k)
+        case Inr(p1), Inr(p2):
+            return _alpha(p1, p2, ea, eb, k)
+        case Case(s1, lb1, l1, rb1, r1), Case(s2, lb2, l2, rb2, r2):
+            return (
+                _alpha(s1, s2, ea, eb, k)
+                and _alpha(l1, l2, {**ea, lb1: k}, {**eb, lb2: k}, k + 1)
+                and _alpha(r1, r2, {**ea, rb1: k}, {**eb, rb2: k}, k + 1)
+            )
+        case Forall(d1, b1, f1), Forall(d2, b2, f2):
+            return _alpha(d1, d2, ea, eb, k) and _alpha(
+                f1, f2, {**ea, b1: k}, {**eb, b2: k}, k + 1
+            )
+        case Exists(d1, b1, f1), Exists(d2, b2, f2):
+            return _alpha(d1, d2, ea, eb, k) and _alpha(
+                f1, f2, {**ea, b1: k}, {**eb, b2: k}, k + 1
+            )
+        case Disj(l1, r1), Disj(l2, r2):
+            return _alpha(l1, l2, ea, eb, k) and _alpha(r1, r2, ea, eb, k)
+        case It(), It():
+            return True
+        case TTrue(), TTrue():
+            return True
+        case TFalse(), TFalse():
+            return True
+        case _:
+            return False
+
+
+def normalize_binders(t: Term) -> Term:
+    """Rename every binder to v0, v1, ... in traversal order.
+
+    Alpha-equivalent terms normalize to identical trees, which gives a
+    cheap canonical representative for ordering and deduplication.
+    """
+    counter = itertools.count()
+
+    def go(t: Term, env: dict) -> Term:
+        match t:
+            case Var(n):
+                return Var(env.get(n, n))
+            case Lam(b, body):
+                nb = f"v{next(counter)}"
+                return Lam(nb, go(body, {**env, b: nb}))
+            case App(f, a):
+                return App(go(f, env), go(a, env))
+            case Pair(l, r):
+                return Pair(go(l, env), go(r, env))
+            case Fst(p):
+                return Fst(go(p, env))
+            case Snd(p):
+                return Snd(go(p, env))
+            case Inl(p):
+                return Inl(go(p, env))
+            case Inr(p):
+                return Inr(go(p, env))
+            case Case(s, lb, lbody, rb, rbody):
+                s = go(s, env)
+                nlb = f"v{next(counter)}"
+                lbody = go(lbody, {**env, lb: nlb})
+                nrb = f"v{next(counter)}"
+                rbody = go(rbody, {**env, rb: nrb})
+                return Case(s, nlb, lbody, nrb, rbody)
+            case Forall(d, b, f):
+                d = go(d, env)
+                nb = f"v{next(counter)}"
+                return Forall(d, nb, go(f, {**env, b: nb}))
+            case Exists(d, b, f):
+                d = go(d, env)
+                nb = f"v{next(counter)}"
+                return Exists(d, nb, go(f, {**env, b: nb}))
+            case Disj(l, r):
+                return Disj(go(l, env), go(r, env))
+            case _:
+                return t
+
+    return go(t, {})

@@ -23,24 +23,24 @@ OMEGA = App(
 STUCK_TERM = Fst(Inl(IT))
 
 
-def terms(max_leaves: int = 10) -> st.SearchStrategy:
-    """Arbitrary terms, possibly open."""
+def terms(max_leaves: int = 10, names: st.SearchStrategy = NAMES) -> st.SearchStrategy:
+    """Arbitrary terms, possibly open, over the variable names ``names``."""
     base = st.one_of(
-        st.just(IT), st.just(TRUE), st.just(FALSE), st.builds(Var, NAMES)
+        st.just(IT), st.just(TRUE), st.just(FALSE), st.builds(Var, names)
     )
 
     def extend(children):
         return st.one_of(
-            st.builds(Lam, NAMES, children),
+            st.builds(Lam, names, children),
             st.builds(App, children, children),
             st.builds(Pair, children, children),
             st.builds(Fst, children),
             st.builds(Snd, children),
             st.builds(Inl, children),
             st.builds(Inr, children),
-            st.builds(Case, children, NAMES, children, NAMES, children),
-            st.builds(Forall, children, NAMES, children),
-            st.builds(Exists, children, NAMES, children),
+            st.builds(Case, children, names, children, names, children),
+            st.builds(Forall, children, names, children),
+            st.builds(Exists, children, names, children),
             st.builds(Disj, children, children),
         )
 

@@ -163,7 +163,18 @@ class TestFunctionality:
         assert v.status is Status.VERIFIED
 
     def test_non_function_refuted(self):
-        assert check_functionality(IT, TRUE, "_", TRUE).status is Status.REFUTED
+        v = check_functionality(IT, TRUE, "_", TRUE)
+        assert v.status is Status.REFUTED
+        assert v.trace.steps[-1].rule == "canon-forall"
+
+    def test_agrees_with_reflexive_equality_at_every_fuel(self):
+        # the function takes 4 steps to reach its lambda, charged once
+        fn = parse("(lam a. lam b. lam c. lam d. lam x. it) it it it it")
+        ty = parse("(True \\/ True) => True")
+        for fuel in range(1, 31):
+            v = check_functionality(fn, ty.domain, ty.binder, ty.family, fuel=fuel)
+            w = check_eq_member(fn, fn, ty, fuel=fuel)
+            assert (v.status, v.trace.to_json()) == (w.status, w.trace.to_json()), fuel
 
     def test_dependent_family(self):
         family = parse("case x of inl a -> True | inr b -> True /\\ True")

@@ -6,6 +6,7 @@ from dataclasses import make_dataclass
 from typing import get_args
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import term_oracle as oracle
@@ -13,9 +14,14 @@ from ctkernel.syntax import ParseError, parse, pretty
 from ctkernel.terms import (
     App, Case, Disj, Exists, Forall, Fst, IT, Inl, Inr, It, Lam, Pair, Snd,
     TRUE, FALSE, TFalse, TTrue, Term, Var, alpha_eq, constructor_depth,
-    free_vars, is_closed, normalize_binders, substitute, term_key,
+    free_vars, is_closed, substitute, term_key,
 )
+from term_oracle import normalize_binders
 from termgen import NAMES, closed_terms, terms
+
+# Names that renamed binders can collide with, and the unused binder of
+# the sugar: free occurrences of them must stay apart from binders.
+CLASHING = st.sampled_from(("x", "y", "v0", "v1", "_"))
 
 
 class TestParse:
@@ -225,6 +231,8 @@ FIELDS = {
     Exists: ("domain", "binder", "family"),
     Disj: ("left", "right"),
 }
+BINDERS = {Lam: ["binder"], Case: ["left_binder", "right_binder"],
+           Forall: ["binder"], Exists: ["binder"]}
 MIRROR = {cls: make_dataclass(cls.__name__, fields, frozen=True)
           for cls, fields in FIELDS.items()}
 SAMPLES = (
@@ -259,6 +267,27 @@ class TestNodes:
         assert set(FIELDS) == set(get_args(Term))
         assert {type(t) for t in SAMPLES} == set(FIELDS)
 
+    @pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+    def test_binder_rule(self, cls):
+        # A string field other than Var.name is a binder, and its scope is
+        # the field right after it.  With every binder named x and every
+        # subterm Var("x"), renaming one binder to z is an alpha-renaming
+        # exactly when it renames the occurrence in that field alone.
+        fields = FIELDS[cls]
+        sample = next(t for t in SAMPLES if type(t) is cls)
+        strings = {f for f in fields if isinstance(getattr(sample, f), str)}
+        binders = [i for i, f in enumerate(fields) if f in strings and cls is not Var]
+        assert [fields[i] for i in binders] == BINDERS.get(cls, [])
+        x = {f: "x" if f in strings else Var("x") for f in fields}
+        t = cls(**x)
+        for i in binders:
+            for j, f in enumerate(fields):
+                if j in binders:
+                    continue
+                renamed = cls(**{**x, fields[i]: "z", f: Var("z")})
+                assert alpha_eq(t, renamed) == (j == i + 1), (fields[i], f)
+                assert (term_key(t) == term_key(renamed)) == (j == i + 1)
+
     @pytest.mark.parametrize("t", SAMPLES, ids=lambda t: type(t).__name__)
     def test_fields_and_repr(self, t):
         assert list(vars(t)) == list(FIELDS[type(t)])
@@ -276,6 +305,9 @@ class TestNodes:
     @settings(max_examples=100)
     def test_repr_matches_dataclass(self, t):
         assert repr(t) == repr(mirror(t))
+
+
+SHARED_X = Var("x")
 
 
 class TestAgainstTermOracle:
@@ -308,6 +340,50 @@ class TestAgainstTermOracle:
         assert out == oracle.substitute(t, "x", value)
         assert repr(out) == repr(oracle.substitute(t, "x", value))
 
+    @given(terms(names=CLASHING), terms(names=CLASHING))
+    @settings(max_examples=300)
+    def test_alpha_eq(self, a, b):
+        assert alpha_eq(a, b) == oracle.alpha_eq(a, b)
+        u = normalize_binders(a)
+        assert alpha_eq(a, u) == oracle.alpha_eq(a, u)
+
+    @given(terms(names=CLASHING))
+    @settings(max_examples=300)
+    def test_term_key(self, t):
+        # the frozen-dataclass repr of the normalized tree, as term_key was
+        assert term_key(t) == (oracle.constructor_depth(t), repr(mirror(normalize_binders(t))))
+        assert repr(t) == repr(mirror(t))
+
+    @given(terms(), terms())
+    @settings(max_examples=200)
+    def test_term_key_decides_alpha_eq(self, a, b):
+        # no free name of these terms has the form of a renamed binder
+        assert (term_key(a) == term_key(b)) == oracle.alpha_eq(a, b)
+
+    @pytest.mark.parametrize("a, b, expected", [
+        # the inner binder shadows the outer one, so the levels differ
+        (Lam("x", Lam("x", Var("x"))), Lam("x", Lam("y", Var("x"))), False),
+        (Lam("x", Lam("x", Var("x"))), Lam("y", Lam("x", Var("x"))), True),
+        # the shadowing x leaves one entry in the map, yet y sits at level 2
+        (Lam("x", Lam("x", Lam("y", Var("y")))), Lam("x", Lam("x", Lam("y", Var("x")))), False),
+        # a free v0 is not the renamed first binder
+        (Lam("x", Var("v0")), Lam("v0", Var("v0")), False),
+        (Case(IT, "a", Var("a"), "a", Var("b")), Case(IT, "b", Var("b"), "c", Var("b")), True),
+        (Forall(Var("x"), "x", Var("x")), Forall(Var("x"), "y", Var("x")), False),
+        # one shared Var object, bound on the left and free on the right
+        (Lam("x", SHARED_X), Lam("y", SHARED_X), False),
+        (Lam("x", Pair(IT, SHARED_X)), Lam("y", Pair(IT, SHARED_X)), False),
+    ])
+    def test_alpha_eq_cases(self, a, b, expected):
+        assert alpha_eq(a, b) is expected
+        assert oracle.alpha_eq(a, b) is expected
+
+    def test_term_key_of_free_renamed_name(self):
+        # term_key writes a free v0 as it is, like the renamed first binder
+        a, b = Lam("x", Var("v0")), Lam("v0", Var("v0"))
+        assert not alpha_eq(a, b)
+        assert term_key(a) == term_key(b) == (2, repr(b))
+
     @given(terms(), terms())
     @settings(max_examples=200)
     def test_equality_is_structural(self, a, b):
@@ -324,6 +400,27 @@ class TestDeepTerms:
     # Every operation here recursed on depth and raised RecursionError
     # about 1,000 deep.
     N = 10_000
+
+    def test_alpha_eq_key_and_repr(self):
+        a = nested(self.N, IT)
+        b = nested(self.N, IT)
+        assert alpha_eq(a, b)
+        assert not alpha_eq(a, nested(self.N, Inr(IT)))
+        text = repr(a)
+        assert text == "Inl(arg=" * self.N + "It()" + ")" * self.N
+        assert term_key(a) == (self.N + 1, text)
+
+    def test_nested_lambdas(self):
+        a, b, c = Var("x"), Var("y"), Var("x")
+        for i in range(self.N - 1):
+            a, b, c = Lam("x", a), Lam("y", b), Lam(f"y{i}", c)
+        a, b, c = Lam("x", a), Lam("y", b), Lam("x", c)
+        assert alpha_eq(a, b)
+        assert not alpha_eq(a, c)  # c's variable is bound by its outermost lambda
+        key = term_key(a)
+        assert key == term_key(b) != term_key(c)
+        assert key[1].endswith(f"body=Var(name='v{self.N - 1}')" + ")" * self.N)
+        assert repr(a).startswith("Lam(binder='x', body=Lam(binder='x', ")
 
     def test_closed(self):
         a, b = nested(self.N, IT), nested(self.N, IT)
