@@ -12,11 +12,24 @@ sections.  The sections:
 * ``check_eq_set`` in both orders on 200 seeded pairs of the pools' types;
 * ``check_is_set`` and ``enumerate_canonical`` at depths 1-3 on each
   of those types;
-* ``check_functionality`` on every pool check whose type is a ``forall``.
+* ``check_functionality`` on every pool check whose type is a ``forall``;
+* ``check_is_set`` at fuel 1, 2, 3, 5, 8, 13 and 10^4 and depth 1, 2 and
+  4 on the types above, on each of them with one leaf (chosen by a seeded
+  draw) replaced by ``it``, and on ``it /\\ False``, ``it => False`` and
+  ``True \\/ it`` (most of these are not sets), and on 200 seeded
+  dependent families ``forall``/``exists x : D . case x of inl a -> A |
+  inr b -> B`` over those types, wrapped in computation steps;
+* ``check_eq_set(ty, ty)``, one object passed twice, and ``check_eq_set``
+  of ``ty`` and a copy built apart, on the same types at depth 1, 2 and 4,
+  and the latter again at fuel 1, 2, 3, 5, 8 and 13;
+* ``check_eq_member`` in both argument orders on 300 seeded triples of
+  pool terms, ``(lam o. o o) (lam o. o o)`` and ``fst (inl it)``, at
+  fuel 1, 2, 3, 5, 8, 13 and 1000.
 
-Run it on two checkouts and compare the output; ``--records`` prints a
-short hash per verdict instead, so that ``diff`` counts the verdicts that
-changed.  The output does not depend on ``PYTHONHASHSEED``.
+Run it on two checkouts and compare the output; ``--records`` prints the
+status and a short hash per verdict instead, so that ``diff`` counts the
+verdicts that changed, and by which status.  The output does not depend
+on ``PYTHONHASHSEED``.
 
     PYTHONPATH=src python scripts/verdict_digest.py [--records]
 """
@@ -34,12 +47,19 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from ctkernel.binary import check_eq_member, check_eq_set, check_functionality  # noqa: E402
-from ctkernel.terms import Forall, term_key  # noqa: E402
+from ctkernel.syntax import parse, pretty  # noqa: E402
+from ctkernel.terms import IT, Case, Disj, Exists, Forall, TFalse, TTrue, Var, term_key  # noqa: E402
 from ctkernel.unary import check_is_set, check_member, enumerate_canonical  # noqa: E402
-from termgen import generated_checks  # noqa: E402
+from termgen import OMEGA, STUCK_TERM, generated_checks, safe_wrap  # noqa: E402
 
 POOLS = {"c5": (2026, 1000), "c9": (501, 500)}
 EQ_SET_PAIRS = 200
+SWEEP_FUELS = (1, 2, 3, 5, 8, 13, 10_000)
+SWEEP_DEPTHS = (1, 2, 4)
+NON_SETS = ("it /\\ False", "it => False", "True \\/ it")
+ORDER_TRIPLES = 300
+DEPENDENT_TYPES = 200
+ORDER_FUELS = (1, 2, 3, 5, 8, 13, 1000)
 
 
 def verdict_record(v) -> list:
@@ -50,6 +70,24 @@ def verdict_record(v) -> list:
 def enum_record(r) -> list:
     failure = None if r.failure is None else verdict_record(r.failure)
     return [[repr(w) for w in r.witnesses], r.complete, failure]
+
+
+def with_leaf_it(ty, index: int):
+    """The ground type ``ty`` with its ``index``-th True/False leaf, left
+    to right, replaced by ``it``; also returns the leaves left to pass."""
+    if isinstance(ty, (TTrue, TFalse)):
+        return (IT if index == 0 else ty), index - 1
+    if isinstance(ty, Disj):
+        left, index = with_leaf_it(ty.left, index)
+        right, index = with_leaf_it(ty.right, index)
+        return Disj(left, right), index
+    domain, index = with_leaf_it(ty.domain, index)
+    family, index = with_leaf_it(ty.family, index)
+    return type(ty)(domain, ty.binder, family), index
+
+
+def leaf_count(ty) -> int:
+    return sum(leaf_count(v) for v in vars(ty).values() if not isinstance(v, str)) or 1
 
 
 def sections():
@@ -84,6 +122,48 @@ def sections():
             if isinstance(ty, Forall):
                 v = check_functionality(m, ty.domain, ty.binder, ty.family)
                 yield f"check_functionality/{name}", v.status.value, verdict_record(v)
+    rng = random.Random(11)
+    variants = {term_key(ty): ty for ty in types}
+    for ty in types:
+        bad = with_leaf_it(ty, rng.randrange(leaf_count(ty)))[0]
+        variants.setdefault(term_key(bad), bad)
+    for text in NON_SETS:
+        variants.setdefault(term_key(parse(text)), parse(text))
+    sweep = [ty for _, ty in sorted(variants.items())]
+    # Dependent families over disjunctions, with wrapped branches, so
+    # that set-hood computes: a family instance takes fuel to evaluate.
+    domains = [ty for ty in types if isinstance(ty, Disj)]
+    for _ in range(DEPENDENT_TYPES):
+        left, right = (safe_wrap(rng, rng.choice(sweep)) for _ in range(2))
+        family = Case(Var("x"), "a", left, "b", right)
+        sweep.append(safe_wrap(rng, rng.choice((Forall, Exists))(rng.choice(domains), "x", family)))
+    for fuel in SWEEP_FUELS:
+        for depth in SWEEP_DEPTHS:
+            for ty in sweep:
+                v = check_is_set(ty, fuel, depth)
+                yield "check_is_set/sweep", v.status.value, verdict_record(v)
+    for depth in SWEEP_DEPTHS:
+        for ty in sweep:
+            v = check_eq_set(ty, ty, depth=depth)
+            yield "check_eq_set/diagonal", v.status.value, verdict_record(v)
+            v = check_eq_set(ty, parse(pretty(ty)), depth=depth)
+            yield "check_eq_set/apart", v.status.value, verdict_record(v)
+    for fuel in SWEEP_FUELS[:-1]:
+        for ty in sweep:
+            v = check_eq_set(ty, parse(pretty(ty)), fuel)
+            yield "check_eq_set/fuel", v.status.value, verdict_record(v)
+    rng = random.Random(13)
+    terms = [m for pairs in pools.values() for m, _ in pairs]
+    triples = []
+    for _ in range(ORDER_TRIPLES):
+        m, n = (rng.choice((OMEGA, STUCK_TERM)) if rng.random() < 0.25 else rng.choice(terms)
+                for _ in range(2))
+        triples.append((m, n, rng.choice(types)))
+    for fuel in ORDER_FUELS:
+        for m, n, ty in triples:
+            for x, y in ((m, n), (n, m)):
+                v = check_eq_member(x, y, ty, fuel)
+                yield "check_eq_member/orders", v.status.value, verdict_record(v)
 
 
 def main() -> None:
@@ -96,7 +176,7 @@ def main() -> None:
     for section, outcome, record in sections():
         data = json.dumps(record, sort_keys=True).encode()
         if args.records:
-            print(f"{section} {counts[section]} {hashlib.sha256(data).hexdigest()[:16]}")
+            print(f"{section} {counts[section]} {outcome} {hashlib.sha256(data).hexdigest()[:16]}")
         digests.setdefault(section, hashlib.sha256()).update(data)
         total.update(data)
         counts[section] += 1

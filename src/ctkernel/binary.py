@@ -26,6 +26,8 @@ and a provably empty domain discharges the constraint vacuously.
 
 The clauses are the arity-2 reading of the relational engine in
 ``unary``; this module holds the public entry points of the model.
+Set-hood is set equality on the diagonal: ``unary.check_is_set(A)``
+runs the walk of ``check_eq_set`` asked of ``A`` alone.
 """
 
 from __future__ import annotations

@@ -119,11 +119,6 @@ class CanonNeq:
 
 
 @dataclass(frozen=True)
-class CanonDefined:
-    ty: Term
-
-
-@dataclass(frozen=True)
 class Blocked:
     """Evaluation got stuck at this subterm."""
     term: Term
@@ -136,7 +131,7 @@ class Both:
 
 Statement = Union[
     Judgment, Evals, CanonIn, CanonNotIn, CanonClosureIn, CanonEmpty,
-    CanonEq, CanonNeq, CanonDefined, Blocked, Both,
+    CanonEq, CanonNeq, Blocked, Both,
 ]
 
 
@@ -173,8 +168,6 @@ def render_statement(s: Statement) -> str:
             return f"canon({pretty(a)}) = canon({pretty(b)})"
         case CanonNeq(a, b):
             return f"canon({pretty(a)}) /= canon({pretty(b)})"
-        case CanonDefined(ty):
-            return f"canon({pretty(ty)}) defined"
         case Blocked(t):
             return f"stuck({pretty(t)})"
         case Both(parts):

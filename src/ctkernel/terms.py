@@ -122,33 +122,38 @@ def _write(t: "_Node", rename: bool) -> str:
     ``rename``, each binder is written as v0, v1, ... in the order the
     walk reaches it, and so is each variable it binds."""
     out = []
+    env: dict = {}
     count = 0
-    # An item is a piece of text, a (subterm, renaming) pair, or a binder
-    # with the field it scopes, the renaming and that field's label.
-    stack = [(t, {})]
+    # An item is a piece of text, a subterm, or a binder with the field
+    # it scopes and that field's label; below each scope lies the pair
+    # (binder, its name outside the scope), which puts that name back.
+    stack = [t]
     while stack:
         item = stack.pop()
         if type(item) is str:
             out.append(item)
             continue
-        if len(item) == 4:
-            name, scope, env, label = item
+        if type(item) is tuple:
+            if len(item) == 2:
+                env[item[0]] = item[1]
+                continue
+            name, scope, label = item
             if rename:
-                env = {**env, name: f"v{count}"}
+                stack.append((name, env.get(name, name)))
+                env[name] = f"v{count}"
                 count += 1
             out.append(f"{env.get(name, name)!r}{label}")
-            stack.append((scope, env))
+            stack.append(scope)
             continue
-        node, env = item
-        fields = vars(node)
-        if type(node) is Var:
+        fields = vars(item)
+        if type(item) is Var:
             name = fields["name"]
             out.append(f"Var(name={env.get(name, name)!r})")
             continue
         if not fields:
-            out.append(f"{type(node).__qualname__}()")
+            out.append(f"{type(item).__qualname__}()")
             continue
-        out.append(f"{type(node).__qualname__}(")
+        out.append(f"{type(item).__qualname__}(")
         parts = []
         sep = ""
         values = iter(fields.items())
@@ -157,9 +162,9 @@ def _write(t: "_Node", rename: bool) -> str:
             sep = ", "
             if type(v) is str:
                 g, scope = next(values)
-                parts.append((v, scope, env, f", {g}="))
+                parts.append((v, scope, f", {g}="))
             else:
-                parts.append((v, env))
+                parts.append(v)
         parts.append(")")
         stack.extend(reversed(parts))
     return "".join(out)
@@ -507,10 +512,24 @@ def alpha_eq(a: Term, b: Term) -> bool:
     """Identity up to consistent renaming of bound variables.
 
     A bound variable is read as the level of its binder, a free one as
-    its name; the walk carries each side's binder-to-level map."""
-    stack = [(a, b, {}, {}, 0)]
+    its name; the walk keeps one binder-to-level map per side, and an
+    item below each scope restores both maps when the scope is done."""
+    ea: dict = {}
+    eb: dict = {}
+    # An item (a, b, k, x, y) compares a and b at level k, where a is the
+    # scope of binder x and b of binder y unless these are None.  Below
+    # each scope lies (None, x, ea[x], y, eb[y]) as they were outside it,
+    # which puts them back.
+    stack = [(a, b, 0, None, None)]
     while stack:
-        a, b, ea, eb, k = stack.pop()
+        a, b, k, x, y = stack.pop()
+        if a is None:
+            ea[b], eb[x] = k, y
+            continue
+        if x is not None:
+            stack.append((None, x, ea.get(x, x), y, eb.get(y, y)))
+            ea[x] = eb[y] = k
+            k += 1
         if type(a) is not type(b):
             return False
         if a is b and not a.fv:
@@ -524,9 +543,9 @@ def alpha_eq(a: Term, b: Term) -> bool:
         ia, ib = iter(fa.values()), iter(fb.values())
         for x, y in zip(ia, ib):
             if type(x) is str:
-                stack.append((next(ia), next(ib), {**ea, x: k}, {**eb, y: k}, k + 1))
+                stack.append((next(ia), next(ib), k, x, y))
             else:
-                stack.append((x, y, ea, eb, k))
+                stack.append((x, y, k, None, None))
     return True
 
 

@@ -28,7 +28,10 @@ and at arity 2 (equal membership, the binary model of ``binary``):
 membership is reflexive equality read on the diagonal.  The arities
 differ only where the binary model asks for more: its quantifier
 clause ranges over related pairs of domain witnesses, and dependent
-families must send related inputs to equal sets.
+families must send related inputs to equal sets.  Set-hood is likewise
+set equality on the diagonal: ``check_is_set(A)`` is the walk of
+``_check_eq_set`` asked of ``A`` alone, which evaluates ``A`` once and
+reports ``set(A)``.
 
 Function-witness enumeration draws lambda bodies from canonical members
 of the family instances lifted to constant functions, plus the identity
@@ -54,7 +57,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .config import DEFAULT_DEPTH, DEFAULT_FUEL
 from .evaluation import Canonical, FuelExhausted, Strategy, Stuck, Tank, run
 from .judgments import (
-    Blocked, Both, CanonClosureIn, CanonDefined, CanonEmpty, CanonEq, CanonIn,
+    Blocked, Both, CanonClosureIn, CanonEmpty, CanonEq, CanonIn,
     CanonNeq, CanonNotIn, EqMember, EqSet, Evals, Gen, Hyp, IsSet, Member,
     Status, Trace, TraceStep, Verdict, diverged, refuted, unknown, verified,
     worst,
@@ -383,21 +386,36 @@ def _evaluate(
 ) -> Union[List[Term], Verdict]:
     """Evaluate the terms in order, drawing on the shared tank.
 
-    Returns their canonical forms, or the DIVERGED or REFUTED verdict of
-    the first one that runs out of fuel or gets stuck; its role ("type",
-    "left term", "domain"...) names it in the verdict.  A term that is
-    already canonical is its own form, so ``form is not term`` tells
-    whether it computed."""
+    Returns their canonical forms, or the REFUTED verdict of a term that
+    gets stuck within the whole budget, else the DIVERGED verdict of the
+    first one that runs out of fuel; its role ("type", "left term"...)
+    names it.  Once the tank runs dry, the terms it did not fully serve
+    run again on copies of the whole budget, so the verdict does not
+    depend on the order of the terms.  A term that is already canonical
+    is its own form, so ``form is not term`` tells whether it computed."""
+    budget = tank.remaining
     forms = []
-    for t in terms:
+    for i, t in enumerate(terms):
+        if is_canonical(t):
+            forms.append(t)
+            continue
+        before = tank.remaining
         r = run(t, tank, strategy)
         if isinstance(r, Canonical):
             forms.append(r.term)
             continue
-        role = roles[len(forms)]
-        if isinstance(r, FuelExhausted):
-            return diverged(f"{role} diverged: {r.remaining}", Trace((head,)))
-        rule = "stuck-term" if role.endswith("term") else "stuck-type"
+        if isinstance(r, Stuck):
+            tank.remaining += budget - before
+        else:
+            for j in range(i if before < budget else i + 1, len(terms)):
+                own = Tank(budget)
+                s = run(terms[j], own, strategy)
+                if isinstance(s, Stuck):
+                    i, r, tank.remaining = j, s, own.remaining
+                    break
+            else:
+                return diverged(f"{roles[i]} diverged: {r.remaining}", Trace((head,)))
+        rule = "stuck-term" if roles[i].endswith("term") else "stuck-type"
         return refuted(Trace((head, TraceStep(Blocked(r.offending), rule))))
     return forms
 
@@ -434,48 +452,13 @@ def check_is_set(
 ) -> Verdict:
     """Does the type evaluate to a former whose witness relation is defined?
 
-    Component types must themselves be sets: hereditarily for
-    non-dependent components, pointwise at enumerated domain witnesses
-    for genuinely dependent families."""
+    ``A`` is a set when it equals itself.  Component types must
+    themselves be sets: hereditarily for non-dependent components,
+    pointwise at enumerated domain witnesses for genuinely dependent
+    families."""
     require_closed("type", a)
     _check_budgets(fuel, depth)
-    return _check_is_set(a, Tank(fuel), depth, strategy)
-
-
-def _check_is_set(a: Term, tank: Tank, depth: int, strategy: Strategy) -> Verdict:
-    head = TraceStep(IsSet(a), "set-formation")
-    res = _evaluate(head, ("type",), (a,), tank, strategy)
-    if isinstance(res, Verdict):
-        return res
-    (ac,) = res
-    evals = (Evals(a, ac),) if ac is not a else ()
-    defined = Both(evals + (CanonDefined(ac),))
-    match ac:
-        case TTrue() | TFalse():
-            return verified(Trace((head, TraceStep(defined, "former-base"))))
-        case Disj(l, r):
-            return _claim(head, defined, "former-disj", (
-                _check_is_set(l, tank, depth, strategy),
-                _check_is_set(r, tank, depth, strategy),
-            ), depth)
-        case Forall(d, b, f) | Exists(d, b, f):
-            rule = "former-forall" if isinstance(ac, Forall) else "former-exists"
-            vd = _check_is_set(d, tank, depth, strategy)
-            if vd.status is not Status.VERIFIED:
-                return _claim(head, defined, rule, (vd,), depth)
-            if b not in free_vars(f):
-                return _claim(head, defined, rule, (vd, _check_is_set(f, tank, depth, strategy)), depth)
-            ed = _enumerate(d, depth, tank, strategy)
-            if ed.failure is not None:
-                return _claim(head, defined, rule, (vd, ed.failure), depth)
-            subs = [vd]
-            for w in ed.witnesses:
-                subs.append(_check_is_set(substitute(f, b, w), tank, depth, strategy))
-            return _claim(head, defined, rule, subs, depth, ed.complete)
-        case _:
-            return refuted(
-                Trace((head, TraceStep(Both(evals + (CanonNotIn(ac, ()),)), "no-former"))),
-            )
+    return _check_eq_set(a, None, Tank(fuel), depth, strategy)
 
 
 # -- membership -------------------------------------------------------------
@@ -528,10 +511,14 @@ def _relate(args: Tuple[Term, ...], a: Term, tank: Tank, depth: int, strategy: S
     component types."""
     form, rule, roles = _FORMS[len(args)]
     head = TraceStep(form(*args, a), rule)
-    res = _evaluate(head, roles, (a,) + args, tank, strategy)
+    res = _evaluate(head, roles[:1], (a,), tank, strategy)
     if isinstance(res, Verdict):
         return res
-    ac, cs = res[0], tuple(res[1:])
+    (ac,) = res
+    res = _evaluate(head, roles[1:], args, tank, strategy)
+    if isinstance(res, Verdict):
+        return res
+    cs = tuple(res)
     # The type's evaluation is recorded only when it actually computes,
     # so a canonical type keeps the derivation at its minimal length.
     evals = (Evals(a, ac), Evals(args[0], cs[0])) if ac is not a else (Evals(args[0], cs[0]),)
@@ -717,78 +704,90 @@ def _same_budget(sides: Sequence, test, tank: Tank, decisive):
     return None, readings
 
 
-def _refutes(r) -> bool:
-    return isinstance(r, Verdict) and r.refuted
-
-
-def _check_eq_set(a: Term, b: Term, tank: Tank, depth: int, strategy: Strategy) -> Verdict:
-    head = TraceStep(EqSet(a, b), "equal-sets")
-    if is_canonical(a) and is_canonical(b):
-        ac, bc = a, b
+def _check_eq_set(a: Term, b: Optional[Term], tank: Tank, depth: int, strategy: Strategy) -> Verdict:
+    """Equality of the relations of two types.  With ``b`` None it is
+    set-hood, the equality of ``a`` with itself: ``a`` is evaluated once,
+    each family instance is built once, a domain's emptiness is read off
+    its enumeration alone, and the head is ``set(A)``."""
+    diagonal = b is None
+    if diagonal:
+        head, roles, sides = TraceStep(IsSet(a), "set-formation"), ("type",), (a,)
     else:
-        # A stuck type refutes even when the other type diverges.
-        stuck, res = _same_budget(
-            (("left type", a), ("right type", b)),
-            lambda side, fuel: _evaluate(head, (side[0],), (side[1],), fuel, strategy),
-            tank, _refutes,
-        )
-        if stuck is not None:
-            return stuck
-        for r in res:
-            if isinstance(r, Verdict):
-                return r
-        (ac,), (bc,) = res
-    evals = ((Evals(a, ac),) if ac is not a else ()) + ((Evals(b, bc),) if bc is not b else ())
-    if type(ac) is not type(bc) or not is_type_former(ac):
-        return _cross_head_eq_set(ac, bc, evals, tank, depth, strategy, head)
+        head, roles, sides = TraceStep(EqSet(a, b), "equal-sets"), ("left type", "right type"), (a, b)
+    res = _evaluate(head, roles, sides, tank, strategy)
+    if isinstance(res, Verdict):
+        return res
+    ac, bc = res[0], res[-1]
+    evals = (Evals(a, ac),) if ac is not a else ()
+    if bc is not b and not diagonal:
+        evals += (Evals(b, bc),)
+    for tc in res:
+        if not is_type_former(tc):
+            return refuted(Trace((head, TraceStep(Both(evals + (CanonNotIn(tc, ()),)), "no-former"))))
+    if type(ac) is not type(bc):
+        # Two relations of different shapes can only coincide by both
+        # being empty; canonical shapes are disjoint otherwise.
+        v = _both_empty(ac, bc, evals, tank, depth, strategy, head)
+        if v is not None:
+            return v
+        return refuted(Trace((
+            head,
+            TraceStep(Both(evals), "evaluate"),
+            TraceStep(CanonNeq(ac, bc), "distinct-relations"),
+        )))
 
     same = Both(evals + (CanonEq(ac, bc),))
-    match ac, bc:
-        case (TTrue(), TTrue()) | (TFalse(), TFalse()):
+    # the two formers have one type, so the match reads the left one
+    match ac:
+        case TTrue() | TFalse():
             return verified(Trace((head, TraceStep(same, "same-base"))))
-        case Disj(l1, r1), Disj(l2, r2):
+        case Disj(l1, r1):
             return _claim(head, same, "components", (
-                _check_eq_set(l1, l2, tank, depth, strategy),
-                _check_eq_set(r1, r2, tank, depth, strategy),
+                _check_eq_set(l1, None if diagonal else bc.left, tank, depth, strategy),
+                _check_eq_set(r1, None if diagonal else bc.right, tank, depth, strategy),
             ), depth)
-        case (Forall(d1, b1, f1), Forall(d2, b2, f2)) | (Exists(d1, b1, f1), Exists(d2, b2, f2)):
-            vd = _check_eq_set(d1, d2, tank, depth, strategy)
+        case Forall(d1, b1, f1) | Exists(d1, b1, f1):
+            d2, b2, f2 = bc.domain, bc.binder, bc.family
+            vd = _check_eq_set(d1, None if diagonal else d2, tank, depth, strategy)
             # Different domains still give equal relations when both
             # relations are empty; the domains' refutation stands only
-            # when one relation is nonempty.
-            if vd.status is Status.REFUTED:
+            # when one relation is nonempty.  In set-hood a refuted
+            # domain is not a set, so neither is the type.
+            if vd.status is Status.REFUTED and not diagonal:
                 v = _both_empty(ac, bc, evals, tank, depth, strategy, head)
                 if v is not None:
                     return v
             if vd.status is not Status.VERIFIED:
                 return _claim(head, same, "domains", (vd,), depth)
-            inh = _inhabited(d1, tank, strategy)
-            if inh is Inhabitation.DIVERGED:
-                return diverged("domain inhabitation diverged", Trace((head,)))
-            if inh is Inhabitation.UNINHABITED:
-                # No instance exists, but non-dependent families must
-                # still be sets, as set-hood asks of them; alpha-equal
-                # families are checked once.
-                subs = [vd]
-                for bf, family in ((b1, f1),) if _same(f1, f2) else ((b1, f1), (b2, f2)):
-                    if bf not in free_vars(family):
-                        subs.append(_check_is_set(family, tank, depth, strategy))
-                return _claim(head, same, "vacuous-families", subs, depth)
             if b1 not in free_vars(f1) and _same(f1, f2):
                 # One non-dependent family: the relations agree exactly
                 # when it is a set, whatever the domain's witnesses.
                 return _claim(head, same, "same-family", (
-                    vd, _check_is_set(f1, tank, depth, strategy),
+                    vd, _check_eq_set(f1, None, tank, depth, strategy),
                 ), depth)
-            ed = _enumerate(d1, depth, tank, strategy)
+            inh = None if diagonal else _inhabited(d1, tank, strategy)
+            if inh is Inhabitation.DIVERGED:
+                return diverged("domain inhabitation diverged", Trace((head,)))
+            empty = inh is Inhabitation.UNINHABITED
+            ed = EnumResult((), True) if empty else _enumerate(d1, depth, tank, strategy)
             if ed.failure is not None:
                 return _claim(head, same, "domains", (vd, ed.failure), depth)
+            if ed.witnesses or not ed.complete:
+                subs = [vd]
+                for w in ed.witnesses:
+                    subs.append(_check_eq_set(
+                        substitute(f1, b1, w), None if diagonal else substitute(f2, b2, w),
+                        tank, depth, strategy,
+                    ))
+                return _claim(head, same, "pointwise-families", subs, depth, ed.complete)
+            # The domain is provably empty, so no instance exists, but
+            # non-dependent families must still be sets, as set-hood asks
+            # of them; alpha-equal families are checked once.
             subs = [vd]
-            for w in ed.witnesses:
-                subs.append(_check_eq_set(
-                    substitute(f1, b1, w), substitute(f2, b2, w), tank, depth, strategy
-                ))
-            return _claim(head, same, "pointwise-families", subs, depth, ed.complete)
+            for bf, family in ((b1, f1),) if _same(f1, f2) else ((b1, f1), (b2, f2)):
+                if bf not in free_vars(family):
+                    subs.append(_check_eq_set(family, None, tank, depth, strategy))
+            return _claim(head, same, "vacuous-families", subs, depth)
     raise AssertionError("unreachable")
 
 
@@ -809,27 +808,11 @@ def _relation_emptiness(tc: Term, tank: Tank, depth: int, strategy: Strategy):
     return "empty" if ed.complete else "unknown"
 
 
-def _cross_head_eq_set(
-    ac: Term, bc: Term, evals: Tuple, tank: Tank, depth: int,
-    strategy: Strategy, head: TraceStep,
-) -> Verdict:
-    # Two relations of different shapes can only coincide by both being
-    # empty; canonical shapes are disjoint otherwise.
-    v = _both_empty(ac, bc, evals, tank, depth, strategy, head)
-    if v is not None:
-        return v
-    return refuted(Trace((
-        head,
-        TraceStep(Both(evals), "evaluate"),
-        TraceStep(CanonNeq(ac, bc), "distinct-relations"),
-    )))
-
-
 def _both_empty(
     ac: Term, bc: Term, evals: Tuple, tank: Tank, depth: int,
     strategy: Strategy, head: TraceStep,
 ) -> Optional[Verdict]:
-    """Equality of two canonical types by both relations being empty.
+    """Equality of two canonical type formers by both relations being empty.
 
     None when one relation is provably nonempty, so the caller's
     refutation holds.  Short of that, a side that is not a set refutes,
@@ -837,12 +820,9 @@ def _both_empty(
     and two empty relations are equal when both types are sets.  Each
     side is tested on the same budget, so a nonempty or not-a-set side
     decides even when the other side's test diverges."""
-    for tc in (ac, bc):
-        if not is_type_former(tc):
-            return refuted(Trace((head, TraceStep(CanonNotIn(tc, ()), "no-former"))))
     decided, readings = _same_budget(
         (ac, bc), lambda tc, fuel: _relation_emptiness(tc, fuel, depth, strategy), tank,
-        lambda r: r == "nonempty" or _refutes(r),
+        lambda r: r == "nonempty" or isinstance(r, Verdict) and r.refuted,
     )
     if decided == "nonempty":
         return None
@@ -853,6 +833,6 @@ def _both_empty(
         return unknown(depth, Trace((head,)))
     statement = Both(evals + (CanonEmpty(ac), CanonEmpty(bc), CanonEq(ac, bc)))
     return _claim(head, statement, "both-empty", (
-        _check_is_set(ac, tank, depth, strategy),
-        _check_is_set(bc, tank, depth, strategy),
+        _check_eq_set(ac, None, tank, depth, strategy),
+        _check_eq_set(bc, None, tank, depth, strategy),
     ), depth)

@@ -6,13 +6,14 @@ from ctkernel.binary import (
     check_eq_member, check_eq_set, check_functionality, related_pairs,
 )
 from ctkernel.evaluation import evaluate
-from ctkernel.judgments import EqMember, Gen, Status, replay
+from ctkernel.judgments import EqMember, Evals, Gen, Status, replay
 from ctkernel.syntax import parse, pretty
-from ctkernel.terms import IT, Inl, Inr, TRUE, FALSE
+from ctkernel.terms import IT, Disj, Inl, Inr, TRUE, FALSE, substitute
 from ctkernel.unary import (
-    check_is_set, check_member, enumerate_canonical, ground_types,
+    Inhabitation, check_is_set, check_member, enumerate_canonical, ground_types,
+    inhabited_exact,
 )
-from termgen import generated_checks
+from termgen import OMEGA, generated_checks
 
 
 class TestEqSet:
@@ -58,6 +59,13 @@ class TestEqSet:
         )
         assert v.status is Status.UNKNOWN
 
+    def test_fuel_bounds_both_sides(self):
+        # the two types draw on one tank: each takes one step
+        a, b = parse("(lam w. w) True"), parse("(lam v. v) True")
+        for x, y in ((a, b), (b, a)):
+            assert check_eq_set(x, y, fuel=1).status is Status.DIVERGED
+            assert check_eq_set(x, y, fuel=2).status is Status.VERIFIED
+
     def test_order_independent(self):
         # each side is evaluated and tested on the same budget, so a stuck
         # or not-a-set side refutes even when the other side diverges
@@ -68,6 +76,22 @@ class TestEqSet:
         ]:
             for x, y in ((a, b), (b, a)):
                 assert check_eq_set(parse(x), parse(y)).status is Status.REFUTED, (x, y)
+
+    def test_non_sets_over_an_empty_domain(self):
+        # the domain is empty but outside the ground fragment: only its
+        # complete, empty enumeration shows it, and the families must
+        # still be sets
+        d = parse("exists y : True \\/ True . case y of inl a -> False | inr b -> False")
+        assert inhabited_exact(d) is Inhabitation.NOT_GROUND
+        e = enumerate_canonical(d)
+        assert e.complete and not e.witnesses
+        for a, b in [("D => it", "D => True"), ("D /\\ it", "D /\\ True")]:
+            a, b = (substitute(parse(t), "D", d) for t in (a, b))
+            for x, y in ((a, b), (b, a)):
+                v = check_eq_set(x, y)
+                assert v.status is Status.REFUTED, (pretty(x), pretty(y))
+                assert v.trace.steps[1].rule == "vacuous-families"
+            assert check_is_set(a).status is Status.REFUTED
 
     def test_cross_head_one_inhabited(self):
         assert check_eq_set(FALSE, TRUE).status is Status.REFUTED
@@ -135,6 +159,29 @@ class TestEqMember:
         assert [s.rule for s in v.trace.steps] == [
             "equal-membership", "canonical-closure", "instances",
         ]
+
+    def test_order_independent(self):
+        # a term that gets stuck within the budget refutes, even when the
+        # other term diverges or leaves too little fuel for it
+        fn = parse("(lam a. lam b. lam c. lam d. lam x. it) it it it it")
+        stuck = parse("(lam z. fst z) it")
+        for m, n, ty, fuel in [
+            (OMEGA, parse("fst it"), TRUE, 10_000),
+            (fn, stuck, parse("(True \\/ True) => True"), 4),
+        ]:
+            for x, y in ((m, n), (n, m)):
+                v = check_eq_member(x, y, ty, fuel)
+                assert v.status is Status.REFUTED, (pretty(x), pretty(y))
+                assert v.trace.steps[-1].rule == "stuck-term"
+
+    def test_fuel_bounds_both_terms(self):
+        # the two terms draw on one tank: fn takes 4 steps, so fn and a
+        # copy of it need 8
+        fn = parse("(lam a. lam b. lam c. lam d. lam x. it) it it it it")
+        ty = parse("(True \\/ True) => True")
+        for n in (fn, parse(pretty(fn))):
+            assert check_eq_member(fn, n, ty, fuel=7).status is Status.DIVERGED
+            assert check_eq_member(fn, n, ty, fuel=8).status is Status.VERIFIED
 
     def test_verified_traces_replay(self):
         v = check_eq_member(parse("lam x. x"), parse("lam y. it"), parse("True => True"))
@@ -213,11 +260,48 @@ class TestStructuralBridges:
             parse("lam x. x"), parse("(True /\\ True) \\/ False"),
             parse("fst <True, it>"), parse("False => it"), parse("False /\\ it"),
             parse("(forall x : True \\/ True . case x of inl a -> True | inr b -> True) => True"),
+            parse("it /\\ False"), parse("it => False"), parse("True \\/ it"),
         ]
         for ty in candidates:
             isset = check_is_set(ty)
             diag = check_eq_set(ty, ty)
-            assert isset.status == diag.status, pretty(ty)
+            # an alpha-equal copy built apart takes the non-identical path
+            apart = check_eq_set(ty, parse(pretty(ty)))
+            assert isset.status == diag.status == apart.status, pretty(ty)
+
+    def test_diagonal_is_set_formation(self):
+        # set-hood is the set-equality walk on the diagonal: the type is
+        # evaluated once and reported as set(A)
+        ty = parse("fst <True => True, it>")
+        v = check_is_set(ty)
+        assert v.status is Status.VERIFIED
+        assert v.trace.render().startswith("(1) set(fst <True => True, it>)    [set-formation]")
+        assert [s.rule for s in v.trace.steps] == ["set-formation", "same-family"]
+        assert len([p for p in v.trace.steps[1].statement.parts if isinstance(p, Evals)]) == 1
+        # one object passed twice is still an equality of two sides
+        assert check_eq_set(ty, ty).trace.steps[0].rule == "equal-sets"
+        # each family instance is built once: 3 steps for the instances,
+        # which two copies per instance would double
+        dep = parse("forall x : True \\/ True . case x of inl a -> (lam w. w) True | inr b -> True")
+        assert check_is_set(dep, fuel=3).status is Status.VERIFIED
+        assert check_is_set(dep, fuel=2).status is Status.DIVERGED
+
+    def test_eq_set_does_not_depend_on_sharing(self):
+        # F0's domain is empty: _inhabited shows it at every depth, the
+        # enumeration only from depth 3 on.  Set equality asks
+        # _inhabited, whether its sides are one object or built apart.
+        f0 = parse("forall x : (True /\\ False) \\/ False . case x of inl a -> True | inr b -> False")
+        for ty in (f0, Disj(TRUE, f0)):
+            apart = parse(pretty(ty))
+            for depth in (1, 2, 4):
+                same = check_eq_set(ty, ty, depth=depth)
+                assert same.status is Status.VERIFIED, (pretty(ty), depth)
+                assert same.status is check_eq_set(ty, apart, depth=depth).status
+                assert same.trace.steps[0].rule == "equal-sets"
+        # set-hood reads the domain's emptiness off its enumeration alone
+        assert [check_is_set(f0, depth=d).status for d in (1, 2, 4)] == [
+            Status.UNKNOWN, Status.UNKNOWN, Status.VERIFIED,
+        ]
 
     def test_eqset_respects_membership(self):
         sets = [t for t in ground_types(2)]

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import time
 from dataclasses import make_dataclass
 from typing import get_args
 
@@ -421,6 +422,36 @@ class TestDeepTerms:
         assert key == term_key(b) != term_key(c)
         assert key[1].endswith(f"body=Var(name='v{self.N - 1}')" + ")" * self.N)
         assert repr(a).startswith("Lam(binder='x', body=Lam(binder='x', ")
+
+    def test_distinct_binders_linear(self):
+        # one binder map per walk, restored below each scope: a map copied
+        # at every binder made both walks quadratic in the binders in scope
+        n = 2 * self.N
+        a, b = Var("x0"), Var("y0")
+        for i in reversed(range(n)):
+            a, b = Lam(f"x{i}", App(a, Var(f"x{i}"))), Lam(f"y{i}", App(b, Var(f"y{i}")))
+
+        def fastest(walk, *args):
+            # the best of three runs, so that a busy host slows each walk alike
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                walk(*args)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        printing = fastest(repr, a)
+        for walk, args in ((alpha_eq, (a, b)), (term_key, (a,))):
+            took = fastest(walk, *args)
+            assert took < 2, walk
+            # repr walks the same term once; the quadratic walks took 15
+            # and 28 times as long as it at 10^4 binders, and more here
+            assert took < 8 * printing, (walk, took, printing)
+        assert alpha_eq(a, b)
+        key = term_key(a)
+        assert key == term_key(b)
+        assert key[1].startswith("Lam(binder='v0', body=App(fn=Lam(binder='v1', ")
+        assert key[1].endswith("arg=Var(name='v1'))), arg=Var(name='v0')))")
 
     def test_closed(self):
         a, b = nested(self.N, IT), nested(self.N, IT)
