@@ -24,7 +24,12 @@ sections.  The sections:
   and the latter again at fuel 1, 2, 3, 5, 8 and 13;
 * ``check_eq_member`` in both argument orders on 300 seeded triples of
   pool terms, ``(lam o. o o) (lam o. o o)`` and ``fst (inl it)``, at
-  fuel 1, 2, 3, 5, 8, 13 and 1000.
+  fuel 1, 2, 3, 5, 8, 13 and 1000;
+* ``syntax/pretty``: ``pretty_at`` of every pool term and type at each
+  precedence level;
+* ``syntax/errors``: the message, line and column of the ``ParseError``
+  (or the tree) of each text in ``MALFORMED``, and of each pool term's
+  text cut at a seeded character.
 
 Run it on two checkouts and compare the output; ``--records`` prints the
 status and a short hash per verdict instead, so that ``diff`` counts the
@@ -47,7 +52,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from ctkernel.binary import check_eq_member, check_eq_set, check_functionality  # noqa: E402
-from ctkernel.syntax import parse, pretty  # noqa: E402
+from ctkernel.syntax import (  # noqa: E402
+    PREC_ATOM, PREC_TERM, ParseError, parse, pretty, pretty_at,
+)
 from ctkernel.terms import IT, Case, Disj, Exists, Forall, TFalse, TTrue, Var, term_key  # noqa: E402
 from ctkernel.unary import check_is_set, check_member, enumerate_canonical  # noqa: E402
 from termgen import OMEGA, STUCK_TERM, generated_checks, safe_wrap  # noqa: E402
@@ -60,6 +67,12 @@ NON_SETS = ("it /\\ False", "it => False", "True \\/ it")
 ORDER_TRIPLES = 300
 DEPENDENT_TYPES = 200
 ORDER_FUELS = (1, 2, 3, 5, 8, 13, 1000)
+MALFORMED = (
+    "", "(", ")", "lam", "lam x", "lam x.", "lam . x", "forall x . A", "forall x : A",
+    "exists : A . B", "case x of inr a -> a | inl b -> b", "case x of inl a -> a",
+    "<it, it", "<it it>", "fst", "inl inr", "of", "it of", "x =>", "A /\\", "\\/ A",
+    "f (lam x. x", "it it )", "x ? y", "A |- B", "lam x. x\n  it\n (", "True => ; False",
+)
 
 
 def verdict_record(v) -> list:
@@ -88,6 +101,13 @@ def with_leaf_it(ty, index: int):
 
 def leaf_count(ty) -> int:
     return sum(leaf_count(v) for v in vars(ty).values() if not isinstance(v, str)) or 1
+
+
+def parse_record(text: str) -> list:
+    try:
+        return ["parsed", repr(parse(text))]
+    except ParseError as err:
+        return ["error", err.message, err.line, err.col]
 
 
 def sections():
@@ -164,6 +184,15 @@ def sections():
             for x, y in ((m, n), (n, m)):
                 v = check_eq_member(x, y, ty, fuel)
                 yield "check_eq_member/orders", v.status.value, verdict_record(v)
+    pool = [t for pairs in pools.values() for pair in pairs for t in pair]
+    levels = range(PREC_TERM, PREC_ATOM + 1)
+    for t in pool:
+        yield "syntax/pretty", "printed", [pretty_at(t, ctx) for ctx in levels]
+    rng = random.Random(17)
+    texts = list(MALFORMED) + [pretty(t)[:rng.randrange(len(pretty(t)))] for t in pool]
+    for text in texts:
+        record = parse_record(text)
+        yield "syntax/errors", record[0], record
 
 
 def main() -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .syntax import PREC_APP, PREC_ATOM, PREC_OR, PREC_TERM, clip, pretty_at
+from .syntax import LAYOUT, PREC_TERM, clip, write
 from .terms import (
     App, Case, CanonicalForm, Fst, Inl, Inr, Lam, Pair, Snd, Term, Var,
     classify, substitute,
@@ -73,10 +73,6 @@ class Tank:
 # frames are tuples, and no term is a tuple.  (Lam, lam) is the
 # call-by-value frame of a function waiting for its argument's value.
 #   arg  (Fst,)  (Snd,)  (Case, lb, lbody, rb, rbody)  (Lam, lam)
-
-
-def _tag(frame) -> type:
-    return frame[0] if type(frame) is tuple else App
 
 
 def run(t: Term, tank: Tank, strategy: Strategy = Strategy.CALL_BY_NAME) -> EvalResult:
@@ -142,67 +138,66 @@ def run(t: Term, tank: Tank, strategy: Strategy = Strategy.CALL_BY_NAME) -> Eval
         steps += 1
 
 
-# Per frame tag: the printer's precedence level of the eliminator, and
-# the level at which it prints its hole.
-_LEVEL = {App: PREC_APP, Fst: PREC_APP, Snd: PREC_APP, Case: PREC_TERM, Lam: PREC_APP}
-_HOLE = {App: PREC_APP, Fst: PREC_ATOM, Snd: PREC_ATOM, Case: PREC_OR, Lam: PREC_ATOM}
+def _frame(cls: type, hole: str) -> tuple:
+    """How a frame prints: the layout of ``cls`` with the hole at field
+    ``hole``, as (level, the hole's context, the pieces before the hole,
+    the pieces after it, the fields those pieces name)."""
+    level, pieces = LAYOUT[cls]
+    i = next(i for i, p in enumerate(pieces) if type(p) is tuple and p[0] == hole)
+    before, after = pieces[:i], pieces[i + 1:]
+    names = [p[0] for p in before + after if type(p) is tuple]
+    return level, pieces[i][1], before, after, names
 
 
-def _opener(frame) -> str:
-    """What the printer writes for a frame before its hole."""
-    tag = _tag(frame)
-    if tag is Fst:
-        return "fst "
-    if tag is Snd:
-        return "snd "
-    if tag is Case:
-        return "case "
-    if tag is Lam:
-        return pretty_at(frame[1], PREC_APP) + " "
-    return ""
+# Per frame tag: an eliminator frame prints as its eliminator with the
+# hole at the head, the call-by-value frame as an App with the hole at
+# the argument.  A frame holds the other fields after its tag, in layout
+# order; the bare App frame is its own argument.
+_FRAMES = {App: _frame(App, "fn"), Fst: _frame(Fst, "pair"), Snd: _frame(Snd, "pair"),
+           Case: _frame(Case, "scrutinee"), Lam: _frame(App, "arg")}
 
 
-def _closer(frame) -> str:
-    """What the printer writes for a frame after its hole."""
-    tag = _tag(frame)
-    if tag is App:
-        return " " + pretty_at(frame, PREC_ATOM)
-    if tag is Case:
-        _, lb, lbody, rb, rbody = frame
-        return (f" of inl {lb} -> {pretty_at(lbody, PREC_TERM)}"
-                f" | inr {rb} -> {pretty_at(rbody, PREC_TERM)}")
-    return ""
+def _layout(frame) -> tuple:
+    return _FRAMES[frame[0] if type(frame) is tuple else App]
+
+
+def _fields(frame, names: list) -> dict:
+    """The fields ``names`` of a frame, by name."""
+    return dict(zip(names, frame[1:] if type(frame) is tuple else (frame,)))
 
 
 def _describe(stack: list, focus: Term, limit: int = 120) -> str:
     """``describe`` of the term that the stack plugged with the focus
     spells, without building that term.
 
-    The openers are written outermost frame first, then the focus, then
-    the closers innermost frame first; writing stops once past ``limit``
-    characters.  A frame is parenthesised when its level binds more
-    loosely than the hole of the frame around it."""
+    The openers (what a frame writes before its hole) are written
+    outermost frame first, then the focus, then the closers innermost
+    frame first; writing stops once past ``limit`` characters.  A frame
+    is parenthesised when its level binds more loosely than the hole of
+    the frame around it."""
     out: list = []
     size = 0
     ctx = PREC_TERM
     for frame in stack:
-        tag = _tag(frame)
-        piece = ("(" if _LEVEL[tag] < ctx else "") + _opener(frame)
-        out.append(piece)
-        size += len(piece)
+        level, hole, opener, _, names = _layout(frame)
+        if level < ctx:
+            out.append("(")
+            size += 1
+        if opener:
+            size = write([(opener, _fields(frame, names))], out, size, limit)
         if size > limit:
             return clip("".join(out), limit)
-        ctx = _HOLE[tag]
-    out.append(pretty_at(focus, ctx))
-    size += len(out[-1])
+        ctx = hole
+    size = write([(focus, ctx)], out, size, limit)
     for i in range(len(stack) - 1, -1, -1):
         if size > limit:
             break
-        frame = stack[i]
-        ctx = _HOLE[_tag(stack[i - 1])] if i else PREC_TERM
-        piece = _closer(frame) + (")" if _LEVEL[_tag(frame)] < ctx else "")
-        out.append(piece)
-        size += len(piece)
+        level, _, _, closer, names = _layout(stack[i])
+        ctx = _layout(stack[i - 1])[1] if i else PREC_TERM
+        items = [(closer, _fields(stack[i], names))]
+        if level < ctx:
+            items.insert(0, ")")
+        size = write(items, out, size, limit)
     return clip("".join(out), limit)
 
 

@@ -85,11 +85,7 @@ def _parse_judgment_text(text: str) -> IsTrue:
     if len(tokens) < 2 or tokens[-2].kind != "name" or tokens[-2].text != "true":
         tok = tokens[-1]
         raise ParseError("a rule judgment must end in 'true'", tok.line, tok.col)
-    parser = _Parser(tokens[:-2] + tokens[-1:])
-    prop = parser.term()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input at {tok.text!r}", tok.line, tok.col)
+    prop = _Parser(tokens[:-2] + tokens[-1:]).whole()
     _validate_scheme_prop(prop)
     return IsTrue(prop)
 

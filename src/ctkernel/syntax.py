@@ -13,29 +13,78 @@ Grammar (ASCII), loosest binding first::
     app    ::= prefix prefix*                   -- left associative
     prefix ::= ('fst'|'snd'|'inl'|'inr') prefix | atom
     atom   ::= 'it' | 'True' | 'False' | NAME | '<' term ',' term '>'
-             | '(' term ')'
+             | binder | '(' term ')'
 
-``A => B`` parses to a universal quantifier with an unused binder and
-``A /\\ B`` to an existential with an unused binder; the printer folds a
-quantifier whose binder does not occur in the family back into the
-operator form.  Open terms parse fine (free variables are the caller's
-concern); syntax errors carry line and column.
+The syntax of each node class is written once, in ``LAYOUT``: its
+precedence level and its pieces.  The printer is one loop over that
+table with an explicit stack, so it prints terms of any depth; the
+parser reads every keyword-led form (all but names, brackets and the
+infix operators) off the same table, and the evaluator's fuel report
+prints its pending frames from it.  ``A => B`` parses to a universal
+quantifier with an unused binder and ``A /\\ B`` to an existential with
+an unused binder; the printer folds a quantifier whose binder does not
+occur in the family back into the operator form (``SUGAR``).  Open
+terms parse fine (free variables are the caller's concern); syntax
+errors carry line and column, and so does text nested too deep for the
+recursive-descent parser.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import List
 
 from .terms import (
     App, Case, Disj, Exists, Forall, Fst, Inl, Inr, It, Lam, Pair, Snd,
-    TFalse, TTrue, Term, Var, free_vars,
+    TFalse, TTrue, Term, Var,
 )
 
-KEYWORDS = {
-    "it", "True", "False", "lam", "fst", "snd", "inl", "inr",
-    "case", "of", "forall", "exists",
+# Precedence levels, loosest first.
+PREC_TERM, PREC_OR, PREC_AND, PREC_APP, PREC_ATOM = range(5)
+
+# Per node class: its precedence level and its pieces, in reading order.
+# A piece is literal text, or (field, context): a subterm printed where
+# a term of precedence ``context`` is expected, or a name when the
+# context is None.
+LAYOUT = {
+    Var: (PREC_ATOM, (("name", None),)),
+    It: (PREC_ATOM, ("it",)),
+    TTrue: (PREC_ATOM, ("True",)),
+    TFalse: (PREC_ATOM, ("False",)),
+    Lam: (PREC_TERM, ("lam ", ("binder", None), ". ", ("body", PREC_TERM))),
+    App: (PREC_APP, (("fn", PREC_APP), " ", ("arg", PREC_ATOM))),
+    Pair: (PREC_ATOM, ("<", ("fst", PREC_TERM), ", ", ("snd", PREC_TERM), ">")),
+    Fst: (PREC_APP, ("fst ", ("pair", PREC_ATOM))),
+    Snd: (PREC_APP, ("snd ", ("pair", PREC_ATOM))),
+    Inl: (PREC_APP, ("inl ", ("arg", PREC_ATOM))),
+    Inr: (PREC_APP, ("inr ", ("arg", PREC_ATOM))),
+    Case: (PREC_TERM, (
+        "case ", ("scrutinee", PREC_OR), " of inl ", ("left_binder", None), " -> ",
+        ("left_body", PREC_TERM), " | inr ", ("right_binder", None), " -> ",
+        ("right_body", PREC_TERM),
+    )),
+    Forall: (PREC_TERM, ("forall ", ("binder", None), " : ", ("domain", PREC_OR), " . ",
+                         ("family", PREC_TERM))),
+    Exists: (PREC_TERM, ("exists ", ("binder", None), " : ", ("domain", PREC_OR), " . ",
+                         ("family", PREC_TERM))),
+    Disj: (PREC_OR, (("left", PREC_OR), " \\/ ", ("right", PREC_AND))),
 }
+
+# The layouts of a quantifier whose binder does not occur in its family.
+SUGAR = {
+    Forall: (PREC_TERM, (("domain", PREC_OR), " => ", ("family", PREC_TERM))),
+    Exists: (PREC_AND, (("domain", PREC_AND), " /\\ ", ("family", PREC_APP))),
+}
+
+# The keyword-led forms by their first word, and the words of the
+# loosest of them, which start a term but not an operand.
+_FORMS = {pieces[0].split()[0]: cls
+          for cls, (_, pieces) in LAYOUT.items() if type(pieces[0]) is str}
+_BINDERS = {word for word, cls in _FORMS.items() if LAYOUT[cls][0] == PREC_TERM}
+
+KEYWORDS = {word for _, pieces in LAYOUT.values() for piece in pieces
+            if type(piece) is str for word in piece.split() if word.isalpha()}
 
 _PUNCT2 = ("->", "=>", "/\\", "\\/", "|-")
 _PUNCT1 = "()<>,.:|"
@@ -135,40 +184,33 @@ class _Parser:
 
     # -- grammar ------------------------------------------------------
 
+    def whole(self) -> Term:
+        """One term and the end of the input.  Text nested too deep for
+        the Python stack is a ParseError at the token the parser reached."""
+        try:
+            t = self.term()
+        except RecursionError:
+            raise self.fail("input nested too deep") from None
+        if self.peek().kind != "eof":
+            raise self.fail("trailing input")
+        return t
+
     def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "kw" and tok.text in ("lam", "forall", "exists", "case"):
-            return self.binder()
+        word = self.peek().text
+        if word in _BINDERS:
+            return self.form(_FORMS[word])
         return self.imp()
 
-    def binder(self) -> Term:
-        tok = self.advance()
-        if tok.text == "lam":
-            name = self.expect_name()
-            self.expect(".")
-            return Lam(name, self.term())
-        if tok.text in ("forall", "exists"):
-            name = self.expect_name()
-            self.expect(":")
-            domain = self.term()
-            self.expect(".")
-            family = self.term()
-            ctor = Forall if tok.text == "forall" else Exists
-            return ctor(domain, name, family)
-        if tok.text == "case":
-            scrutinee = self.term()
-            self.expect("of")
-            self.expect("inl")
-            lb = self.expect_name()
-            self.expect("->")
-            lbody = self.term()
-            self.expect("|")
-            self.expect("inr")
-            rb = self.expect_name()
-            self.expect("->")
-            rbody = self.term()
-            return Case(scrutinee, lb, lbody, rb, rbody)
-        raise self.fail("expected a binder")
+    def form(self, cls: type) -> Term:
+        """The keyword-led form of ``cls``, read off its layout (``_STEPS``)."""
+        fields = {}
+        for step in _STEPS[cls]:
+            if type(step) is str:
+                self.expect(step)
+            else:
+                field, read = step
+                fields[field] = read(self)
+        return cls(**fields)
 
     def imp(self) -> Term:
         left = self.or_level()
@@ -193,11 +235,9 @@ class _Parser:
 
     def _starts_operand(self) -> bool:
         tok = self.peek()
-        if tok.kind == "name":
-            return True
-        if tok.kind == "kw" and tok.text in ("it", "True", "False", "fst", "snd", "inl", "inr"):
-            return True
-        return tok.kind == "punct" and tok.text in ("<", "(")
+        word = tok.text
+        return (tok.kind == "name" or word == "("
+                or word in _FORMS and word not in _BINDERS)
 
     def app(self) -> Term:
         t = self.prefix()
@@ -207,38 +247,14 @@ class _Parser:
 
     def prefix(self) -> Term:
         tok = self.peek()
-        if tok.kind == "kw" and tok.text in ("fst", "snd", "inl", "inr"):
-            self.advance()
-            arg = self.prefix()
-            ctor = {"fst": Fst, "snd": Snd, "inl": Inl, "inr": Inr}[tok.text]
-            return ctor(arg)
-        return self.atom()
-
-    def atom(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "kw":
-            if tok.text == "it":
-                self.advance()
-                return It()
-            if tok.text == "True":
-                self.advance()
-                return TTrue()
-            if tok.text == "False":
-                self.advance()
-                return TFalse()
-            if tok.text in ("lam", "forall", "exists", "case"):
-                return self.binder()
-            raise self.fail("unexpected keyword")
+        cls = _FORMS.get(tok.text)
+        if cls is not None:
+            return self.form(cls)
         if tok.kind == "name":
             self.advance()
             return Var(tok.text)
-        if tok.text == "<":
-            self.advance()
-            fst = self.term()
-            self.expect(",")
-            snd = self.term()
-            self.expect(">")
-            return Pair(fst, snd)
+        if tok.kind == "kw":
+            raise self.fail("unexpected keyword")
         if tok.text == "(":
             self.advance()
             t = self.term()
@@ -247,84 +263,89 @@ class _Parser:
         raise self.fail("expected a term")
 
 
+def _steps(pieces: tuple) -> tuple:
+    """How ``_Parser.form`` reads a layout: each word of literal text is
+    expected in turn, a name field is a variable name, and a subterm
+    field is a term when literal text follows it or it is at the loosest
+    level, else an operand of a prefix form."""
+    steps = []
+    for i, piece in enumerate(pieces):
+        if type(piece) is str:
+            steps.extend(piece.split())
+            continue
+        field, ctx = piece
+        if ctx is None:
+            read = _Parser.expect_name
+        elif i < len(pieces) - 1 or ctx == PREC_TERM:
+            read = _Parser.term
+        else:
+            read = _Parser.prefix
+        steps.append((field, read))
+    return tuple(steps)
+
+
+_STEPS = {cls: _steps(LAYOUT[cls][1]) for cls in _FORMS.values()}
+
+
 def parse(text: str) -> Term:
     """Parse one term; raises ParseError with line/column on bad syntax."""
-    parser = _Parser(tokenize(text))
-    t = parser.term()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise parser.fail("trailing input")
-    return t
+    return _Parser(tokenize(text)).whole()
 
 
 # -- printing ----------------------------------------------------------
-
-# Precedence levels, loosest first.
-PREC_TERM, PREC_OR, PREC_AND, PREC_APP, PREC_ATOM = range(5)
-
 
 def pretty(t: Term) -> str:
     """Render a term; parse(pretty(t)) is alpha-equivalent to t."""
     return pretty_at(t, PREC_TERM)
 
 
-def _wrap(s: str, level: int, ctx: int) -> str:
-    return f"({s})" if level < ctx else s
-
-
 def pretty_at(t: Term, ctx: int) -> str:
     """Render ``t`` where a term of precedence ``ctx`` is expected,
     parenthesised when it binds more loosely."""
-    match t:
-        case Var(n):
-            return n
-        case It():
-            return "it"
-        case TTrue():
-            return "True"
-        case TFalse():
-            return "False"
-        case Lam(b, body):
-            return _wrap(f"lam {b}. {pretty_at(body, PREC_TERM)}", PREC_TERM, ctx)
-        case App(f, a):
-            return _wrap(f"{pretty_at(f, PREC_APP)} {pretty_at(a, PREC_ATOM)}", PREC_APP, ctx)
-        case Pair(l, r):
-            return f"<{pretty_at(l, PREC_TERM)}, {pretty_at(r, PREC_TERM)}>"
-        case Fst(p):
-            return _wrap(f"fst {pretty_at(p, PREC_ATOM)}", PREC_APP, ctx)
-        case Snd(p):
-            return _wrap(f"snd {pretty_at(p, PREC_ATOM)}", PREC_APP, ctx)
-        case Inl(p):
-            return _wrap(f"inl {pretty_at(p, PREC_ATOM)}", PREC_APP, ctx)
-        case Inr(p):
-            return _wrap(f"inr {pretty_at(p, PREC_ATOM)}", PREC_APP, ctx)
-        case Case(s, lb, lbody, rb, rbody):
-            body = (
-                f"case {pretty_at(s, PREC_OR)} of inl {lb} -> {pretty_at(lbody, PREC_TERM)}"
-                f" | inr {rb} -> {pretty_at(rbody, PREC_TERM)}"
-            )
-            return _wrap(body, PREC_TERM, ctx)
-        case Forall(d, b, f):
-            if b not in free_vars(f):
-                body = f"{pretty_at(d, PREC_OR)} => {pretty_at(f, PREC_TERM)}"
+    out: list = []
+    write([(t, ctx)], out)
+    return "".join(out)
+
+
+def write(stack: list, out: list, size: int = 0, limit: int = sys.maxsize) -> int:
+    """Write the items of ``stack``, top first, onto ``out`` until the
+    stack is empty or the text is longer than ``limit``; returns its new
+    length ``size``.  An item is text, a pair (term, context), or a pair
+    (pieces, fields): layout pieces and the values of the fields they
+    name."""
+    pop, push, emit = stack.pop, stack.append, out.append
+    while stack and size <= limit:
+        item = pop()
+        if type(item) is str:
+            emit(item)
+            size += len(item)
+            continue
+        pieces, fields = item
+        if type(pieces) is not tuple:
+            t, ctx = item
+            cls = type(t)
+            level, pieces = LAYOUT[cls]
+            if cls in SUGAR and t.binder not in t.family.fv:
+                level, pieces = SUGAR[cls]
+            if level < ctx:
+                emit("(")
+                size += 1
+                push(")")
+            fields = vars(t)
+        for piece in reversed(pieces):
+            if type(piece) is str:
+                push(piece)
             else:
-                body = f"forall {b} : {pretty_at(d, PREC_OR)} . {pretty_at(f, PREC_TERM)}"
-            return _wrap(body, PREC_TERM, ctx)
-        case Exists(d, b, f):
-            if b not in free_vars(f):
-                body = f"{pretty_at(d, PREC_AND)} /\\ {pretty_at(f, PREC_APP)}"
-                return _wrap(body, PREC_AND, ctx)
-            body = f"exists {b} : {pretty_at(d, PREC_OR)} . {pretty_at(f, PREC_TERM)}"
-            return _wrap(body, PREC_TERM, ctx)
-        case Disj(l, r):
-            return _wrap(f"{pretty_at(l, PREC_OR)} \\/ {pretty_at(r, PREC_AND)}", PREC_OR, ctx)
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+                field, ctx = piece
+                push(fields[field] if ctx is None else (fields[field], ctx))
+    return size
 
 
 def describe(t: Term, limit: int = 120) -> str:
-    """Short rendering for error reports."""
-    return clip(pretty(t), limit)
+    """Short rendering for error reports; writing stops past the cut."""
+    out: list = []
+    write([(t, PREC_TERM)], out, 0, limit)
+    return clip("".join(out), limit)
 
 
 def clip(s: str, limit: int = 120) -> str:

@@ -707,8 +707,9 @@ def _same_budget(sides: Sequence, test, tank: Tank, decisive):
 def _check_eq_set(a: Term, b: Optional[Term], tank: Tank, depth: int, strategy: Strategy) -> Verdict:
     """Equality of the relations of two types.  With ``b`` None it is
     set-hood, the equality of ``a`` with itself: ``a`` is evaluated once,
-    each family instance is built once, a domain's emptiness is read off
-    its enumeration alone, and the head is ``set(A)``."""
+    each family instance is built once, and the head is ``set(A)``.  A
+    domain is empty when ``_inhabited`` says so, or when its complete
+    enumeration lists no witness."""
     diagonal = b is None
     if diagonal:
         head, roles, sides = TraceStep(IsSet(a), "set-formation"), ("type",), (a,)
@@ -765,7 +766,7 @@ def _check_eq_set(a: Term, b: Optional[Term], tank: Tank, depth: int, strategy: 
                 return _claim(head, same, "same-family", (
                     vd, _check_eq_set(f1, None, tank, depth, strategy),
                 ), depth)
-            inh = None if diagonal else _inhabited(d1, tank, strategy)
+            inh = _inhabited(d1, tank, strategy)
             if inh is Inhabitation.DIVERGED:
                 return diverged("domain inhabitation diverged", Trace((head,)))
             empty = inh is Inhabitation.UNINHABITED

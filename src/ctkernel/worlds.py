@@ -198,15 +198,6 @@ def parse_model(text: str) -> WorldModel:
         raise ModelError(str(exc)) from None
 
 
-def _verifications_at(model: WorldModel, w: str, j: WJudgment) -> int:
-    """How many ways to verify j at w; compound judgments collapse to 0/1."""
-    match j:
-        case Atom(name):
-            return len(model.tokens(w, name))
-        case _:
-            return 1 if forces(model, w, j) else 0
-
-
 def forces(model: WorldModel, w: str, j: WJudgment) -> bool:
     """Exhaustive forcing over the finite model."""
     if w not in model.worlds:
@@ -215,12 +206,9 @@ def forces(model: WorldModel, w: str, j: WJudgment) -> bool:
         case Atom(name):
             return bool(model.tokens(w, name))
         case RuleValid(p, c):
-            return _verifications_at(model, w, p) == 0 or _verifications_at(model, w, c) > 0
+            return not forces(model, w, p) or forces(model, w, c)
         case HypForced(p, c):
-            return all(
-                _verifications_at(model, v, p) == 0 or _verifications_at(model, v, c) > 0
-                for v in model.future(w)
-            )
+            return all(not forces(model, v, p) or forces(model, v, c) for v in model.future(w))
     raise TypeError(f"not a judgment: {j!r}")
 
 

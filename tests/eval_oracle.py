@@ -4,7 +4,8 @@ Each step descends from the root to the redex by recursion and rebuilds
 the spine on the way out, so a step costs O(head depth) and deep heads
 exhaust the Python stack.  ``ctkernel.evaluation.run`` must give exactly
 its results (class, term, form, steps, offending subterm and remaining
-description) and draw exactly as much fuel; the differential tests
+description, which the reference printer ``syntax_oracle.describe``
+writes here) and draw exactly as much fuel; the differential tests
 compare the two.
 """
 
@@ -15,10 +16,10 @@ from dataclasses import dataclass
 from ctkernel.evaluation import (
     Canonical, EvalResult, FuelExhausted, Strategy, Stuck, Tank,
 )
-from ctkernel.syntax import describe
 from ctkernel.terms import (
     App, Case, Fst, Inl, Inr, Lam, Pair, Snd, Term, Var, classify, substitute,
 )
+from syntax_oracle import describe
 
 
 @dataclass(frozen=True)

@@ -288,8 +288,8 @@ class TestStructuralBridges:
 
     def test_eq_set_does_not_depend_on_sharing(self):
         # F0's domain is empty: _inhabited shows it at every depth, the
-        # enumeration only from depth 3 on.  Set equality asks
-        # _inhabited, whether its sides are one object or built apart.
+        # enumeration only from depth 3 on.  Set equality and set-hood ask
+        # _inhabited, whether the sides are one object or built apart.
         f0 = parse("forall x : (True /\\ False) \\/ False . case x of inl a -> True | inr b -> False")
         for ty in (f0, Disj(TRUE, f0)):
             apart = parse(pretty(ty))
@@ -298,9 +298,9 @@ class TestStructuralBridges:
                 assert same.status is Status.VERIFIED, (pretty(ty), depth)
                 assert same.status is check_eq_set(ty, apart, depth=depth).status
                 assert same.trace.steps[0].rule == "equal-sets"
-        # set-hood reads the domain's emptiness off its enumeration alone
+        # set-hood asks _inhabited too
         assert [check_is_set(f0, depth=d).status for d in (1, 2, 4)] == [
-            Status.UNKNOWN, Status.UNKNOWN, Status.VERIFIED,
+            Status.VERIFIED, Status.VERIFIED, Status.VERIFIED,
         ]
 
     def test_eqset_respects_membership(self):

@@ -1,8 +1,13 @@
 """Term language: nodes, parsing, printing, substitution, alpha-equivalence."""
 
 import copy
+import functools
+import os
 import pickle
+import subprocess
+import sys
 import time
+from pathlib import Path
 from dataclasses import make_dataclass
 from typing import get_args
 
@@ -10,8 +15,9 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+import ctkernel
 import term_oracle as oracle
-from ctkernel.syntax import ParseError, parse, pretty
+from ctkernel.syntax import ParseError, describe, parse, pretty
 from ctkernel.terms import (
     App, Case, Disj, Exists, Forall, Fst, IT, Inl, Inr, It, Lam, Pair, Snd,
     TRUE, FALSE, TFalse, TTrue, Term, Var, alpha_eq, constructor_depth,
@@ -397,11 +403,25 @@ class TestAgainstTermOracle:
             assert hash(a) == hash(b)
 
 
+def stack_safe(test):
+    """Run ``test``, failing at once if it recurses on depth: pytest takes
+    minutes to render a RecursionError traceback 10^4 frames deep."""
+    @functools.wraps(test)
+    def run(self):
+        try:
+            return test(self)
+        except RecursionError:
+            pass
+        pytest.fail(f"{test.__name__} recursed on depth", pytrace=False)
+    return run
+
+
 class TestDeepTerms:
     # Every operation here recursed on depth and raised RecursionError
-    # about 1,000 deep.
+    # about 1,000 deep (a ctk traceback, for the parser).
     N = 10_000
 
+    @stack_safe
     def test_alpha_eq_key_and_repr(self):
         a = nested(self.N, IT)
         b = nested(self.N, IT)
@@ -411,6 +431,7 @@ class TestDeepTerms:
         assert text == "Inl(arg=" * self.N + "It()" + ")" * self.N
         assert term_key(a) == (self.N + 1, text)
 
+    @stack_safe
     def test_nested_lambdas(self):
         a, b, c = Var("x"), Var("y"), Var("x")
         for i in range(self.N - 1):
@@ -423,6 +444,7 @@ class TestDeepTerms:
         assert key[1].endswith(f"body=Var(name='v{self.N - 1}')" + ")" * self.N)
         assert repr(a).startswith("Lam(binder='x', body=Lam(binder='x', ")
 
+    @stack_safe
     def test_distinct_binders_linear(self):
         # one binder map per walk, restored below each scope: a map copied
         # at every binder made both walks quadratic in the binders in scope
@@ -453,6 +475,7 @@ class TestDeepTerms:
         assert key[1].startswith("Lam(binder='v0', body=App(fn=Lam(binder='v1', ")
         assert key[1].endswith("arg=Var(name='v1'))), arg=Var(name='v0')))")
 
+    @stack_safe
     def test_closed(self):
         a, b = nested(self.N, IT), nested(self.N, IT)
         assert a == b
@@ -463,6 +486,43 @@ class TestDeepTerms:
         assert a != nested(self.N, Inr(IT))
         assert nested(self.N, Inr(IT)) != nested(self.N, Inl(IT))
 
+    @stack_safe
+    def test_print_and_describe(self):
+        text = "inl (" * (self.N - 1) + "inl it" + ")" * (self.N - 1)
+        assert pretty(nested(self.N, IT)) == text
+        assert describe(nested(self.N, IT)) == text[:117] + "..."
+        a, b = Var("x"), Var("x")
+        for _ in range(self.N // 2):
+            a = Case(Lam("x", a), "l", IT, "r", Lam("y", Var("r")))
+            b = Lam("x", Case(IT, "l", b, "r", Var("r")))
+        # a lam needs brackets as a scrutinee, not as a body
+        n = self.N // 2
+        case = "case (lam x. " * n + "x" + ") of inl l -> it | inr r -> lam y. r" * n
+        assert pretty(a) == case and describe(a, 40) == case[:37] + "..."
+        lam = "lam x. case it of inl l -> " * n + "x" + " | inr r -> r" * n
+        assert pretty(b) == lam and describe(b, 40) == lam[:37] + "..."
+
+    @stack_safe
+    def test_parse_nested_too_deep(self):
+        # the parser still recurses: too deep a text is a ParseError
+        text = "(" * self.N + "it" + ")" * self.N
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.message == "input nested too deep at '('"
+        assert err.value.line == 1 and 1 < err.value.col < self.N
+
+    def test_ctk_eval_nested_too_deep(self):
+        src = Path(ctkernel.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctkernel", "eval", "(" * self.N + "it" + ")" * self.N],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: 1:") and "Traceback" not in proc.stderr
+        assert "input nested too deep" in proc.stderr
+
+    @stack_safe
     def test_open(self):
         a = nested(self.N, Var("x"))
         assert free_vars(a) == {"x"}
