@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
 """Print the evaluator's cost per step as head depth and fuel grow.
 
-Each row times one ``evaluate`` call (best of three) on a head-nested
-spine: ``fst``/``snd`` over nested pairs, a left-nested beta spine
-``((I I) I ... I) it`` and nested ``case`` dispatches, each taking n
-steps, for n from 50 to 10^5.  Then it times OMEGA ``(lam o. o o)
-(lam o. o o)`` and ``(lam x. x x x) (lam x. x x x)`` until the fuel runs
-out, for fuel from 10^2 to 10^5.  A flat microseconds-per-step column
-means a step costs the same however deep its redex sits.  A call that
-raises prints the exception's name instead of a time.
+For each n from 50 to 10^5, rows time ``evaluate`` on head-nested
+spines of n steps: ``fst``/``snd`` over nested pairs, a left-nested beta
+spine ``((I I) I ... I) it``, nested ``case`` dispatches that re-inject
+their payload, and nested dispatches ``case t of inl a -> inl <a, it> |
+...`` whose payload grows by a pair at each step, so that the result is
+read back n pairs deep.  For n from 10^2 to 10^5 they also time OMEGA
+``(lam o. o o) (lam o. o o)`` and ``(lam x. x x x) (lam x. x x x)`` at
+fuel n.  A row shows the best of three calls.  A flat
+microseconds-per-step column means a step costs the same however deep
+its redex sits.  The last column is that cost as a multiple of a
+projection step's, timed on the projection spine of the same n in calls
+that alternate with the row's, so that both see the same machine load.
+A call that raises prints the exception's name instead of a time.
 
     PYTHONPATH=src python3 scripts/eval_curve.py
 """
@@ -20,7 +25,7 @@ from ctkernel.evaluation import evaluate
 from ctkernel.syntax import parse
 from ctkernel.terms import App, Case, Fst, IT, Inl, Inr, Lam, Pair, Snd, Var
 
-DEPTHS = (50, 100, 200, 400, 800, 1600, 3200, 10_000, 30_000, 100_000)
+DEPTHS = (50, 100, 200, 400, 800, 1000, 1600, 3200, 10_000, 30_000, 100_000)
 FUELS = (100, 1_000, 10_000, 100_000)
 REPEAT = 3
 
@@ -52,38 +57,48 @@ def case_spine(n: int, rng: random.Random):
     return t
 
 
-def timed(term, fuel: int):
-    """(best seconds, steps) over REPEAT calls, or the exception's name."""
-    best, steps = float("inf"), None
-    for _ in range(REPEAT):
-        start = time.perf_counter()
-        try:
-            result = evaluate(term, fuel)
-        except RecursionError as exc:
-            return type(exc).__name__
-        best = min(best, time.perf_counter() - start)
-        steps = getattr(result, "steps", fuel)
-    return best, steps
+def payload_spine(n: int, rng: random.Random):
+    t = Inl(IT)
+    for _ in range(n):
+        t = Case(t, "a", Inl(Pair(Var("a"), IT)), "b", Inr(Var("b")))
+    return t
 
 
-def row(kind: str, size: int, outcome) -> None:
-    if isinstance(outcome, str):
-        print(f"{kind:<10} {size:>8} {'':>8} {outcome:>12}")
+def per_step(term, fuel: int):
+    """(microseconds per step, steps) of one ``evaluate`` call."""
+    start = time.perf_counter()
+    result = evaluate(term, fuel)
+    steps = getattr(result, "steps", fuel)
+    return 1e6 * (time.perf_counter() - start) / steps, steps
+
+
+def row(kind: str, n: int, term, fuel: int, proj) -> None:
+    """Print the best of REPEAT calls on ``term``, and its ratio to the
+    best of as many calls on ``proj``, made in turn with them."""
+    best = ref = float("inf")
+    try:
+        for _ in range(REPEAT):
+            cost, steps = per_step(term, fuel)
+            best = min(best, cost)
+            ref = min(ref, per_step(proj, 10 * n)[0])
+    except RecursionError as exc:
+        print(f"{kind:<10} {n:>8} {'':>8} {type(exc).__name__:>12}")
         return
-    seconds, steps = outcome
-    print(f"{kind:<10} {size:>8} {steps:>8} {1e6 * seconds / steps:>12.2f}")
+    print(f"{kind:<10} {n:>8} {steps:>8} {best:>12.2f} {best / ref:>8.2f}")
 
 
 def main() -> None:
-    print(f"{'kind':<10} {'n/fuel':>8} {'steps':>8} {'us/step':>12}")
+    print(f"{'kind':<10} {'n/fuel':>8} {'steps':>8} {'us/step':>12} {'x proj':>8}")
     rng = random.Random(2026)
-    for kind, build in (("proj", projection_spine), ("beta", beta_spine), ("case", case_spine)):
-        for n in DEPTHS:
-            row(kind, n, timed(build(n, rng), 10 * n))
-    for kind, text in (("omega", "(lam o. o o) (lam o. o o)"),
-                       ("xxx", "(lam x. x x x) (lam x. x x x)")):
-        for fuel in FUELS:
-            row(kind, fuel, timed(parse(text), fuel))
+    for n in DEPTHS:
+        proj = projection_spine(n, rng)
+        rows = [("proj", proj, 10 * n)] + [(kind, build(n, rng), 10 * n) for kind, build in (
+            ("beta", beta_spine), ("case", case_spine), ("payload", payload_spine))]
+        if n in FUELS:
+            rows += [(kind, parse(text), n) for kind, text in (
+                ("omega", "(lam o. o o) (lam o. o o)"), ("xxx", "(lam x. x x x) (lam x. x x x)"))]
+        for kind, term, fuel in rows:
+            row(kind, n, term, fuel, proj)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,8 @@
 """Fueled evaluation: examples, the four operational invariants, agreement
-with the reference evaluator, and stack safety on deep and long runs."""
+with the reference evaluator, stack safety on deep and long runs, and the
+memory and sharing of the closure machine."""
+
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -172,6 +175,69 @@ class TestAgainstOracle:
             t = Fst(t) if i % 2 else Case(t, "a", Var("a"), "b", big)
         assert_matches_oracle(t)
 
+    # Open inputs where a step substitutes an open value, so that
+    # capture-avoiding substitution picks fresh names.
+    def test_open_argument_captured_by_binder(self):
+        t = parse("(lam x. lam y. x) y")
+        assert_matches_oracle(t)
+        assert evaluate(t, 10).term == Lam("y1", Var("y"))
+
+    def test_open_payload_under_binder(self):
+        t = parse("case inl y of inl a -> lam y. <a, y> | inr b -> b")
+        assert_matches_oracle(t)
+        assert evaluate(t, 10).term == Lam("y1", Pair(Var("y"), Var("y1")))
+
+    def test_closed_value_meets_open_argument(self):
+        t = parse("(lam z. (lam x. lam y. <x, z>) y) it")
+        assert_matches_oracle(t)
+        assert evaluate(t, 10).term == Lam("y1", Pair(Var("y"), IT))
+
+    def test_stuck_case_renames_for_open_value(self):
+        t = parse("(lam y. case lam q. q of inl x -> x | inr z -> <y, z>) z")
+        assert_matches_oracle(t)
+        assert evaluate(t, 10).offending == parse(
+            "case lam q. q of inl x -> x | inr z1 -> <z, z1>")
+
+
+def growing_case_spine(n: int, branch):
+    """``inl it`` under n case dispatches whose left branch is ``branch``."""
+    t = Inl(IT)
+    for _ in range(n):
+        t = Case(t, "a", branch, "b", Inr(Var("b")))
+    return t
+
+
+def distinct_nodes(t) -> int:
+    """How many node objects ``t`` is made of, each shared one counted once."""
+    seen, todo = set(), [t]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo += [v for v in vars(node).values() if type(v) is not str]
+    return len(seen)
+
+
+class TestClosureMachine:
+    def test_shared_values_stay_shared(self):
+        # each dispatch binds the payload twice; read back once per
+        # closure, the result shares it as the eager machine's does
+        n = 40
+        r = evaluate(growing_case_spine(n, Inl(Pair(Var("a"), Var("a")))), 10 * n)
+        assert isinstance(r, Canonical) and r.steps == n
+        assert distinct_nodes(r.term) <= 3 * n
+
+    def test_no_allocation_per_frame(self):
+        t = parse("(lam x. x x x) (lam x. x x x)")
+        tracemalloc.start()
+        try:
+            r = evaluate(t, 10**5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(r, FuelExhausted)
+        assert peak < 2 * 2**20
+
 
 class TestStackSafety:
     def test_projection_spine(self):
@@ -203,6 +269,17 @@ class TestStackSafety:
         r = evaluate(t, 10 * n)
         assert isinstance(r, Canonical)
         assert r.form is CanonicalForm.INL and r.term.arg is IT and r.steps == n
+
+    def test_growing_payload_readback(self):
+        # each payload closure points at the one before: the result is
+        # read back 2 * 10^4 deep
+        n = 10_000
+        r = evaluate(growing_case_spine(n, Inl(Pair(Var("a"), IT))), 10 * n)
+        assert isinstance(r, Canonical) and r.steps == n
+        expected = IT
+        for _ in range(n):
+            expected = Pair(expected, IT)
+        assert r.term == Inl(expected)
 
     def test_triple_self_application_exhausts_fuel(self):
         r = evaluate(parse("(lam x. x x x) (lam x. x x x)"), 100_000)

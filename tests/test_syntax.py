@@ -14,9 +14,9 @@ from ctkernel.syntax import (
     KEYWORDS, PREC_ATOM, PREC_TERM, ParseError, describe, parse, pretty, pretty_at,
     tokenize,
 )
-from ctkernel.terms import App, Case, Fst, Lam, Snd
+from ctkernel.terms import IT, App, Case, Fst, Lam, Snd, substitute
 from ctkernel.unary import ground_types
-from termgen import NAMES, generated_checks, terms
+from termgen import NAMES, closed_terms, generated_checks, terms
 
 LEVELS = range(PREC_TERM, PREC_ATOM + 1)
 
@@ -100,33 +100,56 @@ class TestAgainstSyntaxOracle:
         assert outcome(parse, text) == outcome(oracle.parse, text)
 
 
+def environments():
+    """An environment of the evaluator: names bound to closed terms."""
+    return st.dictionaries(NAMES, closed_terms(max_leaves=3), max_size=2)
+
+
+def closures(children):
+    """A term, bare or under an environment."""
+    return st.one_of(children, st.builds(lambda t, env: [t, env], children, environments()))
+
+
 def frames():
     """One frame of the evaluator's stack, of any kind."""
     children, names = terms(max_leaves=4), NAMES
     return st.one_of(
-        children,
+        closures(children),
         st.just((Fst,)),
         st.just((Snd,)),
-        st.builds(lambda *f: (Case, *f), names, children, names, children),
-        st.builds(lambda b, body: (Lam, Lam(b, body)), names, children),
+        st.builds(lambda lb, lbody, rb, rbody, env: (Case, Case(IT, lb, lbody, rb, rbody), env),
+                  names, children, names, children, environments()),
+        st.builds(lambda b, body, env: (Lam, Lam(b, body), env), names, children, environments()),
     )
+
+
+def read(t, env):
+    """``t`` with the closed values of ``env`` substituted."""
+    for name, value in env.items():
+        t = substitute(t, name, value)
+    return t
 
 
 def plug(stack, focus):
     """The term that the frames, outermost first, spell around the focus."""
-    t = focus
+    t = read(*focus) if type(focus) is list else focus
     for frame in reversed(stack):
-        if type(frame) is not tuple:
+        if type(frame) is list:
+            t = App(t, read(*frame))
+        elif type(frame) is not tuple:
             t = App(t, frame)
         elif frame[0] is Lam:
-            t = App(frame[1], t)
+            t = App(read(frame[1], frame[2]), t)
+        elif frame[0] is Case:
+            case = read(frame[1], frame[2])
+            t = Case(t, *(getattr(case, f) for f in Case.__match_args__[1:]))
         else:
-            t = frame[0](t, *frame[1:])
+            t = frame[0](t)
     return t
 
 
 class TestFuelReport:
-    @given(st.lists(frames(), max_size=12), terms(max_leaves=6),
+    @given(st.lists(frames(), max_size=12), closures(terms(max_leaves=6)),
            st.sampled_from((8, 40, 120, 10**4)))
     @settings(max_examples=300)
     def test_describe_of_plugged_term(self, stack, focus, limit):
