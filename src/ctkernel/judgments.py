@@ -7,6 +7,10 @@ statements a derivation walks through (evaluation steps, membership in
 a canonical-witness relation, emptiness facts), so a verified check can
 be replayed and rendered as a numbered derivation.
 
+Each form is written once, as one row below: its name, its fields in
+order and its rendering template.  ``render_statement`` is one writer
+over that table.
+
 Notation used in renderings: ``canon(T)`` is the relation of canonical
 witnesses of the type T; ``canon*(T)`` is its closure under evaluation
 (a term is in ``canon*(T)`` when it evaluates to something in
@@ -18,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple
 
 from . import evaluation
 from .syntax import pretty
@@ -27,153 +31,104 @@ from .terms import Term, alpha_eq, classify, is_closed, CanonicalForm
 
 # -- judgment and statement forms ---------------------------------------
 
-@dataclass(frozen=True)
-class IsSet:
-    a: Term
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class IsTrue:
-    """Truth of a proposition: some witness evaluates into it."""
-    a: Term
+class Statement:
+    """A judgment or trace statement: a form and its field values, in
+    order, in ``values``.
+
+    Equality, hash, ``repr`` and pickling are those of a frozen dataclass
+    with the form's fields: the ``repr`` of a verdict's instance is part
+    of its recorded output.
+    """
+
+    __slots__ = ("values",)
+    __match_args__: tuple = ()
+    _arity = 0  # len(__match_args__), read on every construction
+    template = ""
+
+    def __init__(self, *values):
+        if len(values) != self._arity:
+            raise TypeError(f"{type(self).__name__} takes fields {self.__match_args__}")
+        _set(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self):
+        return hash(self.values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__match_args__, self.values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self.values
 
 
-@dataclass(frozen=True)
-class Member:
-    m: Term
-    a: Term
+def _form(name: str, fields: str, template: str, doc: Optional[str] = None) -> type:
+    """A statement form: ``fields`` names its fields in order, and
+    ``template`` (a ``str.format`` template over them) renders it."""
+    names = tuple(fields.split())
+    ns = {f: property(lambda s, i=i: s.values[i]) for i, f in enumerate(names)}
+    ns.update(__slots__=(), __match_args__=names, _arity=len(names), template=template,
+              __doc__=doc, __module__=__name__, __qualname__=name)
+    return type(name, (Statement,), ns)
 
 
-@dataclass(frozen=True)
-class EqSet:
-    a: Term
-    b: Term
+# Judgments.
+IsSet = _form("IsSet", "a", "set({a})")
+IsTrue = _form("IsTrue", "a", "{a} true",
+               "Truth of a proposition: some witness evaluates into it.")
+Member = _form("Member", "m a", "member({m}, {a})")
+EqSet = _form("EqSet", "a b", "eqset({a}, {b})")
+EqMember = _form("EqMember", "m n a", "eqmember({m}, {n}, {a})")
+Hyp = _form("Hyp", "antecedents consequent", "{consequent} assuming {antecedents}",
+            "Hypothetical closure: the consequent under the antecedents.")
+Gen = _form("Gen", "binders body", "for all {binders}: {body}",
+            "General closure: the body for all values of the binders.")
 
-
-@dataclass(frozen=True)
-class EqMember:
-    m: Term
-    n: Term
-    a: Term
-
-
-@dataclass(frozen=True)
-class Hyp:
-    """Hypothetical closure: the consequent under the antecedents."""
-    antecedents: Tuple["Statement", ...]
-    consequent: "Statement"
-
-
-@dataclass(frozen=True)
-class Gen:
-    """General closure: the body for all values of the binders."""
-    binders: Tuple[str, ...]
-    body: "Statement"
-
-
-Judgment = Union[IsSet, IsTrue, Member, EqSet, EqMember, Hyp, Gen]
-
-
-@dataclass(frozen=True)
-class Evals:
-    """Evaluation statement: the term reaches this canonical form."""
-    term: Term
-    result: Term
-
-
-@dataclass(frozen=True)
-class CanonIn:
-    """Membership in the canonical-witness relation of a canonical type."""
-    ty: Term
-    args: Tuple[Term, ...]
-
-
-@dataclass(frozen=True)
-class CanonNotIn:
-    ty: Term
-    args: Tuple[Term, ...]
-
-
-@dataclass(frozen=True)
-class CanonClosureIn:
-    """Membership in the evaluation closure of the relation."""
-    ty: Term
-    args: Tuple[Term, ...]
-
-
-@dataclass(frozen=True)
-class CanonEmpty:
-    ty: Term
-
-
-@dataclass(frozen=True)
-class CanonEq:
-    a: Term
-    b: Term
-
-
-@dataclass(frozen=True)
-class CanonNeq:
-    a: Term
-    b: Term
-
-
-@dataclass(frozen=True)
-class Blocked:
-    """Evaluation got stuck at this subterm."""
-    term: Term
-
-
-@dataclass(frozen=True)
-class Both:
-    parts: Tuple["Statement", ...]
-
-
-Statement = Union[
-    Judgment, Evals, CanonIn, CanonNotIn, CanonClosureIn, CanonEmpty,
-    CanonEq, CanonNeq, Blocked, Both,
-]
+# Trace statements.
+Evals = _form("Evals", "term result", "eval({term}, {result})",
+              "Evaluation statement: the term reaches this canonical form.")
+CanonIn = _form("CanonIn", "ty args", "canon({ty})({args})",
+                "Membership in the canonical-witness relation of a canonical type.")
+CanonNotIn = _form("CanonNotIn", "ty args", "not canon({ty})({args})")
+CanonUndefined = _form("CanonUndefined", "ty", "canon({ty}) undefined",
+                       "The canonical term is no type former: it has no relation.")
+CanonClosureIn = _form("CanonClosureIn", "ty args", "canon*({ty})({args})",
+                       "Membership in the evaluation closure of the relation.")
+CanonEmpty = _form("CanonEmpty", "ty", "canon({ty}) = {{}}")
+CanonEq = _form("CanonEq", "a b", "canon({a}) = canon({b})")
+CanonNeq = _form("CanonNeq", "a b", "canon({a}) /= canon({b})")
+Blocked = _form("Blocked", "term", "stuck({term})", "Evaluation got stuck at this subterm.")
+Both = _form("Both", "parts", "{parts}")
 
 
 def render_statement(s: Statement) -> str:
-    match s:
-        case IsSet(a):
-            return f"set({pretty(a)})"
-        case IsTrue(a):
-            return f"{pretty(a)} true"
-        case Member(m, a):
-            return f"member({pretty(m)}, {pretty(a)})"
-        case EqSet(a, b):
-            return f"eqset({pretty(a)}, {pretty(b)})"
-        case EqMember(m, n, a):
-            return f"eqmember({pretty(m)}, {pretty(n)}, {pretty(a)})"
-        case Hyp(ants, con):
-            hyp = "; ".join(render_statement(x) for x in ants)
-            return f"{render_statement(con)} assuming {hyp}"
-        case Gen(binders, body):
-            return f"for all {', '.join(binders)}: {render_statement(body)}"
-        case Evals(t, r):
-            return f"eval({pretty(t)}, {pretty(r)})"
-        case CanonIn(ty, args):
-            return f"canon({pretty(ty)})({', '.join(pretty(x) for x in args)})"
-        case CanonNotIn(ty, args):
-            if not args:
-                return f"canon({pretty(ty)}) undefined"
-            return f"not canon({pretty(ty)})({', '.join(pretty(x) for x in args)})"
-        case CanonClosureIn(ty, args):
-            return f"canon*({pretty(ty)})({', '.join(pretty(x) for x in args)})"
-        case CanonEmpty(ty):
-            return f"canon({pretty(ty)}) = {{}}"
-        case CanonEq(a, b):
-            return f"canon({pretty(a)}) = canon({pretty(b)})"
-        case CanonNeq(a, b):
-            return f"canon({pretty(a)}) /= canon({pretty(b)})"
-        case Blocked(t):
-            return f"stuck({pretty(t)})"
-        case Both(parts):
-            return "; ".join(render_statement(x) for x in parts)
-        case _:
-            raise TypeError(f"not a statement: {s!r}")
+    """The form's template, with each field written by ``_write``."""
+    return s.template.format_map(dict(zip(s.__match_args__, map(_write, s.values))))
+
+
+def _write(v) -> str:
+    """A field value: a statement rendered, a name as itself, a tuple's
+    items joined, and a term printed."""
+    if isinstance(v, Statement):
+        return render_statement(v)
+    if type(v) is str:
+        return v
+    if type(v) is tuple:
+        return ("; " if v and isinstance(v[0], Statement) else ", ").join(map(_write, v))
+    return pretty(v)
 
 
 # -- traces --------------------------------------------------------------

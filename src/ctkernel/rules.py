@@ -39,7 +39,8 @@ from .config import (
 )
 from .evaluation import Strategy, Tank
 from .judgments import (
-    IsTrue, Trace, TraceStep, Verdict, diverged, refuted, unknown, verified,
+    IsTrue, Trace, TraceStep, Verdict, diverged, refuted, render_statement, unknown,
+    verified,
 )
 from .syntax import ParseError, _Parser, describe, pretty, tokenize
 from .terms import (
@@ -58,21 +59,27 @@ class RuleScheme:
     conclusion: IsTrue
 
     def render(self) -> str:
-        left = "; ".join(f"{pretty(p.a)} true" for p in self.premises)
-        right = f"{pretty(self.conclusion.a)} true"
+        left = "; ".join(map(render_statement, self.premises))
+        right = render_statement(self.conclusion)
         return f"{left} |- {right}" if left else f"|- {right}"
 
 
-def _validate_scheme_prop(t: Term) -> None:
+def _validate_scheme_prop(t: Term, metavars: List[str]) -> None:
+    """Check that ``t`` is in the propositional fragment, and append to
+    ``metavars`` each of its metavariables not yet there, in order of
+    first occurrence."""
     match t:
-        case Var(_) | TTrue() | TFalse():
+        case Var(n):
+            if n not in metavars:
+                metavars.append(n)
+        case TTrue() | TFalse():
             return
         case Disj(l, r):
-            _validate_scheme_prop(l)
-            _validate_scheme_prop(r)
+            _validate_scheme_prop(l, metavars)
+            _validate_scheme_prop(r, metavars)
         case (Forall(d, b, f) | Exists(d, b, f)) if b not in free_vars(f):
-            _validate_scheme_prop(d)
-            _validate_scheme_prop(f)
+            _validate_scheme_prop(d, metavars)
+            _validate_scheme_prop(f, metavars)
         case _:
             raise ParseError(
                 "rule propositions are the propositional fragment: "
@@ -80,13 +87,13 @@ def _validate_scheme_prop(t: Term) -> None:
             )
 
 
-def _parse_judgment_text(text: str) -> IsTrue:
+def _parse_judgment_text(text: str, metavars: List[str]) -> IsTrue:
     tokens = tokenize(text)
     if len(tokens) < 2 or tokens[-2].kind != "name" or tokens[-2].text != "true":
         tok = tokens[-1]
         raise ParseError("a rule judgment must end in 'true'", tok.line, tok.col)
     prop = _Parser(tokens[:-2] + tokens[-1:]).whole()
-    _validate_scheme_prop(prop)
+    _validate_scheme_prop(prop, metavars)
     return IsTrue(prop)
 
 
@@ -102,39 +109,14 @@ def parse_rule(text: str) -> RuleScheme:
     right = right.strip()
     if right.startswith("conclusion:"):
         right = right[len("conclusion:"):]
+    metavars: List[str] = []
     premises = tuple(
-        _parse_judgment_text(part)
+        _parse_judgment_text(part, metavars)
         for part in left.split(";")
         if part.strip()
     )
-    conclusion = _parse_judgment_text(right)
-    seen: List[str] = []
-    for j in (*premises, conclusion):
-        for name in _metavars_in_order(j.a):
-            if name not in seen:
-                seen.append(name)
-    return RuleScheme(tuple(seen), premises, conclusion)
-
-
-def _metavars_in_order(t: Term) -> List[str]:
-    out: List[str] = []
-
-    def go(t: Term) -> None:
-        match t:
-            case Var(n):
-                if n not in out:
-                    out.append(n)
-            case Disj(l, r):
-                go(l)
-                go(r)
-            case Forall(d, _, f) | Exists(d, _, f):
-                go(d)
-                go(f)
-            case _:
-                pass
-
-    go(t)
-    return out
+    conclusion = _parse_judgment_text(right, metavars)
+    return RuleScheme(tuple(metavars), premises, conclusion)
 
 
 def parse_rule_file(text: str) -> List[RuleScheme]:
@@ -156,8 +138,9 @@ class Sequent:
     goal: Term
 
     def render(self) -> str:
-        hyp = ", ".join(f"{n}: {pretty(p)} true" for n, p in self.hypotheses)
-        return f"{hyp} |- {pretty(self.goal)} true" if hyp else f"|- {pretty(self.goal)} true"
+        hyp = ", ".join(f"{n}: {render_statement(IsTrue(p))}" for n, p in self.hypotheses)
+        goal = render_statement(IsTrue(self.goal))
+        return f"{hyp} |- {goal}" if hyp else f"|- {goal}"
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .config import DEFAULT_DEPTH, DEFAULT_FUEL
 from .evaluation import Canonical, FuelExhausted, Strategy, Stuck, Tank, run
 from .judgments import (
-    Blocked, Both, CanonClosureIn, CanonEmpty, CanonEq, CanonIn,
-    CanonNeq, CanonNotIn, EqMember, EqSet, Evals, Gen, Hyp, IsSet, Member,
+    Blocked, Both, CanonClosureIn, CanonEmpty, CanonEq, CanonIn, CanonNeq,
+    CanonNotIn, CanonUndefined, EqMember, EqSet, Evals, Gen, Hyp, IsSet, Member,
     Status, Trace, TraceStep, Verdict, diverged, refuted, unknown, verified,
     worst,
 )
@@ -313,7 +313,7 @@ def _enumerate(a: Term, depth: int, tank: Tank, strategy: Strategy) -> EnumResul
         case _:
             return EnumResult(
                 (), False,
-                refuted(Trace((TraceStep(CanonNotIn(ac, ()), "not-a-set"),))),
+                refuted(Trace((TraceStep(CanonUndefined(ac), "not-a-set"),))),
             )
 
 
@@ -724,7 +724,7 @@ def _check_eq_set(a: Term, b: Optional[Term], tank: Tank, depth: int, strategy: 
         evals += (Evals(b, bc),)
     for tc in res:
         if not is_type_former(tc):
-            return refuted(Trace((head, TraceStep(Both(evals + (CanonNotIn(tc, ()),)), "no-former"))))
+            return refuted(Trace((head, TraceStep(Both(evals + (CanonUndefined(tc),)), "no-former"))))
     if type(ac) is not type(bc):
         # Two relations of different shapes can only coincide by both
         # being empty; canonical shapes are disjoint otherwise.
