@@ -17,17 +17,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
 
-from . import binary, evaluation, rules, unary, worlds
 from .config import (
     DEFAULT_DEPTH, DEFAULT_FUEL, DEFAULT_INSTANCE_DEPTH, DEFAULT_SEARCH_DEPTH,
     RunConfig,
 )
-from .judgments import Status, Verdict, dump_machine, machine_doc, worst
-from .syntax import ParseError, parse, pretty
-from .terms import OpenTermError, free_vars
-from .worlds import ModelError
+
+# Each command imports the modules it runs, so that a call loads only
+# those: ``kripke`` never loads the checkers, nor ``eval`` the rule lab.
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -36,11 +33,12 @@ EXIT_STUCK = 3
 EXIT_REFUTED = 4
 EXIT_UNKNOWN = 5
 
+# exit code per verdict status, keyed by ``Status.value``
 _STATUS_EXIT = {
-    Status.VERIFIED: EXIT_OK,
-    Status.REFUTED: EXIT_REFUTED,
-    Status.UNKNOWN: EXIT_UNKNOWN,
-    Status.DIVERGED: EXIT_DIVERGED,
+    "verified": EXIT_OK,
+    "refuted": EXIT_REFUTED,
+    "unknown": EXIT_UNKNOWN,
+    "diverged": EXIT_DIVERGED,
 }
 
 
@@ -106,6 +104,9 @@ def _config_json(cfg: RunConfig, **extra) -> dict:
 
 
 def _parse_term(text: str, role: str):
+    from .syntax import parse
+    from .terms import free_vars
+
     term = parse(text)
     fv = free_vars(term)
     if fv:
@@ -121,14 +122,23 @@ def _emit(out, cfg: RunConfig, command: str, verdict: str, payload, human: str,
     """Print the result, as one JSON document or as text, and return the
     exit code."""
     if cfg.output_mode == "machine":
-        doc = machine_doc(command, _config_json(cfg, **extra_cfg), verdict, payload)
-        print(dump_machine(doc), file=out)
+        import json
+
+        doc = {
+            "command": command,
+            "config": _config_json(cfg, **extra_cfg),
+            "verdict": verdict,
+            "trace": payload,
+        }
+        print(json.dumps(doc, indent=2), file=out)
     else:
         print(human, file=out)
     return exit_code
 
 
-def _verdict_human(verdict: Verdict) -> str:
+def _verdict_human(verdict) -> str:
+    from .judgments import Status
+
     if verdict.status is Status.UNKNOWN:
         last = f"verdict: unknown (bound {verdict.bound} exhausted)"
     elif verdict.status is Status.DIVERGED:
@@ -140,13 +150,16 @@ def _verdict_human(verdict: Verdict) -> str:
 
 
 def _cmd_eval(args, cfg: RunConfig, out) -> int:
+    from .evaluation import Canonical, FuelExhausted, evaluate
+    from .syntax import pretty
+
     term = _parse_term(args.term, "term")
-    result = evaluation.evaluate(term, cfg.fuel)
-    if isinstance(result, evaluation.Canonical):
+    result = evaluate(term, cfg.fuel)
+    if isinstance(result, Canonical):
         text = pretty(result.term)
         return _emit(out, cfg, "eval", "canonical", {"result": text, "steps": result.steps},
                      f"{text}\ncanonical ({result.steps} steps)", EXIT_OK)
-    if isinstance(result, evaluation.FuelExhausted):
+    if isinstance(result, FuelExhausted):
         return _emit(out, cfg, "eval", "fuel-exhausted", {"remaining": result.remaining},
                      f"fuel exhausted after {cfg.fuel} steps at: {result.remaining}",
                      EXIT_DIVERGED)
@@ -154,7 +167,7 @@ def _cmd_eval(args, cfg: RunConfig, out) -> int:
     return _emit(out, cfg, "eval", "stuck", {"offending": text}, f"stuck at: {text}", EXIT_STUCK)
 
 
-def _split_check_query(query: List[str]):
+def _split_check_query(query: list[str]):
     if "in" not in query:
         raise ValueError('check expects: <term> [: <term>] in <type>')
     idx = len(query) - 1 - query[::-1].index("in")
@@ -171,27 +184,37 @@ def _split_check_query(query: List[str]):
 
 
 def _cmd_check(args, cfg: RunConfig, out) -> int:
+    from .syntax import parse
+
     left_text, right_text, type_text = _split_check_query(args.query)
     if args.binary != (right_text is not None):
         raise ValueError("--binary requires two terms separated by ':' (and vice versa)")
     left = parse(left_text)
     ty = parse(type_text)
     if right_text is not None:
+        from .binary import check_eq_member
+
         right = parse(right_text)
-        verdict = binary.check_eq_member(left, right, ty, cfg.fuel, cfg.depth)
+        verdict = check_eq_member(left, right, ty, cfg.fuel, cfg.depth)
     else:
-        verdict = unary.check_member(left, ty, cfg.fuel, cfg.depth)
-    return _emit(out, cfg, "check", verdict.status.value, verdict.trace.to_json(),
-                 _verdict_human(verdict), _STATUS_EXIT[verdict.status], binary=args.binary)
+        from .unary import check_member
+
+        verdict = check_member(left, ty, cfg.fuel, cfg.depth)
+    status = verdict.status.value
+    return _emit(out, cfg, "check", status, verdict.trace.to_json(),
+                 _verdict_human(verdict), _STATUS_EXIT[status], binary=args.binary)
 
 
 def _cmd_enum(args, cfg: RunConfig, out) -> int:
+    from .syntax import parse, pretty
+    from .unary import enumerate_canonical
+
     ty = parse(args.type)
-    result = unary.enumerate_canonical(ty, cfg.depth, cfg.fuel)
+    result = enumerate_canonical(ty, cfg.depth, cfg.fuel)
     if result.failure is not None:
         verdict = result.failure.status.value
         return _emit(out, cfg, "enum", verdict, {"witnesses": [], "complete": False},
-                     f"enumeration failed: {verdict}", _STATUS_EXIT[result.failure.status])
+                     f"enumeration failed: {verdict}", _STATUS_EXIT[verdict])
     verdict = "complete" if result.complete else "incomplete"
     witnesses = [pretty(w) for w in result.witnesses]
     return _emit(out, cfg, "enum", verdict,
@@ -200,7 +223,10 @@ def _cmd_enum(args, cfg: RunConfig, out) -> int:
                  EXIT_OK if result.complete else EXIT_UNKNOWN)
 
 
-def _report_json(report: rules.ReadingsReport) -> dict:
+def _report_json(report) -> dict:
+    from .rules import NotDerivable
+    from .syntax import pretty
+
     adm = report.admissibility
     out = {
         "rule": report.rule.render(),
@@ -208,7 +234,7 @@ def _report_json(report: rules.ReadingsReport) -> dict:
         "admissible": adm.status.value,
         "flagged": report.flagged,
     }
-    if isinstance(report.derivation, rules.NotDerivable):
+    if isinstance(report.derivation, NotDerivable):
         out["exhausted"] = report.derivation.exhausted
         out["search_depth"] = report.derivation.at_depth
     if adm.bounds:
@@ -220,17 +246,20 @@ def _report_json(report: rules.ReadingsReport) -> dict:
 
 
 def _cmd_rule(args, cfg: RunConfig, out) -> int:
+    from .judgments import worst
+    from .rules import compare_readings, parse_rule, parse_rule_file
+
     if bool(args.rule) == bool(args.file):
         raise ValueError("provide exactly one of an inline rule or --file")
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
-            schemes = rules.parse_rule_file(fh.read())
+            schemes = parse_rule_file(fh.read())
         if not schemes:
             raise ValueError("no rules found in file")
     else:
-        schemes = [rules.parse_rule(args.rule)]
+        schemes = [parse_rule(args.rule)]
     reports = [
-        rules.compare_readings(
+        compare_readings(
             scheme,
             search_depth=cfg.search_depth,
             instance_depth=args.instance_depth,
@@ -239,14 +268,16 @@ def _cmd_rule(args, cfg: RunConfig, out) -> int:
         )
         for scheme in schemes
     ]
-    status = worst(r.admissibility.status for r in reports)
+    status = worst(r.admissibility.status for r in reports).value
     payload = [_report_json(r) for r in reports]
-    return _emit(out, cfg, "rule", status.value, payload if len(payload) > 1 else payload[0],
+    return _emit(out, cfg, "rule", status, payload if len(payload) > 1 else payload[0],
                  "\n\n".join(r.render() for r in reports), _STATUS_EXIT[status],
                  instance_depth=args.instance_depth)
 
 
 def _cmd_kripke(args, cfg: RunConfig, out) -> int:
+    from . import worlds
+
     with open(args.model, "r", encoding="utf-8") as fh:
         model = worlds.parse_model(fh.read())
     judgment = worlds.parse_wjudgment(args.judgment)
@@ -283,7 +314,7 @@ _COMMANDS = {"eval": _cmd_eval, "check": _cmd_check, "enum": _cmd_enum,
              "rule": _cmd_rule, "kripke": _cmd_kripke}
 
 
-def main(argv: Optional[List[str]] = None, out=None) -> int:
+def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = _build_parser()
     try:
@@ -292,7 +323,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args, _config(args), out)
-    except (ParseError, OpenTermError, ModelError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError, OpenTermError and ModelError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

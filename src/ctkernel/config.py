@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 DEFAULT_FUEL = 10000
 DEFAULT_DEPTH = 4
 DEFAULT_SEARCH_DEPTH = 5
 DEFAULT_INSTANCE_DEPTH = 2
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class RunConfig:
+
+class RunConfig(Record):
     """Budgets for one invocation.
 
     fuel bounds computation steps (beta, projection, case dispatch);
@@ -21,13 +22,15 @@ class RunConfig:
     compute, depth limits how far witness search may reach.
     """
 
-    fuel: int = DEFAULT_FUEL
-    depth: int = DEFAULT_DEPTH
-    search_depth: int = DEFAULT_SEARCH_DEPTH
-    output_mode: str = "human"
+    __slots__ = __match_args__ = ("fuel", "depth", "search_depth", "output_mode")
 
-    def __post_init__(self) -> None:
-        if self.fuel < 1 or self.depth < 1 or self.search_depth < 1:
+    def __init__(self, fuel: int = DEFAULT_FUEL, depth: int = DEFAULT_DEPTH,
+                 search_depth: int = DEFAULT_SEARCH_DEPTH, output_mode: str = "human"):
+        if fuel < 1 or depth < 1 or search_depth < 1:
             raise ValueError("all budget counts must be >= 1")
-        if self.output_mode not in ("human", "machine"):
-            raise ValueError(f"unknown output mode: {self.output_mode!r}")
+        if output_mode not in ("human", "machine"):
+            raise ValueError(f"unknown output mode: {output_mode!r}")
+        _set(self, "fuel", fuel)
+        _set(self, "depth", depth)
+        _set(self, "search_depth", search_depth)
+        _set(self, "output_mode", output_mode)

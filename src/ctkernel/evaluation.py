@@ -33,10 +33,10 @@ that verdicts do not depend on the strategy; step counts do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
+from .record import Record
 from .syntax import LAYOUT, PREC_TERM, clip, write
 from .terms import (
     App, Case, CanonicalForm, Fst, Inl, Inr, Lam, Pair, Snd, Term, Var,
@@ -49,34 +49,48 @@ class Strategy(Enum):
     CALL_BY_VALUE = "call-by-value"
 
 
-@dataclass(frozen=True)
-class Canonical:
+_set = object.__setattr__
+
+
+class Canonical(Record):
     """Evaluation reached a canonical form in ``steps`` reductions."""
-    term: Term
-    form: CanonicalForm
-    steps: int
+    __slots__ = __match_args__ = ("term", "form", "steps")
+
+    def __init__(self, term: Term, form: CanonicalForm, steps: int):
+        _set(self, "term", term)
+        _set(self, "form", form)
+        _set(self, "steps", steps)
 
 
-@dataclass(frozen=True)
-class FuelExhausted:
+class FuelExhausted(Record):
     """The step budget ran out; ``remaining`` describes the pending redex."""
-    remaining: str
+    __slots__ = __match_args__ = ("remaining",)
+
+    def __init__(self, remaining: str):
+        _set(self, "remaining", remaining)
 
 
-@dataclass(frozen=True)
-class Stuck:
+class Stuck(Record):
     """No rule applies: an eliminator met the wrong canonical shape, or a
     free variable reached head position."""
-    offending: Term
+    __slots__ = __match_args__ = ("offending",)
+
+    def __init__(self, offending: Term):
+        _set(self, "offending", offending)
 
 
 EvalResult = Union[Canonical, FuelExhausted, Stuck]
 
 
-@dataclass
-class Tank:
+class Tank(Record):
     """Mutable step budget shared across every evaluation inside one check."""
-    remaining: int
+    __slots__ = __match_args__ = ("remaining",)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, remaining: int):
+        self.remaining = remaining
 
 
 # A closure with an empty environment is the bare term; any other is a

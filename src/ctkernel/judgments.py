@@ -19,12 +19,11 @@ witnesses of the type T; ``canon*(T)`` is its closure under evaluation
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Tuple
 
 from . import evaluation
+from .record import Record
 from .syntax import pretty
 from .terms import Term, alpha_eq, classify, is_closed, CanonicalForm
 
@@ -133,16 +132,20 @@ def _write(v) -> str:
 
 # -- traces --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceStep:
-    statement: Statement
-    rule: str
-    children: Tuple["Trace", ...] = ()
+class TraceStep(Record):
+    __slots__ = __match_args__ = ("statement", "rule", "children")
+
+    def __init__(self, statement: Statement, rule: str, children: Tuple[Trace, ...] = ()):
+        _set(self, "statement", statement)
+        _set(self, "rule", rule)
+        _set(self, "children", children)
 
 
-@dataclass(frozen=True)
-class Trace:
-    steps: Tuple[TraceStep, ...] = ()
+class Trace(Record):
+    __slots__ = __match_args__ = ("steps",)
+
+    def __init__(self, steps: Tuple[TraceStep, ...] = ()):
+        _set(self, "steps", steps)
 
     def to_json(self) -> list:
         return [_step_to_json(s) for s in self.steps]
@@ -241,8 +244,10 @@ class Status(Enum):
     DIVERGED = "diverged"
 
 
-@dataclass(frozen=True)
-class Verdict:
+_NO_TRACE = Trace()
+
+
+class Verdict(Record):
     """Outcome of a semantic check.
 
     VERIFIED and REFUTED are definitive: larger budgets never flip one
@@ -251,15 +256,32 @@ class Verdict:
     and may resolve any way with more fuel.
     """
 
-    status: Status
-    trace: Trace = field(default_factory=Trace)
-    bound: Optional[int] = None
-    fuel_report: Optional[str] = None
-    pair: Optional[Tuple[Term, Term]] = None
-    instance: Optional[Statement] = None
-    instantiation: Optional[Mapping[str, Term]] = None
-    premise_witnesses: Optional[Tuple[Term, ...]] = None
-    bounds: Optional[Mapping[str, int]] = None
+    __slots__ = __match_args__ = (
+        "status", "trace", "bound", "fuel_report", "pair", "instance", "instantiation",
+        "premise_witnesses", "bounds",
+    )
+
+    def __init__(
+        self,
+        status: Status,
+        trace: Trace = _NO_TRACE,
+        bound: Optional[int] = None,
+        fuel_report: Optional[str] = None,
+        pair: Optional[Tuple[Term, Term]] = None,
+        instance: Optional[Statement] = None,
+        instantiation: Optional[Mapping[str, Term]] = None,
+        premise_witnesses: Optional[Tuple[Term, ...]] = None,
+        bounds: Optional[Mapping[str, int]] = None,
+    ):
+        _set(self, "status", status)
+        _set(self, "trace", trace)
+        _set(self, "bound", bound)
+        _set(self, "fuel_report", fuel_report)
+        _set(self, "pair", pair)
+        _set(self, "instance", instance)
+        _set(self, "instantiation", instantiation)
+        _set(self, "premise_witnesses", premise_witnesses)
+        _set(self, "bounds", bounds)
 
     @property
     def verified(self) -> bool:
@@ -274,19 +296,19 @@ class Verdict:
         return self.status in (Status.VERIFIED, Status.REFUTED)
 
 
-def verified(trace: Trace = Trace(), **kw) -> Verdict:
+def verified(trace: Trace = _NO_TRACE, **kw) -> Verdict:
     return Verdict(Status.VERIFIED, trace, **kw)
 
 
-def refuted(trace: Trace = Trace(), **kw) -> Verdict:
+def refuted(trace: Trace = _NO_TRACE, **kw) -> Verdict:
     return Verdict(Status.REFUTED, trace, **kw)
 
 
-def unknown(bound: int, trace: Trace = Trace(), **kw) -> Verdict:
+def unknown(bound: int, trace: Trace = _NO_TRACE, **kw) -> Verdict:
     return Verdict(Status.UNKNOWN, trace, bound=bound, **kw)
 
 
-def diverged(fuel_report: str, trace: Trace = Trace(), **kw) -> Verdict:
+def diverged(fuel_report: str, trace: Trace = _NO_TRACE, **kw) -> Verdict:
     return Verdict(Status.DIVERGED, trace, fuel_report=fuel_report, **kw)
 
 
@@ -307,16 +329,3 @@ def worst(statuses) -> Status:
             result = s
     return result
 
-
-def machine_doc(command: str, config: Mapping, verdict: str, trace) -> dict:
-    """The one-document machine output schema."""
-    return {
-        "command": command,
-        "config": dict(config),
-        "verdict": verdict,
-        "trace": trace,
-    }
-
-
-def dump_machine(doc: dict) -> str:
-    return json.dumps(doc, indent=2)

@@ -31,7 +31,6 @@ holds.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from .config import (
@@ -42,6 +41,7 @@ from .judgments import (
     IsTrue, Trace, TraceStep, Verdict, diverged, refuted, render_statement, unknown,
     verified,
 )
+from .record import Record
 from .syntax import ParseError, _Parser, describe, pretty, tokenize
 from .terms import (
     Disj, Exists, Forall, Inl, Inr, It, Lam, Pair, TFalse, TTrue, Term, Var,
@@ -51,12 +51,17 @@ from .unary import Inhabitation, _combine_and, _enumerate, _inhabited, _member
 
 CBN = Strategy.CALL_BY_NAME
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class RuleScheme:
-    metavariables: Tuple[str, ...]
-    premises: Tuple[IsTrue, ...]
-    conclusion: IsTrue
+
+class RuleScheme(Record):
+    __slots__ = __match_args__ = ("metavariables", "premises", "conclusion")
+
+    def __init__(self, metavariables: Tuple[str, ...], premises: Tuple[IsTrue, ...],
+                 conclusion: IsTrue):
+        _set(self, "metavariables", metavariables)
+        _set(self, "premises", premises)
+        _set(self, "conclusion", conclusion)
 
     def render(self) -> str:
         left = "; ".join(map(render_statement, self.premises))
@@ -132,10 +137,12 @@ def parse_rule_file(text: str) -> List[RuleScheme]:
 # -- derivability -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Sequent:
-    hypotheses: Tuple[Tuple[str, Term], ...]
-    goal: Term
+class Sequent(Record):
+    __slots__ = __match_args__ = ("hypotheses", "goal")
+
+    def __init__(self, hypotheses: Tuple[Tuple[str, Term], ...], goal: Term):
+        _set(self, "hypotheses", hypotheses)
+        _set(self, "goal", goal)
 
     def render(self) -> str:
         hyp = ", ".join(f"{n}: {render_statement(IsTrue(p))}" for n, p in self.hypotheses)
@@ -143,12 +150,14 @@ class Sequent:
         return f"{hyp} |- {goal}" if hyp else f"|- {goal}"
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Record):
     """Finitary derivation tree; leaves discharge hypotheses or close goals."""
-    conclusion: Sequent
-    rule: str
-    children: Tuple["Derivation", ...] = ()
+    __slots__ = __match_args__ = ("conclusion", "rule", "children")
+
+    def __init__(self, conclusion: Sequent, rule: str, children: Tuple[Derivation, ...] = ()):
+        _set(self, "conclusion", conclusion)
+        _set(self, "rule", rule)
+        _set(self, "children", children)
 
     def render(self, indent: int = 0) -> str:
         lines = [f"{'  ' * indent}{self.conclusion.render()}    [{self.rule}]"]
@@ -157,10 +166,12 @@ class Derivation:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class NotDerivable:
-    at_depth: int
-    exhausted: bool
+class NotDerivable(Record):
+    __slots__ = __match_args__ = ("at_depth", "exhausted")
+
+    def __init__(self, at_depth: int, exhausted: bool):
+        _set(self, "at_depth", at_depth)
+        _set(self, "exhausted", exhausted)
 
 
 def derive(rule: RuleScheme, search_depth: int = DEFAULT_SEARCH_DEPTH) -> Union[Derivation, NotDerivable]:
@@ -428,11 +439,14 @@ def _render_assignment(assignment: Dict[str, Term]) -> str:
 # -- the joint report -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReadingsReport:
-    rule: RuleScheme
-    derivation: Union[Derivation, NotDerivable]
-    admissibility: Verdict
+class ReadingsReport(Record):
+    __slots__ = __match_args__ = ("rule", "derivation", "admissibility")
+
+    def __init__(self, rule: RuleScheme, derivation: Union[Derivation, NotDerivable],
+                 admissibility: Verdict):
+        _set(self, "rule", rule)
+        _set(self, "derivation", derivation)
+        _set(self, "admissibility", admissibility)
 
     @property
     def derivable(self) -> bool:

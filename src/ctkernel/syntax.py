@@ -32,9 +32,9 @@ recursive-descent parser.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import List
 
+from .record import Record
 from .terms import (
     App, Case, Disj, Exists, Forall, Fst, Inl, Inr, It, Lam, Pair, Snd,
     TFalse, TTrue, Term, Var,
@@ -98,12 +98,17 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'name', 'kw', 'punct', 'eof'
-    text: str
-    line: int
-    col: int
+_set = object.__setattr__
+
+
+class Token(Record):
+    __slots__ = __match_args__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        _set(self, "kind", kind)  # 'name', 'kw', 'punct', 'eof'
+        _set(self, "text", text)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
 
 def tokenize(text: str) -> List[Token]:

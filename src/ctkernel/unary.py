@@ -49,7 +49,6 @@ family instance is provably empty (no function can exist at all).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
@@ -62,6 +61,7 @@ from .judgments import (
     Status, Trace, TraceStep, Verdict, diverged, refuted, unknown, verified,
     worst,
 )
+from .record import Record
 from .syntax import describe, pretty
 from .terms import (
     Disj, Exists, Forall, Inl, Inr, It, Lam, Pair, TFalse, TTrue, Term,
@@ -79,8 +79,10 @@ class Inhabitation(Enum):
     DIVERGED = "diverged"
 
 
-@dataclass(frozen=True)
-class EnumResult:
+_set = object.__setattr__
+
+
+class EnumResult(Record):
     """Outcome of bounded witness enumeration.
 
     ``complete`` is True when the list provably exhausts the type's
@@ -89,9 +91,13 @@ class EnumResult:
     when the type itself would not even evaluate to a set.
     """
 
-    witnesses: Tuple[Term, ...]
-    complete: bool
-    failure: Optional[Verdict] = None
+    __slots__ = __match_args__ = ("witnesses", "complete", "failure")
+
+    def __init__(self, witnesses: Tuple[Term, ...], complete: bool,
+                 failure: Optional[Verdict] = None):
+        _set(self, "witnesses", witnesses)
+        _set(self, "complete", complete)
+        _set(self, "failure", failure)
 
 
 # -- ground fragment -----------------------------------------------------

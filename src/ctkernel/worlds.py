@@ -23,26 +23,34 @@ future-world quantifier is where the two notions genuinely differ.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
+from .record import Record
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
-
-
-@dataclass(frozen=True)
-class RuleValid:
-    premise: "WJudgment"
-    conclusion: "WJudgment"
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class HypForced:
-    premise: "WJudgment"
-    conclusion: "WJudgment"
+class Atom(Record):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+
+
+class RuleValid(Record):
+    __slots__ = __match_args__ = ("premise", "conclusion")
+
+    def __init__(self, premise: WJudgment, conclusion: WJudgment):
+        _set(self, "premise", premise)
+        _set(self, "conclusion", conclusion)
+
+
+class HypForced(Record):
+    __slots__ = __match_args__ = ("premise", "conclusion")
+
+    def __init__(self, premise: WJudgment, conclusion: WJudgment):
+        _set(self, "premise", premise)
+        _set(self, "conclusion", conclusion)
 
 
 WJudgment = Union[Atom, RuleValid, HypForced]
@@ -95,14 +103,22 @@ class ModelError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class WorldModel:
+class WorldModel(Record):
     """Finite poset of worlds with monotone per-atom verification tokens."""
 
-    worlds: Tuple[str, ...]
-    order: FrozenSet[Tuple[str, str]]  # reflexive-transitive, antisymmetric
-    atoms: Tuple[str, ...]
-    verifications: Dict[Tuple[str, str], FrozenSet[str]]
+    __slots__ = __match_args__ = ("worlds", "order", "atoms", "verifications")
+
+    def __init__(
+        self,
+        worlds: Tuple[str, ...],
+        order: FrozenSet[Tuple[str, str]],  # reflexive-transitive, antisymmetric
+        atoms: Tuple[str, ...],
+        verifications: Dict[Tuple[str, str], FrozenSet[str]],
+    ):
+        _set(self, "worlds", worlds)
+        _set(self, "order", order)
+        _set(self, "atoms", atoms)
+        _set(self, "verifications", verifications)
 
     @staticmethod
     def build(

@@ -2,6 +2,8 @@
 
 import types
 
+import pytest
+
 import ctkernel
 
 EXPORTS = {
@@ -19,8 +21,18 @@ EXPORTS = {
 
 
 def test_public_names_pinned():
+    # the package loads a name's module on first use: resolve them all
+    for name in EXPORTS:
+        getattr(ctkernel, name)
     # submodules appear as attributes once imported, so they are left out
     public = {name for name, value in vars(ctkernel).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == EXPORTS
+    assert set(ctkernel.__all__) == EXPORTS
+    listed = {name for name in dir(ctkernel)
+              if not name.startswith("_")
+              and not isinstance(getattr(ctkernel, name), types.ModuleType)}
+    assert listed == EXPORTS
+    with pytest.raises(AttributeError):
+        ctkernel.no_such_name
     assert ctkernel.__version__ == "0.1.0"
