@@ -9,8 +9,6 @@ DEFAULT_DEPTH = 4
 DEFAULT_SEARCH_DEPTH = 5
 DEFAULT_INSTANCE_DEPTH = 2
 
-_set = object.__setattr__
-
 
 class RunConfig(Record):
     """Budgets for one invocation.
@@ -30,7 +28,5 @@ class RunConfig(Record):
             raise ValueError("all budget counts must be >= 1")
         if output_mode not in ("human", "machine"):
             raise ValueError(f"unknown output mode: {output_mode!r}")
-        _set(self, "fuel", fuel)
-        _set(self, "depth", depth)
-        _set(self, "search_depth", search_depth)
-        _set(self, "output_mode", output_mode)
+        for name, value in zip(self.__match_args__, (fuel, depth, search_depth, output_mode)):
+            object.__setattr__(self, name, value)

@@ -39,7 +39,7 @@ from typing import Optional, Union
 from .record import Record
 from .syntax import LAYOUT, PREC_TERM, clip, write
 from .terms import (
-    App, Case, CanonicalForm, Fst, Inl, Inr, Lam, Pair, Snd, Term, Var,
+    App, Case, Fst, Inl, Inr, Lam, Pair, Snd, Term, Var,
     classify, substitute,
 )
 
@@ -49,34 +49,20 @@ class Strategy(Enum):
     CALL_BY_VALUE = "call-by-value"
 
 
-_set = object.__setattr__
-
-
 class Canonical(Record):
     """Evaluation reached a canonical form in ``steps`` reductions."""
     __slots__ = __match_args__ = ("term", "form", "steps")
-
-    def __init__(self, term: Term, form: CanonicalForm, steps: int):
-        _set(self, "term", term)
-        _set(self, "form", form)
-        _set(self, "steps", steps)
 
 
 class FuelExhausted(Record):
     """The step budget ran out; ``remaining`` describes the pending redex."""
     __slots__ = __match_args__ = ("remaining",)
 
-    def __init__(self, remaining: str):
-        _set(self, "remaining", remaining)
-
 
 class Stuck(Record):
     """No rule applies: an eliminator met the wrong canonical shape, or a
     free variable reached head position."""
     __slots__ = __match_args__ = ("offending",)
-
-    def __init__(self, offending: Term):
-        _set(self, "offending", offending)
 
 
 EvalResult = Union[Canonical, FuelExhausted, Stuck]
@@ -88,9 +74,6 @@ class Tank(Record):
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
-
-    def __init__(self, remaining: int):
-        self.remaining = remaining
 
 
 # A closure with an empty environment is the bare term; any other is a

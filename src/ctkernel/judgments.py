@@ -5,7 +5,9 @@ membership, and their binary (equality) refinements, plus hypothetical
 and general closures.  Traces additionally record the semantic
 statements a derivation walks through (evaluation steps, membership in
 a canonical-witness relation, emptiness facts), so a verified check can
-be replayed and rendered as a numbered derivation.
+be rendered as a numbered derivation.  ``replay`` only partly re-checks
+a trace: its closed evaluation steps and the shallow shape of its
+closed ``canon(T)`` memberships.
 
 Each form is written once, as one row below: its name, its fields in
 order and its rendering template.  ``render_statement`` is one writer
@@ -20,7 +22,7 @@ witnesses of the type T; ``canon*(T)`` is its closure under evaluation
 from __future__ import annotations
 
 from enum import Enum
-from typing import Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import evaluation
 from .record import Record
@@ -30,58 +32,23 @@ from .terms import Term, alpha_eq, classify, is_closed, CanonicalForm
 
 # -- judgment and statement forms ---------------------------------------
 
-_set = object.__setattr__
+class Statement(Record):
+    """A judgment or trace statement: a form, whose fields are those of a
+    record, and its rendering ``template``; ``values`` are the fields'
+    values in order."""
 
-
-class Statement:
-    """A judgment or trace statement: a form and its field values, in
-    order, in ``values``.
-
-    Equality, hash, ``repr`` and pickling are those of a frozen dataclass
-    with the form's fields: the ``repr`` of a verdict's instance is part
-    of its recorded output.
-    """
-
-    __slots__ = ("values",)
-    __match_args__: tuple = ()
-    _arity = 0  # len(__match_args__), read on every construction
+    __slots__ = ()
     template = ""
-
-    def __init__(self, *values):
-        if len(values) != self._arity:
-            raise TypeError(f"{type(self).__name__} takes fields {self.__match_args__}")
-        _set(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__match_args__, self.values))
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self.values
+    values = property(Record._values)
 
 
 def _form(name: str, fields: str, template: str, doc: Optional[str] = None) -> type:
     """A statement form: ``fields`` names its fields in order, and
     ``template`` (a ``str.format`` template over them) renders it."""
     names = tuple(fields.split())
-    ns = {f: property(lambda s, i=i: s.values[i]) for i, f in enumerate(names)}
-    ns.update(__slots__=(), __match_args__=names, _arity=len(names), template=template,
-              __doc__=doc, __module__=__name__, __qualname__=name)
-    return type(name, (Statement,), ns)
+    return type(name, (Statement,), dict(
+        __slots__=names, __match_args__=names, template=template, __doc__=doc,
+        __module__=__name__, __qualname__=name))
 
 
 # Judgments.
@@ -134,18 +101,12 @@ def _write(v) -> str:
 
 class TraceStep(Record):
     __slots__ = __match_args__ = ("statement", "rule", "children")
-
-    def __init__(self, statement: Statement, rule: str, children: Tuple[Trace, ...] = ()):
-        _set(self, "statement", statement)
-        _set(self, "rule", rule)
-        _set(self, "children", children)
+    _defaults = {"children": ()}
 
 
 class Trace(Record):
     __slots__ = __match_args__ = ("steps",)
-
-    def __init__(self, steps: Tuple[TraceStep, ...] = ()):
-        _set(self, "steps", steps)
+    _defaults = {"steps": ()}
 
     def to_json(self) -> list:
         return [_step_to_json(s) for s in self.steps]
@@ -251,37 +212,18 @@ class Verdict(Record):
     """Outcome of a semantic check.
 
     VERIFIED and REFUTED are definitive: larger budgets never flip one
-    into the other.  UNKNOWN means a depth bound was exhausted and may
-    resolve either way at a larger depth; DIVERGED means fuel ran out
-    and may resolve any way with more fuel.
+    into the other.  UNKNOWN means a depth bound was exhausted; a larger
+    depth may resolve it only for a domain inside the witness grammar
+    (``lam f. it`` in ``(forall x : True \\/ True . case x of inl a ->
+    True | inr b -> True) => True`` stays UNKNOWN at every depth).
+    DIVERGED means fuel ran out and may resolve any way with more fuel.
     """
 
     __slots__ = __match_args__ = (
         "status", "trace", "bound", "fuel_report", "pair", "instance", "instantiation",
         "premise_witnesses", "bounds",
     )
-
-    def __init__(
-        self,
-        status: Status,
-        trace: Trace = _NO_TRACE,
-        bound: Optional[int] = None,
-        fuel_report: Optional[str] = None,
-        pair: Optional[Tuple[Term, Term]] = None,
-        instance: Optional[Statement] = None,
-        instantiation: Optional[Mapping[str, Term]] = None,
-        premise_witnesses: Optional[Tuple[Term, ...]] = None,
-        bounds: Optional[Mapping[str, int]] = None,
-    ):
-        _set(self, "status", status)
-        _set(self, "trace", trace)
-        _set(self, "bound", bound)
-        _set(self, "fuel_report", fuel_report)
-        _set(self, "pair", pair)
-        _set(self, "instance", instance)
-        _set(self, "instantiation", instantiation)
-        _set(self, "premise_witnesses", premise_witnesses)
-        _set(self, "bounds", bounds)
+    _defaults = {**dict.fromkeys(__match_args__[1:]), "trace": _NO_TRACE}
 
     @property
     def verified(self) -> bool:

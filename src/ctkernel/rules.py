@@ -51,17 +51,9 @@ from .unary import Inhabitation, _combine_and, _enumerate, _inhabited, _member
 
 CBN = Strategy.CALL_BY_NAME
 
-_set = object.__setattr__
-
 
 class RuleScheme(Record):
     __slots__ = __match_args__ = ("metavariables", "premises", "conclusion")
-
-    def __init__(self, metavariables: Tuple[str, ...], premises: Tuple[IsTrue, ...],
-                 conclusion: IsTrue):
-        _set(self, "metavariables", metavariables)
-        _set(self, "premises", premises)
-        _set(self, "conclusion", conclusion)
 
     def render(self) -> str:
         left = "; ".join(map(render_statement, self.premises))
@@ -140,10 +132,6 @@ def parse_rule_file(text: str) -> List[RuleScheme]:
 class Sequent(Record):
     __slots__ = __match_args__ = ("hypotheses", "goal")
 
-    def __init__(self, hypotheses: Tuple[Tuple[str, Term], ...], goal: Term):
-        _set(self, "hypotheses", hypotheses)
-        _set(self, "goal", goal)
-
     def render(self) -> str:
         hyp = ", ".join(f"{n}: {render_statement(IsTrue(p))}" for n, p in self.hypotheses)
         goal = render_statement(IsTrue(self.goal))
@@ -153,11 +141,7 @@ class Sequent(Record):
 class Derivation(Record):
     """Finitary derivation tree; leaves discharge hypotheses or close goals."""
     __slots__ = __match_args__ = ("conclusion", "rule", "children")
-
-    def __init__(self, conclusion: Sequent, rule: str, children: Tuple[Derivation, ...] = ()):
-        _set(self, "conclusion", conclusion)
-        _set(self, "rule", rule)
-        _set(self, "children", children)
+    _defaults = {"children": ()}
 
     def render(self, indent: int = 0) -> str:
         lines = [f"{'  ' * indent}{self.conclusion.render()}    [{self.rule}]"]
@@ -168,10 +152,6 @@ class Derivation(Record):
 
 class NotDerivable(Record):
     __slots__ = __match_args__ = ("at_depth", "exhausted")
-
-    def __init__(self, at_depth: int, exhausted: bool):
-        _set(self, "at_depth", at_depth)
-        _set(self, "exhausted", exhausted)
 
 
 def derive(rule: RuleScheme, search_depth: int = DEFAULT_SEARCH_DEPTH) -> Union[Derivation, NotDerivable]:
@@ -286,7 +266,7 @@ def check_derivation(d: Derivation) -> Tuple[bool, int]:
                     return False
                 case _:
                     return False
-        except (ValueError, TypeError):
+        except (AttributeError, ValueError, TypeError):
             return False
 
     return go(d), visited
@@ -441,12 +421,6 @@ def _render_assignment(assignment: Dict[str, Term]) -> str:
 
 class ReadingsReport(Record):
     __slots__ = __match_args__ = ("rule", "derivation", "admissibility")
-
-    def __init__(self, rule: RuleScheme, derivation: Union[Derivation, NotDerivable],
-                 admissibility: Verdict):
-        _set(self, "rule", rule)
-        _set(self, "derivation", derivation)
-        _set(self, "admissibility", admissibility)
 
     @property
     def derivable(self) -> bool:

@@ -98,17 +98,9 @@ class ParseError(ValueError):
         self.col = col
 
 
-_set = object.__setattr__
-
-
 class Token(Record):
+    """A lexeme; ``kind`` is 'name', 'kw', 'punct' or 'eof'."""
     __slots__ = __match_args__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        _set(self, "kind", kind)  # 'name', 'kw', 'punct', 'eof'
-        _set(self, "text", text)
-        _set(self, "line", line)
-        _set(self, "col", col)
 
 
 def tokenize(text: str) -> List[Token]:

@@ -79,9 +79,6 @@ class Inhabitation(Enum):
     DIVERGED = "diverged"
 
 
-_set = object.__setattr__
-
-
 class EnumResult(Record):
     """Outcome of bounded witness enumeration.
 
@@ -92,38 +89,15 @@ class EnumResult(Record):
     """
 
     __slots__ = __match_args__ = ("witnesses", "complete", "failure")
-
-    def __init__(self, witnesses: Tuple[Term, ...], complete: bool,
-                 failure: Optional[Verdict] = None):
-        _set(self, "witnesses", witnesses)
-        _set(self, "complete", complete)
-        _set(self, "failure", failure)
+    _defaults = {"failure": None}
 
 
 # -- ground fragment -----------------------------------------------------
 
 
-def is_ground(t: Term) -> bool:
-    """Built from True/False by the connectives, with every binder unused."""
-    match t:
-        case TTrue() | TFalse():
-            return True
-        case Disj(l, r):
-            return is_ground(l) and is_ground(r)
-        case Forall(d, b, f) | Exists(d, b, f):
-            return b not in free_vars(f) and is_ground(d) and is_ground(f)
-        case _:
-            return False
-
-
-def former_depth(t: Term) -> int:
-    """Former nesting of a ground type; equals its constructor depth."""
-    return constructor_depth(t)
-
-
 @lru_cache(maxsize=None)
 def ground_types(max_depth: int) -> Tuple[Term, ...]:
-    """All ground types of former depth <= max_depth, shallow first.
+    """All ground types of constructor depth <= max_depth, shallow first.
 
     Depth-1 layer is (True, False); each deeper layer closes under
     conjunction, disjunction and implication in that order.  The
@@ -141,7 +115,7 @@ def ground_types(max_depth: int) -> Tuple[Term, ...]:
         ):
             for p in upto:
                 for q in upto:
-                    if max(former_depth(p), former_depth(q)) == d - 1:
+                    if max(constructor_depth(p), constructor_depth(q)) == d - 1:
                         layer.append(build(p, q))
         layers.append(layer)
     return tuple(t for layer in layers for t in layer)

@@ -23,34 +23,21 @@ future-world quantifier is where the two notions genuinely differ.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Protocol, Tuple, Union
 
 from .record import Record
-
-_set = object.__setattr__
 
 
 class Atom(Record):
     __slots__ = __match_args__ = ("name",)
 
-    def __init__(self, name: str):
-        _set(self, "name", name)
-
 
 class RuleValid(Record):
     __slots__ = __match_args__ = ("premise", "conclusion")
 
-    def __init__(self, premise: WJudgment, conclusion: WJudgment):
-        _set(self, "premise", premise)
-        _set(self, "conclusion", conclusion)
-
 
 class HypForced(Record):
     __slots__ = __match_args__ = ("premise", "conclusion")
-
-    def __init__(self, premise: WJudgment, conclusion: WJudgment):
-        _set(self, "premise", premise)
-        _set(self, "conclusion", conclusion)
 
 
 WJudgment = Union[Atom, RuleValid, HypForced]
@@ -104,21 +91,10 @@ class ModelError(ValueError):
 
 
 class WorldModel(Record):
-    """Finite poset of worlds with monotone per-atom verification tokens."""
+    """Finite poset of worlds with monotone per-atom verification tokens;
+    ``order`` is a reflexive-transitive, antisymmetric set of pairs."""
 
     __slots__ = __match_args__ = ("worlds", "order", "atoms", "verifications")
-
-    def __init__(
-        self,
-        worlds: Tuple[str, ...],
-        order: FrozenSet[Tuple[str, str]],  # reflexive-transitive, antisymmetric
-        atoms: Tuple[str, ...],
-        verifications: Dict[Tuple[str, str], FrozenSet[str]],
-    ):
-        _set(self, "worlds", worlds)
-        _set(self, "order", order)
-        _set(self, "atoms", atoms)
-        _set(self, "verifications", verifications)
 
     @staticmethod
     def build(
@@ -247,9 +223,13 @@ def chain_model() -> WorldModel:
     )
 
 
-def random_model(
-    rng: random.Random, max_worlds: int = 6, max_atoms: int = 4
-) -> WorldModel:
+class Rng(Protocol):
+    """What ``random_model`` draws from; a ``random.Random`` will do."""
+    def randint(self, a: int, b: int) -> int: ...
+    def random(self) -> float: ...
+
+
+def random_model(rng: Rng, max_worlds: int = 6, max_atoms: int = 4) -> WorldModel:
     """Random finite poset with upward-closed random token assignment."""
     n = rng.randint(2, max_worlds)
     worlds = [f"w{i}" for i in range(n)]

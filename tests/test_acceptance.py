@@ -20,9 +20,9 @@ from ctkernel.judgments import (
 )
 from ctkernel.rules import compare_readings, parse_rule
 from ctkernel.syntax import parse, pretty
-from ctkernel.terms import FALSE, IT, TRUE, Inr
+from ctkernel.terms import FALSE, IT, TRUE, Inr, constructor_depth
 from ctkernel.unary import (
-    Inhabitation, check_member, enumerate_canonical, former_depth,
+    Inhabitation, check_member, enumerate_canonical,
     ground_types, inhabited_exact,
 )
 from ctkernel.worlds import (
@@ -173,7 +173,7 @@ def test_criterion_6_oracle_equivalence_exhaustive():
         for ty in ground_types(3):
             inh = inhabited_exact(ty)
             assert inh in (Inhabitation.INHABITED, Inhabitation.UNINHABITED)
-            enum = enumerate_canonical(ty, former_depth(ty))
+            enum = enumerate_canonical(ty, constructor_depth(ty))
             assert enum.complete, pretty(ty)
             if (inh is Inhabitation.INHABITED) != bool(enum.witnesses):
                 disagreements.append(pretty(ty))

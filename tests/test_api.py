@@ -1,10 +1,17 @@
-"""The public names of the package."""
+"""The public names of the package, and the annotations of its
+functions."""
 
+import importlib
+import inspect
 import types
+import typing
+from pathlib import Path
 
 import pytest
 
 import ctkernel
+
+MODULES = sorted(f"ctkernel.{p.stem}" for p in Path(ctkernel.__file__).parent.glob("*.py"))
 
 EXPORTS = {
     "Atom", "Canonical", "CanonicalForm", "Derivation", "EnumResult",
@@ -36,3 +43,28 @@ def test_public_names_pinned():
     with pytest.raises(AttributeError):
         ctkernel.no_such_name
     assert ctkernel.__version__ == "0.1.0"
+
+
+def functions(module):
+    """The functions and methods defined in the module, unwrapped."""
+    for value in vars(module).values():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        members = vars(value).values() if isinstance(value, type) else (value,)
+        for member in members:
+            if isinstance(member, (staticmethod, classmethod)):
+                member = member.__func__
+            elif isinstance(member, property):
+                member = member.fget
+            member = inspect.unwrap(member) if callable(member) else member
+            if isinstance(member, types.FunctionType):
+                yield member
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_annotations_resolve(name):
+    module = importlib.import_module(name)
+    found = list(functions(module))
+    assert found or name in ("ctkernel.__main__", "ctkernel.config")
+    for fn in found:
+        typing.get_type_hints(fn)

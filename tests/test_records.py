@@ -1,23 +1,30 @@
-"""The value classes against frozen dataclasses with the same fields:
-``repr``, equality, hash, pickling, copying, keywords and defaults must
-match, and a field must not be assignable (except ``Tank``'s)."""
+"""The value classes and statement forms against frozen dataclasses
+with the same fields: ``repr``, equality, hash, pickling, copying, the
+constructor's signature, keywords and defaults must match, and a field
+must not be assignable (except ``Tank``'s)."""
 
 import copy
+import dataclasses
+import inspect
 import pickle
-from dataclasses import Field, field, make_dataclass
+from dataclasses import MISSING, Field, field, make_dataclass
 
 import pytest
 
 from ctkernel.config import RunConfig
 from ctkernel.evaluation import Canonical, FuelExhausted, Stuck, Tank, evaluate
-from ctkernel.judgments import Member, Trace, TraceStep, Verdict
+from ctkernel.judgments import (
+    Blocked, Both, CanonClosureIn, CanonEmpty, CanonEq, CanonIn, CanonNeq, CanonNotIn,
+    CanonUndefined, EqMember, EqSet, Evals, Gen, Hyp, IsSet, IsTrue, Member, Statement,
+    Trace, TraceStep, Verdict,
+)
 from ctkernel.record import Record
 from ctkernel.rules import (
     Derivation, NotDerivable, ReadingsReport, RuleScheme, Sequent, compare_readings,
     derive, parse_rule,
 )
 from ctkernel.syntax import Token, parse, tokenize
-from ctkernel.terms import IT, TRUE, CanonicalForm
+from ctkernel.terms import FALSE, IT, TRUE, CanonicalForm, Inl, Var
 from ctkernel.unary import EnumResult, check_member, enumerate_canonical
 from ctkernel.worlds import Atom, HypForced, RuleValid, WorldModel, chain_model
 
@@ -44,7 +51,25 @@ FIELDS = {
     RuleValid: ("premise", "conclusion"),
     HypForced: ("premise", "conclusion"),
     WorldModel: ("worlds", "order", "atoms", "verifications"),
+    IsSet: ("a",),
+    IsTrue: ("a",),
+    Member: ("m", "a"),
+    EqSet: ("a", "b"),
+    EqMember: ("m", "n", "a"),
+    Hyp: ("antecedents", "consequent"),
+    Gen: ("binders", "body"),
+    Evals: ("term", "result"),
+    CanonIn: ("ty", "args"),
+    CanonNotIn: ("ty", "args"),
+    CanonUndefined: ("ty",),
+    CanonClosureIn: ("ty", "args"),
+    CanonEmpty: ("ty",),
+    CanonEq: ("a", "b"),
+    CanonNeq: ("a", "b"),
+    Blocked: ("term",),
+    Both: ("parts",),
 }
+ABSTRACT = {Statement}
 MUTABLE = {Tank}
 
 
@@ -65,6 +90,7 @@ MIRROR = {cls: make_dataclass(cls.__name__, [spec(f) for f in fields],
 
 SCHEME = parse_rule("P true; Q true |- P /\\ Q true")
 REFUTED = compare_readings(parse_rule("P \\/ Q true |- P true"))
+HYP = Hyp((Member(Var("x"), FALSE),), CanonEmpty(FALSE))
 SAMPLES = {
     RunConfig: (RunConfig(), RunConfig(50, 2, 3, "machine")),
     Token: tuple(tokenize("lam x")[:2]),
@@ -88,6 +114,24 @@ SAMPLES = {
     RuleValid: (RuleValid(Atom("A"), Atom("B")), RuleValid(Atom("B"), Atom("A"))),
     HypForced: (HypForced(Atom("A"), Atom("B")), HypForced(Atom("A"), Atom("A"))),
     WorldModel: (chain_model(), WorldModel.build(["u"], [], ["A"], [])),
+    IsSet: (IsSet(TRUE), IsSet(parse("True /\\ False"))),
+    IsTrue: (SCHEME.conclusion, IsTrue(parse("P => P"))),
+    Member: (Member(IT, TRUE), Member(Inl(IT), parse("True \\/ False"))),
+    EqSet: (EqSet(TRUE, TRUE), EqSet(TRUE, FALSE)),
+    EqMember: (EqMember(IT, IT, TRUE), EqMember(Inl(IT), Inl(IT), parse("True \\/ True"))),
+    Hyp: (HYP, Hyp((), IsSet(TRUE))),
+    Gen: (Gen(("x",), HYP), Gen(("x", "y"), IsSet(TRUE))),
+    Evals: (Evals(parse("fst <it, it>"), IT), Evals(IT, IT)),
+    CanonIn: (CanonIn(TRUE, (IT,)), CanonIn(parse("True /\\ True"), (parse("<it, it>"),))),
+    CanonNotIn: (CanonNotIn(FALSE, (IT,)), CanonNotIn(TRUE, (Inl(IT),))),
+    CanonUndefined: (CanonUndefined(IT), CanonUndefined(parse("it /\\ False"))),
+    CanonClosureIn: (CanonClosureIn(TRUE, (parse("fst <it, it>"),)),
+                     CanonClosureIn(FALSE, (Var("x"),))),
+    CanonEmpty: (CanonEmpty(FALSE), CanonEmpty(parse("False /\\ True"))),
+    CanonEq: (CanonEq(TRUE, TRUE), CanonEq(FALSE, FALSE)),
+    CanonNeq: (CanonNeq(TRUE, FALSE), CanonNeq(FALSE, TRUE)),
+    Blocked: (Blocked(Var("x")), Blocked(parse("fst inl it"))),
+    Both: (Both((Evals(IT, IT), CanonIn(TRUE, (IT,)))), Both(())),
 }
 
 
@@ -113,8 +157,18 @@ def subclasses(cls):
 
 
 def test_every_record_class_pinned():
-    assert set(subclasses(Record)) == set(FIELDS) == set(SAMPLES)
-    assert len(FIELDS) == 19
+    assert set(subclasses(Record)) == set(FIELDS) | ABSTRACT
+    assert set(FIELDS) == set(SAMPLES)
+    assert len(FIELDS) == 19 + 17
+
+
+def test_statement_is_a_bare_record():
+    own = {"__init__", "__eq__", "__hash__", "__repr__", "__reduce__", "__setattr__",
+           "__delattr__"} & set(vars(Statement))
+    assert own == set()
+    for cls in FIELDS:
+        if issubclass(cls, Statement):
+            assert all(x.values == tuple(values(x)) for x in SAMPLES[cls])
 
 
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
@@ -134,6 +188,15 @@ class TestAgainstDataclass:
             assert x != mirror(x) and mirror(x) != x
         assert (a == b) is (mirror(a) == mirror(b)) is False
         assert (a != b) is (mirror(a) != mirror(b)) is True
+
+    def test_signature(self, cls):
+        expected = [(f.name, f.default if f.default is not MISSING
+                     else f.default_factory() if f.default_factory is not MISSING
+                     else inspect.Parameter.empty)
+                    for f in dataclasses.fields(MIRROR[cls])]
+        params = inspect.signature(cls).parameters.values()
+        assert [(p.name, p.default) for p in params] == expected
+        assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
 
     def test_keywords_and_defaults(self, cls):
         for x in SAMPLES[cls]:

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from admissibility_oracle import bounded_admissible
 from ctkernel.judgments import IsTrue, Status
 from ctkernel.rules import (
-    Derivation, NotDerivable, RuleScheme, admissible, check_derivation,
+    Derivation, NotDerivable, RuleScheme, Sequent, admissible, check_derivation,
     compare_readings, derivation_size, derive, extract_realizer,
     instantiate, parse_rule, parse_rule_file,
 )
 from ctkernel.syntax import ParseError, parse, pretty
-from ctkernel.terms import FALSE, TRUE, Var, substitute
+from ctkernel.terms import FALSE, TRUE, Disj, Var, substitute
 from ctkernel.unary import check_member, enumerate_canonical, ground_types
 
 
@@ -126,6 +126,9 @@ class TestCheckDerivation:
         assert not ok
         worse = Derivation(d.conclusion, "imaginary-rule", ())
         assert check_derivation(worse) == (False, 1)
+        for broken in (Derivation(Sequent((), Disj(TRUE, TRUE)), "or-intro-left", (None,)),
+                       Derivation(None, "truth-intro")):
+            assert check_derivation(broken) == (False, 1)
 
 
 class TestRealizers:

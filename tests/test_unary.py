@@ -18,11 +18,11 @@ from ctkernel.judgments import (
 from ctkernel.syntax import parse, pretty
 from ctkernel.terms import (
     Disj, Exists, Forall, IT, Inl, Inr, Lam, OpenTermError, Pair, TRUE,
-    FALSE, Var, alpha_eq,
+    FALSE, Var, alpha_eq, constructor_depth,
 )
 from ctkernel.unary import (
     Inhabitation, check_is_set, check_member, enumerate_canonical,
-    ground_types, inhabited_exact, is_ground, former_depth,
+    ground_types, inhabited_exact,
 )
 from termgen import OMEGA, STUCK_TERM, closed_terms, generated_checks
 
@@ -220,9 +220,10 @@ class TestInhabited:
         assert inhabited_exact(OMEGA, fuel=50) is Inhabitation.DIVERGED
 
     def test_ground_predicate(self):
-        assert is_ground(parse("(True /\\ False) => (True \\/ False)"))
-        assert not is_ground(Forall(TRUE, "x", Var("x")))
-        assert former_depth(parse("True \\/ (True => False)")) == 3
+        ground = parse("(True /\\ False) => (True \\/ False)")
+        assert any(alpha_eq(ground, t) for t in ground_types(3))
+        assert not any(alpha_eq(Forall(TRUE, "x", Var("x")), t) for t in ground_types(3))
+        assert constructor_depth(parse("True \\/ (True => False)")) == 3
 
 
 class TestEnumerate:
@@ -301,7 +302,7 @@ class TestOracleEquivalence:
     def test_spotcheck_depth_two(self):
         for ty in ground_types(2):
             inh = inhabited_exact(ty)
-            r = enumerate_canonical(ty, former_depth(ty))
+            r = enumerate_canonical(ty, constructor_depth(ty))
             assert r.complete
             assert (inh is Inhabitation.INHABITED) == bool(r.witnesses), pretty(ty)
 
