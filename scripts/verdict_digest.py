@@ -29,7 +29,13 @@ sections.  The sections:
   precedence level;
 * ``syntax/errors``: the message, line and column of the ``ParseError``
   (or the tree) of each text in ``MALFORMED``, and of each pool term's
-  text cut at a seeded character.
+  text cut at a seeded character;
+* ``rules/admissible``: ``admissible`` (with its bounds, instantiation
+  and premise witnesses) of 200 seeded schemes of the propositional
+  fragment (seed 14) and the hand-built schemes outside it, at fuel 1,
+  2, 3, 5, 13 and 10^4, under both strategies;
+* ``rules/compare_readings``: the rendered report of ``compare_readings``
+  of the same schemes, and its admissibility verdict.
 
 Run it on two checkouts and compare the output; ``--records`` prints the
 status and a short hash per verdict instead, so that ``diff`` counts the
@@ -52,12 +58,17 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from ctkernel.binary import check_eq_member, check_eq_set, check_functionality  # noqa: E402
+from ctkernel.evaluation import Strategy  # noqa: E402
+from ctkernel.rules import admissible, compare_readings  # noqa: E402
 from ctkernel.syntax import (  # noqa: E402
     PREC_ATOM, PREC_TERM, ParseError, parse, pretty, pretty_at,
 )
 from ctkernel.terms import IT, Case, Disj, Exists, Forall, TFalse, TTrue, Var, term_key  # noqa: E402
 from ctkernel.unary import check_is_set, check_member, enumerate_canonical  # noqa: E402
-from termgen import OMEGA, STUCK_TERM, generated_checks, safe_wrap  # noqa: E402
+from termgen import (  # noqa: E402
+    OMEGA, STUCK_TERM, generated_checks, outside_fragment_schemes, random_rule_schemes,
+    safe_wrap,
+)
 
 POOLS = {"c5": (2026, 1000), "c9": (501, 500)}
 EQ_SET_PAIRS = 200
@@ -67,6 +78,8 @@ NON_SETS = ("it /\\ False", "it => False", "True \\/ it")
 ORDER_TRIPLES = 300
 DEPENDENT_TYPES = 200
 ORDER_FUELS = (1, 2, 3, 5, 8, 13, 1000)
+RULE_SCHEMES = (14, 200)
+RULE_FUELS = (1, 2, 3, 5, 13, 10_000)
 MALFORMED = (
     "", "(", ")", "lam", "lam x", "lam x.", "lam . x", "forall x . A", "forall x : A",
     "exists : A . B", "case x of inr a -> a | inl b -> b", "case x of inl a -> a",
@@ -78,6 +91,12 @@ MALFORMED = (
 def verdict_record(v) -> list:
     return [v.status.value, v.bound, v.fuel_report, repr(v.pair), repr(v.instance),
             v.trace.to_json()]
+
+
+def admissible_record(v) -> list:
+    instantiation = None if v.instantiation is None else sorted(
+        (name, repr(t)) for name, t in v.instantiation.items())
+    return [*verdict_record(v), v.bounds, instantiation, repr(v.premise_witnesses)]
 
 
 def enum_record(r) -> list:
@@ -193,6 +212,16 @@ def sections():
     for text in texts:
         record = parse_record(text)
         yield "syntax/errors", record[0], record
+    schemes = random_rule_schemes(*RULE_SCHEMES) + outside_fragment_schemes()
+    for strategy in Strategy:
+        for fuel in RULE_FUELS:
+            for rule in schemes:
+                v = admissible(rule, fuel=fuel, strategy=strategy)
+                yield "rules/admissible", v.status.value, admissible_record(v)
+    for rule in schemes:
+        report = compare_readings(rule)
+        v = report.admissibility
+        yield "rules/compare_readings", v.status.value, [report.render(), admissible_record(v)]
 
 
 def main() -> None:

@@ -20,8 +20,11 @@ arbitrary ground propositions).  Two readings are contrasted:
   matters only through which metavariables it makes inhabited, and the
   check over the 2^k True/False valuations is exact: a verification is
   a theorem about every ground instantiation, not a bound-relative
-  certificate.  A refutation ships a concrete instantiation together
-  with premise witnesses whose conclusion is uninhabited.
+  certificate.  Each valuation is read off the metavariables as the
+  propositions are walked, without building their instances; only a
+  refutation builds its instances, and ships that concrete
+  instantiation together with premise witnesses whose conclusion is
+  uninhabited.
 
 The interesting quadrant is admissible-but-not-derivable: rules the
 formal system cannot state uniformly whose semantic closure still
@@ -45,9 +48,11 @@ from .record import Record
 from .syntax import ParseError, _Parser, describe, pretty, tokenize
 from .terms import (
     Disj, Exists, Forall, Inl, Inr, It, Lam, Pair, TFalse, TTrue, Term, Var,
-    TRUE, FALSE, alpha_eq, free_vars, substitute,
+    alpha_eq, free_vars, substitute,
 )
-from .unary import Inhabitation, _combine_and, _enumerate, _inhabited, _member
+from .unary import (
+    Inhabitation, _TRUTH_TERMS, _combine_and, _enumerate, _inhabited, _member,
+)
 
 CBN = Strategy.CALL_BY_NAME
 
@@ -117,12 +122,19 @@ def parse_rule(text: str) -> RuleScheme:
 
 
 def parse_rule_file(text: str) -> List[RuleScheme]:
-    """One rule per block; blocks are separated by blank lines."""
-    rules = []
-    for block in text.split("\n\n"):
-        lines = [ln for ln in block.splitlines() if ln.strip() and not ln.strip().startswith("#")]
-        if lines:
-            rules.append(parse_rule(" ".join(lines)))
+    """One rule per block; blocks are separated by blank lines, lines
+    that hold nothing but white space.  Lines starting with ``#`` are
+    comments and separate nothing."""
+    rules: List[RuleScheme] = []
+    block: List[str] = []
+    for line in (*text.splitlines(), ""):
+        stripped = line.strip()
+        if not stripped:
+            if block:
+                rules.append(parse_rule(" ".join(block)))
+                block = []
+        elif not stripped.startswith("#"):
+            block.append(line)
     return rules
 
 
@@ -330,41 +342,44 @@ def admissible(
     uninhabited; all 2^k valuations are tried, True before False, the
     last metavariable changing fastest.  Every instance depth >= 1
     already contains True and False, so the verdict does not depend on
-    instance_depth.  The first refuting valuation is shipped with, for
-    each premise, its first canonical witness within witness_depth, or a
-    member read off its inhabitation structure when the bound holds
-    none.  One tank serves the whole check.  A proposition outside the
+    instance_depth.  Each valuation is read off the metavariables: the
+    propositions are walked as written, with the valuation at hand, and
+    no instance of a proposition in the fragment is built.  Only a
+    refutation builds its instances: the first refuting valuation is
+    shipped with, for each premise, its first canonical witness within
+    witness_depth, or a member read off its inhabitation structure when
+    the bound holds none.  One tank serves the whole check.  A proposition outside the
     ground fragment (possible only for schemes not built by
     ``parse_rule``) leaves its valuation undecided: the verdict is then
-    UNKNOWN unless another valuation refutes."""
+    UNKNOWN, with the first undecided conclusion instantiated in its
+    trace, unless another valuation refutes."""
     if instance_depth < 1 or witness_depth < 1:
         raise ValueError("bounds must be >= 1")
     tank = Tank(fuel)
     undecided: Optional[Term] = None
     checked = 0
-    for values in itertools.product((TRUE, FALSE), repeat=len(rule.metavariables)):
-        assignment = dict(zip(rule.metavariables, values))
+    for values in itertools.product(_TRUTH_TERMS, repeat=len(rule.metavariables)):
+        valuation = dict(zip(rule.metavariables, values))
         checked += 1
-        premise_props = [instantiate(p.a, assignment) for p in rule.premises]
-        conclusion_prop = instantiate(rule.conclusion.a, assignment)
-
         premises = Inhabitation.INHABITED
-        for prop in premise_props:
-            premises = _combine_and(premises, _inhabited(prop, tank, strategy))
+        for p in rule.premises:
+            premises = _combine_and(premises, _inhabited(p.a, tank, strategy, valuation))
             if premises is Inhabitation.UNINHABITED:
                 break
         if premises is Inhabitation.UNINHABITED:
             continue
-        conclusion = _inhabited(conclusion_prop, tank, strategy)
+        conclusion = _inhabited(rule.conclusion.a, tank, strategy, valuation)
         if conclusion is Inhabitation.INHABITED:
             continue
+        assignment = {name: _TRUTH_TERMS[v] for name, v in valuation.items()}
         if Inhabitation.DIVERGED in (premises, conclusion):
             return diverged(f"rule instance diverged at [{_render_assignment(assignment)}]")
         if Inhabitation.NOT_GROUND in (premises, conclusion):
             if undecided is None:
-                undecided = conclusion_prop
+                undecided = instantiate(rule.conclusion.a, assignment)
             continue
-        return _refutation(assignment, premise_props, conclusion_prop,
+        return _refutation(assignment, [instantiate(p.a, assignment) for p in rule.premises],
+                           instantiate(rule.conclusion.a, assignment),
                            witness_depth, tank, strategy)
 
     bounds = {

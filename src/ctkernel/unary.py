@@ -51,7 +51,8 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from .config import DEFAULT_DEPTH, DEFAULT_FUEL
 from .evaluation import Canonical, FuelExhausted, Strategy, Stuck, Tank, run
@@ -136,7 +137,30 @@ def inhabited_exact(a: Term, fuel: int = DEFAULT_FUEL, strategy: Strategy = CBN)
     return _inhabited(a, Tank(fuel), strategy)
 
 
-def _inhabited(a: Term, tank: Tank, strategy: Strategy) -> Inhabitation:
+# The proposition that stands for each truth value of a valuation.
+_TRUTH_TERMS = {Inhabitation.INHABITED: TRUE, Inhabitation.UNINHABITED: FALSE}
+_NO_VALUATION: Mapping[str, Inhabitation] = MappingProxyType({})
+
+
+def _inhabited(
+    a: Term, tank: Tank, strategy: Strategy,
+    valuation: Mapping[str, Inhabitation] = _NO_VALUATION,
+) -> Inhabitation:
+    """Inhabitation of ``a`` with each metavariable that ``valuation``
+    names standing for True or False as valued, without building that
+    instance of ``a``.
+
+    A valued metavariable is read from ``valuation``; any other part is
+    run, and a canonical former runs at once, in no step.  A subterm
+    that must be evaluated has the valued metavariables it mentions
+    replaced by True or False first, so it runs, and spends fuel,
+    exactly as its instance does."""
+    if valuation and not valuation.keys().isdisjoint(a.fv):
+        if type(a) is Var:
+            return valuation[a.name]
+        if not is_canonical(a):
+            for name, value in valuation.items():
+                a = substitute(a, name, _TRUTH_TERMS[value])
     res = run(a, tank, strategy)
     if isinstance(res, FuelExhausted):
         return Inhabitation.DIVERGED
@@ -148,18 +172,19 @@ def _inhabited(a: Term, tank: Tank, strategy: Strategy) -> Inhabitation:
         case TFalse():
             return Inhabitation.UNINHABITED
         case Disj(l, r):
-            il = _inhabited(l, tank, strategy)
-            ir = _inhabited(r, tank, strategy)
+            il = _inhabited(l, tank, strategy, valuation)
+            ir = _inhabited(r, tank, strategy, valuation)
             return _combine_or(il, ir)
         case Exists(d, b, f):
             if b in free_vars(f):
                 return Inhabitation.NOT_GROUND
-            return _combine_and(_inhabited(d, tank, strategy), _inhabited(f, tank, strategy))
+            return _combine_and(_inhabited(d, tank, strategy, valuation),
+                                _inhabited(f, tank, strategy, valuation))
         case Forall(d, b, f):
             if b in free_vars(f):
                 return Inhabitation.NOT_GROUND
-            idom = _inhabited(d, tank, strategy)
-            icod = _inhabited(f, tank, strategy)
+            idom = _inhabited(d, tank, strategy, valuation)
+            icod = _inhabited(f, tank, strategy, valuation)
             if idom is Inhabitation.UNINHABITED or icod is Inhabitation.INHABITED:
                 return Inhabitation.INHABITED
             if idom is Inhabitation.INHABITED:

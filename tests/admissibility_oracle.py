@@ -12,6 +12,12 @@ otherwise it leaves the verdict UNKNOWN.  Its cost grows as
 ``ctkernel.rules.admissible`` decides the same question exactly over the
 True/False valuations; whenever this walk is definitive, the exact check
 must agree with it on status, instantiation and premise witnesses.
+
+``instance_admissible`` is that exact check as it was first written: it
+builds the instance of every proposition under every valuation and runs
+each one, and each of its parts, through the evaluator.
+``rules.admissible`` reads each valuation off the metavariables instead,
+and must return the very same verdict, trace, bounds and fuel report.
 """
 
 from __future__ import annotations
@@ -19,14 +25,18 @@ from __future__ import annotations
 import itertools
 
 from ctkernel.config import DEFAULT_DEPTH, DEFAULT_FUEL, DEFAULT_INSTANCE_DEPTH
-from ctkernel.evaluation import Strategy
+from ctkernel.evaluation import FuelExhausted, Strategy, Stuck, Tank, run
 from ctkernel.judgments import (
     IsTrue, Status, Trace, TraceStep, Verdict, diverged, refuted, unknown,
     verified,
 )
 from ctkernel.rules import RuleScheme, instantiate
-from ctkernel.syntax import pretty
-from ctkernel.unary import enumerate_canonical, ground_types
+from ctkernel.syntax import describe, pretty
+from ctkernel.terms import FALSE, TRUE, Disj, Exists, Forall, TFalse, TTrue
+from ctkernel.unary import (
+    Inhabitation, _combine_and, _combine_or, _enumerate, _member,
+    enumerate_canonical, ground_types,
+)
 
 
 def bounded_admissible(
@@ -101,3 +111,113 @@ def bounded_admissible(
     if not exhausted:
         return unknown(witness_depth, cert, bounds=bounds)
     return verified(cert, bounds=bounds)
+
+
+def instance_admissible(
+    rule: RuleScheme,
+    instance_depth: int = DEFAULT_INSTANCE_DEPTH,
+    witness_depth: int = DEFAULT_DEPTH - 1,
+    fuel: int = DEFAULT_FUEL,
+    strategy: Strategy = Strategy.CALL_BY_NAME,
+) -> Verdict:
+    """Exact admissibility, one instance per valuation: every premise and
+    the conclusion are instantiated by True/False before they are judged."""
+    if instance_depth < 1 or witness_depth < 1:
+        raise ValueError("bounds must be >= 1")
+    tank = Tank(fuel)
+    undecided = None
+    checked = 0
+    for values in itertools.product((TRUE, FALSE), repeat=len(rule.metavariables)):
+        assignment = dict(zip(rule.metavariables, values))
+        checked += 1
+        premise_props = [instantiate(p.a, assignment) for p in rule.premises]
+        conclusion_prop = instantiate(rule.conclusion.a, assignment)
+
+        premises = Inhabitation.INHABITED
+        for prop in premise_props:
+            premises = _combine_and(premises, _run_inhabited(prop, tank, strategy))
+            if premises is Inhabitation.UNINHABITED:
+                break
+        if premises is Inhabitation.UNINHABITED:
+            continue
+        conclusion = _run_inhabited(conclusion_prop, tank, strategy)
+        if conclusion is Inhabitation.INHABITED:
+            continue
+        if Inhabitation.DIVERGED in (premises, conclusion):
+            inst = ", ".join(f"{k} := {pretty(v)}" for k, v in assignment.items())
+            return diverged(f"rule instance diverged at [{inst}]")
+        if Inhabitation.NOT_GROUND in (premises, conclusion):
+            if undecided is None:
+                undecided = conclusion_prop
+            continue
+        witnesses = []
+        for prop in premise_props:
+            found = _enumerate(prop, witness_depth, tank, strategy).witnesses
+            w = found[0] if found else _member(prop, tank, strategy)
+            if w is None:
+                return diverged(f"premise witness diverged: {describe(prop)}")
+            witnesses.append(w)
+        steps = [
+            TraceStep(IsTrue(prop), f"premise witness {pretty(w)}")
+            for prop, w in zip(premise_props, witnesses)
+        ]
+        steps.append(TraceStep(IsTrue(conclusion_prop), "conclusion uninhabited"))
+        return refuted(
+            Trace(tuple(steps)),
+            instantiation=assignment,
+            premise_witnesses=tuple(witnesses),
+        )
+
+    bounds = {
+        "instance_depth": instance_depth,
+        "witness_depth": witness_depth,
+        "instantiations": checked,
+        "exact": undecided is None,
+    }
+    if undecided is not None:
+        return unknown(
+            witness_depth,
+            Trace((TraceStep(IsTrue(undecided), "undecided-outside-ground-fragment"),)),
+            bounds=bounds,
+        )
+    cert = Trace((
+        TraceStep(IsTrue(rule.conclusion.a), f"admissible-exact(valuations={checked})"),
+    ))
+    return verified(cert, bounds=bounds)
+
+
+def _run_inhabited(a, tank: Tank, strategy: Strategy) -> Inhabitation:
+    """Inhabitation of a closed proposition: ``a`` and each part of it
+    are run through the evaluator, canonical or not."""
+    res = run(a, tank, strategy)
+    if isinstance(res, FuelExhausted):
+        return Inhabitation.DIVERGED
+    if isinstance(res, Stuck):
+        return Inhabitation.NOT_GROUND
+    match res.term:
+        case TTrue():
+            return Inhabitation.INHABITED
+        case TFalse():
+            return Inhabitation.UNINHABITED
+        case Disj(l, r):
+            return _combine_or(_run_inhabited(l, tank, strategy),
+                               _run_inhabited(r, tank, strategy))
+        case Exists(d, b, f):
+            if b in f.fv:
+                return Inhabitation.NOT_GROUND
+            return _combine_and(_run_inhabited(d, tank, strategy),
+                                _run_inhabited(f, tank, strategy))
+        case Forall(d, b, f):
+            if b in f.fv:
+                return Inhabitation.NOT_GROUND
+            idom = _run_inhabited(d, tank, strategy)
+            icod = _run_inhabited(f, tank, strategy)
+            if idom is Inhabitation.UNINHABITED or icod is Inhabitation.INHABITED:
+                return Inhabitation.INHABITED
+            if idom is Inhabitation.INHABITED:
+                return icod
+            if Inhabitation.DIVERGED in (idom, icod):
+                return Inhabitation.DIVERGED
+            return Inhabitation.NOT_GROUND
+        case _:
+            return Inhabitation.NOT_GROUND

@@ -7,6 +7,9 @@ from typing import List, Tuple
 
 import hypothesis.strategies as st
 
+from ctkernel.judgments import IsTrue
+from ctkernel.rules import RuleScheme, parse_rule
+from ctkernel.syntax import parse, pretty
 from ctkernel.terms import (
     App, Case, Disj, Exists, Forall, Fst, Inl, Inr, IT, Lam, Pair, Snd,
     TRUE, FALSE, Term, Var, free_vars, substitute,
@@ -123,3 +126,56 @@ def generated_checks(seed: int, count: int, max_fd: int = 3) -> List[Tuple[Term,
             m = rng.choice(_JUNK)
         out.append((safe_wrap(rng, m), ty))
     return out
+
+
+# -- rule schemes -----------------------------------------------------------
+
+
+def _random_prop(rng: random.Random, names: Tuple[str, ...], depth: int) -> Term:
+    if depth == 0 or rng.random() < 0.3:
+        return Var(rng.choice(names)) if rng.random() < 0.85 else rng.choice((TRUE, FALSE))
+    build = rng.choice((lambda p, q: Exists(p, "_", q), Disj, lambda p, q: Forall(p, "_", q)))
+    return build(_random_prop(rng, names, depth - 1), _random_prop(rng, names, depth - 1))
+
+
+def random_rule_schemes(seed: int, count: int) -> List[RuleScheme]:
+    """Seeded schemes of the propositional fragment over one to three of
+    P, Q, R, with one to three premises, as ``parse_rule`` builds them."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        names = ("P", "Q", "R")[:rng.randint(1, 3)]
+        premises = [_random_prop(rng, names, 2) for _ in range(rng.randint(1, 3))]
+        conclusion = _random_prop(rng, names, 2)
+        out.append(parse_rule(
+            f"{'; '.join(f'{pretty(p)} true' for p in premises)} |- {pretty(conclusion)} true"))
+    return out
+
+
+# (metavariables, premise texts, conclusion text) of schemes that
+# ``parse_rule`` would reject: evaluation inside a proposition, a binder
+# named like a metavariable, a free name that is no metavariable, a
+# function, and a divergent term.
+_OUTSIDE_FRAGMENT = (
+    (("P",), ("P",), "(lam x. x) P"),
+    (("P",), ("(lam x. x) P",), "False"),
+    (("P", "Q"), ("Q /\\ (lam x. x) P",), "P"),
+    (("P", "Q"), ("(lam x. x) P => Q",), "Q \\/ fst <P, it>"),
+    (("P",), ("True",), "(lam x. x) (P /\\ P)"),
+    (("P",), ("P",), "forall P : True . P"),
+    (("P",), ("forall P : True . P",), "P"),
+    (("P",), ("P => forall P : P . True",), "P"),
+    (("P",), ("P",), "Z"),
+    (("P", "Q"), ("P /\\ Z",), "Q"),
+    (("P",), ("P",), "lam x. x"),
+    (("P",), ("lam x. x",), "P"),
+    (("P",), ("P",), "(lam o. o o) (lam o. o o)"),
+    (("P",), ("(lam o. o o) (lam o. o o)",), "False"),
+    (("P", "Q"), ("P \\/ (lam o. o o) (lam o. o o)",), "Q"),
+)
+
+
+def outside_fragment_schemes() -> List[RuleScheme]:
+    """Hand-built schemes outside the propositional fragment."""
+    return [RuleScheme(names, tuple(IsTrue(parse(p)) for p in premises), IsTrue(parse(c)))
+            for names, premises, c in _OUTSIDE_FRAGMENT]

@@ -5,7 +5,9 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from admissibility_oracle import bounded_admissible
+import ctkernel.rules
+from admissibility_oracle import bounded_admissible, instance_admissible
+from ctkernel.evaluation import Strategy
 from ctkernel.judgments import IsTrue, Status
 from ctkernel.rules import (
     Derivation, NotDerivable, RuleScheme, Sequent, admissible, check_derivation,
@@ -15,6 +17,7 @@ from ctkernel.rules import (
 from ctkernel.syntax import ParseError, parse, pretty
 from ctkernel.terms import FALSE, TRUE, Disj, Var, substitute
 from ctkernel.unary import check_member, enumerate_canonical, ground_types
+from termgen import outside_fragment_schemes, random_rule_schemes
 
 
 class TestParseRule:
@@ -58,6 +61,9 @@ P /\\ Q true |-
         rules = parse_rule_file(text)
         assert len(rules) == 2
         assert rules[1].render() == "P /\\ Q true |- P true"
+        # a line of spaces is a blank line too
+        rules = parse_rule_file("P true |- P true\n   \nQ /\\ Q true |- Q true\n")
+        assert [r.render() for r in rules] == ["P true |- P true", "Q /\\ Q true |- Q true"]
 
 
 class TestDerive:
@@ -257,6 +263,49 @@ class TestOutsideGroundFragment:
             v = admissible(rule, fuel=50)
             assert v.status is Status.DIVERGED
             assert v.fuel_report
+
+
+class TestValuationsReadOff:
+    """``admissible`` reads each valuation off the metavariables; it must
+    give the verdict of the check that builds every instance."""
+
+    SCHEMES = random_rule_schemes(seed=14, count=60) + outside_fragment_schemes()
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("fuel", [1, 2, 3, 5, 13, 10_000])
+    def test_same_verdict_as_instances(self, fuel, strategy):
+        statuses = set()
+        for rule in self.SCHEMES:
+            new = admissible(rule, 2, 2, fuel, strategy)
+            old = instance_admissible(rule, 2, 2, fuel, strategy)
+            for name in ("status", "trace", "bounds", "instantiation", "premise_witnesses",
+                         "fuel_report"):
+                assert getattr(new, name) == getattr(old, name), (name, rule.render())
+            statuses.add(new.status)
+        assert statuses == set(Status)
+
+    @pytest.fixture
+    def instantiations(self, monkeypatch):
+        calls = []
+        real = ctkernel.rules.instantiate
+
+        def counted(t, assignment):
+            calls.append(t)
+            return real(t, assignment)
+
+        monkeypatch.setattr(ctkernel.rules, "instantiate", counted)
+        return calls
+
+    def test_verified_builds_no_instance(self, instantiations):
+        v = admissible(parse_rule("P true; P => Q true; Q => R true |- R /\\ P true"))
+        assert v.status is Status.VERIFIED and v.bounds["instantiations"] == 8
+        assert instantiations == []
+
+    def test_refutation_builds_its_instances(self, instantiations):
+        rule = parse_rule("P \\/ Q true; Q => R true |- R true")
+        v = admissible(rule)
+        assert v.status is Status.REFUTED
+        assert len(instantiations) == len(rule.premises) + 1
 
 
 class TestCompareReadings:
