@@ -1,6 +1,7 @@
 """The base of the kernel's small value classes: verdicts, traces,
 statement forms, evaluation results, rule reports, world models and the
-run settings."""
+run settings; and ``instantiate``, which compiles the functions that
+these classes and the term nodes build from their field lists."""
 
 from __future__ import annotations
 
@@ -59,27 +60,42 @@ class Record:
 
 
 _SET = {"_set": object.__setattr__}
-_TEMPLATES: dict = {}  # number of fields n -> code of __init__(self, _0, ..., _n-1)
 
 
 def _compile_init(cls: type) -> FunctionType:
     """``def __init__(self, f1, f2=d2): _set(self, "f1", f1); ...`` for
-    the class's fields, with the defaults of ``cls._defaults``.  Source is
-    compiled once per number of fields, as a template whose parameters and
-    field names ``_0``, ``_1``, ... each class renames to its own."""
+    the class's fields, with the defaults of ``cls._defaults``."""
     fields = cls.__match_args__
-    template = _TEMPLATES.get(len(fields))
-    if template is None:
-        params = [f"_{i}" for i in range(len(fields))]
-        body = "".join(f"\n    _set(self, {p!r}, {p})" for p in params)
-        ns: dict = {}
-        exec(f"def __init__(self, {', '.join(params)}):{body}", _SET, ns)
-        template = _TEMPLATES[len(fields)] = ns["__init__"].__code__
-    rename = {f"_{i}": f for i, f in enumerate(fields)}
-    code = template.replace(co_varnames=("self",) + fields,
-                            co_consts=tuple(rename.get(c, c) for c in template.co_consts))
+    params = [f"_{i}" for i in range(len(fields))]
+    body = "".join(f"\n    _set(self, {p!r}, {p})" for p in params)
     tail = fields[len(fields) - len(cls._defaults):]
-    init = FunctionType(code, _SET, "__init__", tuple(cls._defaults[f] for f in tail))
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__module__ = cls.__module__
-    return init
+    return instantiate(f"def __init__(self, {', '.join(params)}):{body}", fields, _SET,
+                       cls, tuple(cls._defaults[f] for f in tail))
+
+
+_CODE: dict = {}  # source -> the code of the function it defines
+
+
+def instantiate(source: str, names: tuple, namespace: dict, owner: type,
+                defaults: tuple = ()) -> FunctionType:
+    """The one function that ``source`` defines, named as a method of
+    ``owner``, with the placeholders ``_0``, ``_1``, ... renamed to
+    ``names[0]``, ``names[1]``, ... wherever they stand as parameters,
+    attribute names or string constants.  Each source is compiled once,
+    in ``namespace``, which the function keeps as its globals; a later
+    call with the same source only renames."""
+    template = _CODE.get(source)
+    if template is None:
+        ns: dict = {}
+        exec(source, namespace, ns)
+        (function,) = ns.values()
+        template = _CODE[source] = function.__code__
+    rename = {f"_{i}": name for i, name in enumerate(names)}
+    code = template.replace(
+        co_varnames=tuple(rename.get(v, v) for v in template.co_varnames),
+        co_names=tuple(rename.get(v, v) for v in template.co_names),
+        co_consts=tuple(rename.get(c, c) for c in template.co_consts))
+    function = FunctionType(code, namespace, code.co_name, defaults)
+    function.__qualname__ = f"{owner.__qualname__}.{code.co_name}"
+    function.__module__ = owner.__module__
+    return function

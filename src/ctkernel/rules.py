@@ -123,8 +123,8 @@ def parse_rule(text: str) -> RuleScheme:
 
 def parse_rule_file(text: str) -> List[RuleScheme]:
     """One rule per block; blocks are separated by blank lines, lines
-    that hold nothing but white space.  Lines starting with ``#`` are
-    comments and separate nothing."""
+    that hold nothing but white space.  A comment runs from ``#`` to the
+    end of its line, and a line that starts with one separates nothing."""
     rules: List[RuleScheme] = []
     block: List[str] = []
     for line in (*text.splitlines(), ""):
@@ -134,7 +134,7 @@ def parse_rule_file(text: str) -> List[RuleScheme]:
                 rules.append(parse_rule(" ".join(block)))
                 block = []
         elif not stripped.startswith("#"):
-            block.append(line)
+            block.append(line.partition("#")[0])
     return rules
 
 

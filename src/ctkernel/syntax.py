@@ -37,7 +37,7 @@ from typing import List
 from .record import Record
 from .terms import (
     App, Case, Disj, Exists, Forall, Fst, Inl, Inr, It, Lam, Pair, Snd,
-    TFalse, TTrue, Term, Var,
+    TFalse, TTrue, Term, Var, conj, imp,
 )
 
 # Precedence levels, loosest first.
@@ -213,7 +213,7 @@ class _Parser:
         left = self.or_level()
         if self.peek().text == "=>":
             self.advance()
-            return Forall(left, "_", self.term())
+            return imp(left, self.term())
         return left
 
     def or_level(self) -> Term:
@@ -227,7 +227,7 @@ class _Parser:
         t = self.app()
         while self.peek().text == "/\\":
             self.advance()
-            t = Exists(t, "_", self.app())
+            t = conj(t, self.app())
         return t
 
     def _starts_operand(self) -> bool:

@@ -18,18 +18,14 @@ import itertools
 from enum import Enum
 from typing import Optional, Union
 
+from .record import instantiate
+
 
 _set = object.__setattr__
 _EMPTY: frozenset = frozenset()
 # One free-variable set per variable name, shared by every Var of that
 # name: a set per occurrence would cost about 200 bytes a node.
 _NAME_FV: dict = {}
-
-
-# The constructors reuse an operand when it already holds the union, so
-# that most nodes share their children's set instead of owning a copy:
-#     a if b <= a else b if a <= b else a | b
-# (written out in each, as a call would cost more than the test).
 
 
 def _bind(fv: frozenset, binder: str) -> frozenset:
@@ -53,10 +49,19 @@ class _Node:
     and its scope is the field right after it (``Lam``, ``Case``,
     ``Forall`` and ``Exists``).  ``alpha_eq``, ``term_key`` and ``repr``
     (the dataclass ``repr``) are loops over the fields that follow it.
+    A subclass that names its fields in ``__match_args__`` gets its
+    constructor and its substitution compiled from that list by the same
+    rule (``_compile``), a binder field being one named ``binder`` or
+    ``*_binder``; ``Var`` writes its own.
     """
 
     __slots__ = ("fv", "_meta", "__dict__")
     __match_args__: tuple = ()
+
+    def __init_subclass__(cls, **kw):
+        super().__init_subclass__(**kw)
+        if "__match_args__" in cls.__dict__ and "__init__" not in cls.__dict__:
+            cls.__init__, _SUBSTITUTE[cls] = _compile(cls)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -189,6 +194,47 @@ def _equal(a: "_Node", b: "_Node") -> bool:
     return True
 
 
+# The substitution of each node class, for nodes with a free variable:
+# never It, True or False.
+_SUBSTITUTE: dict = {}
+
+
+def _compile(cls: type) -> tuple:
+    """The ``__init__`` and the substitution of ``cls``, from its fields.
+
+    The constructor sets each field, then ``fv``: the union of the
+    subterms' sets, a scope's less its binder.  It reuses an operand that
+    already holds the union, so that most nodes share a child's set
+    instead of owning a copy (written out, as a call would cost more than
+    the test).  The substitution substitutes into each subterm, and under
+    each binder into its scope.  The source is the same for every class
+    of one shape of fields, and is compiled once."""
+    fields = cls.__match_args__
+    binds = [f == "binder" or f.endswith("_binder") for f in fields]
+    params = [f"_{i}" for i in range(len(fields))]
+    init = [f"_set(self, {p!r}, {p})" for p in params]
+    parts, sets = [], []
+    for i, p in enumerate(params):
+        if binds[i]:
+            continue
+        init.append(f"fv{i} = {p}.fv")
+        if i and binds[i - 1]:
+            init.append(f"if _{i - 1} in fv{i}: fv{i} = _bind(fv{i}, _{i - 1})")
+            parts.append(f"*_under(t._{i - 1}, t.{p}, name, value)")
+        else:
+            parts.append(f"substitute(t.{p}, name, value)")
+        sets.append(f"fv{i}")
+    a = sets[0]
+    for b in sets[1:]:
+        init.append(f"{a} = {a} if {b} <= {a} else {b} if {a} <= {b} else {a} | {b}")
+    init.append(f"_set(self, 'fv', {a})")
+    body = "\n    ".join(init)
+    return (instantiate(f"def __init__(self, {', '.join(params)}):\n    {body}",
+                        fields, globals(), cls),
+            instantiate(f"def _substitute(t, name, value):\n"
+                        f"    return type(t)({', '.join(parts)})", fields, globals(), cls))
+
+
 class Var(_Node):
     """Variable occurrence: x"""
     __slots__ = ()
@@ -207,23 +253,11 @@ class Lam(_Node):
     __slots__ = ()
     __match_args__ = ("binder", "body")
 
-    def __init__(self, binder: str, body: "Term"):
-        _set(self, "binder", binder)
-        _set(self, "body", body)
-        fv = body.fv
-        _set(self, "fv", _bind(fv, binder) if binder in fv else fv)
-
 
 class App(_Node):
     """Application: M N"""
     __slots__ = ()
     __match_args__ = ("fn", "arg")
-
-    def __init__(self, fn: "Term", arg: "Term"):
-        _set(self, "fn", fn)
-        _set(self, "arg", arg)
-        a, b = fn.fv, arg.fv
-        _set(self, "fv", a if b <= a else b if a <= b else a | b)
 
 
 class Pair(_Node):
@@ -231,21 +265,11 @@ class Pair(_Node):
     __slots__ = ()
     __match_args__ = ("fst", "snd")
 
-    def __init__(self, fst: "Term", snd: "Term"):
-        _set(self, "fst", fst)
-        _set(self, "snd", snd)
-        a, b = fst.fv, snd.fv
-        _set(self, "fv", a if b <= a else b if a <= b else a | b)
-
 
 class Fst(_Node):
     """First projection: fst M"""
     __slots__ = ()
     __match_args__ = ("pair",)
-
-    def __init__(self, pair: "Term"):
-        _set(self, "pair", pair)
-        _set(self, "fv", pair.fv)
 
 
 class Snd(_Node):
@@ -253,19 +277,11 @@ class Snd(_Node):
     __slots__ = ()
     __match_args__ = ("pair",)
 
-    def __init__(self, pair: "Term"):
-        _set(self, "pair", pair)
-        _set(self, "fv", pair.fv)
-
 
 class Inl(_Node):
     """Left injection: inl M"""
     __slots__ = ()
     __match_args__ = ("arg",)
-
-    def __init__(self, arg: "Term"):
-        _set(self, "arg", arg)
-        _set(self, "fv", arg.fv)
 
 
 class Inr(_Node):
@@ -273,31 +289,11 @@ class Inr(_Node):
     __slots__ = ()
     __match_args__ = ("arg",)
 
-    def __init__(self, arg: "Term"):
-        _set(self, "arg", arg)
-        _set(self, "fv", arg.fv)
-
 
 class Case(_Node):
     """Sum eliminator: case M of inl x -> L | inr y -> R"""
     __slots__ = ()
     __match_args__ = ("scrutinee", "left_binder", "left_body", "right_binder", "right_body")
-
-    def __init__(self, scrutinee: "Term", left_binder: str, left_body: "Term",
-                 right_binder: str, right_body: "Term"):
-        _set(self, "scrutinee", scrutinee)
-        _set(self, "left_binder", left_binder)
-        _set(self, "left_body", left_body)
-        _set(self, "right_binder", right_binder)
-        _set(self, "right_body", right_body)
-        a, b, c = scrutinee.fv, left_body.fv, right_body.fv
-        if left_binder in b:
-            b = _bind(b, left_binder)
-        if right_binder in c:
-            c = _bind(c, right_binder)
-        if not b <= a:
-            a = b if a <= b else a | b
-        _set(self, "fv", a if c <= a else c if a <= c else a | c)
 
 
 class It(_Node):
@@ -323,41 +319,17 @@ class Forall(_Node):
     __slots__ = ()
     __match_args__ = ("domain", "binder", "family")
 
-    def __init__(self, domain: "Term", binder: str, family: "Term"):
-        _set(self, "domain", domain)
-        _set(self, "binder", binder)
-        _set(self, "family", family)
-        a, b = domain.fv, family.fv
-        if binder in b:
-            b = _bind(b, binder)
-        _set(self, "fv", a if b <= a else b if a <= b else a | b)
-
 
 class Exists(_Node):
     """Existential quantifier: exists x : A . B (binder scopes over B)"""
     __slots__ = ()
     __match_args__ = ("domain", "binder", "family")
 
-    def __init__(self, domain: "Term", binder: str, family: "Term"):
-        _set(self, "domain", domain)
-        _set(self, "binder", binder)
-        _set(self, "family", family)
-        a, b = domain.fv, family.fv
-        if binder in b:
-            b = _bind(b, binder)
-        _set(self, "fv", a if b <= a else b if a <= b else a | b)
-
 
 class Disj(_Node):
     """Disjoint union: A \\/ B"""
     __slots__ = ()
     __match_args__ = ("left", "right")
-
-    def __init__(self, left: "Term", right: "Term"):
-        _set(self, "left", left)
-        _set(self, "right", right)
-        a, b = left.fv, right.fv
-        _set(self, "fv", a if b <= a else b if a <= b else a | b)
 
 
 Term = Union[
@@ -372,12 +344,17 @@ FALSE = TFalse()
 
 def imp(p: Term, q: Term) -> Term:
     """Implication sugar: a universal quantifier ignoring its binder."""
-    return Forall(p, "_", q)
+    return Forall(p, _unused(q), q)
 
 
 def conj(p: Term, q: Term) -> Term:
     """Conjunction sugar: an existential quantifier ignoring its binder."""
-    return Exists(p, "_", q)
+    return Exists(p, _unused(q), q)
+
+
+def _unused(family: Term) -> str:
+    """The binder of sugar over ``family``: ``_``, unless ``_`` is free in it."""
+    return fresh_name("_", family.fv) if "_" in family.fv else "_"
 
 
 class OpenTermError(ValueError):
@@ -464,48 +441,7 @@ def substitute(t: Term, name: str, value: Term) -> Term:
     return _SUBSTITUTE[type(t)](t, name, value)
 
 
-def _sub_lam(t: Lam, name: str, value: Term) -> Term:
-    return Lam(*_under(t.binder, t.body, name, value))
-
-
-def _sub_app(t: App, name: str, value: Term) -> Term:
-    return App(substitute(t.fn, name, value), substitute(t.arg, name, value))
-
-
-def _sub_pair(t: Pair, name: str, value: Term) -> Term:
-    return Pair(substitute(t.fst, name, value), substitute(t.snd, name, value))
-
-
-def _sub_case(t: Case, name: str, value: Term) -> Term:
-    return Case(substitute(t.scrutinee, name, value),
-                *_under(t.left_binder, t.left_body, name, value),
-                *_under(t.right_binder, t.right_body, name, value))
-
-
-def _sub_quantifier(t, name: str, value: Term) -> Term:
-    return type(t)(substitute(t.domain, name, value),
-                   *_under(t.binder, t.family, name, value))
-
-
-def _sub_disj(t: Disj, name: str, value: Term) -> Term:
-    return Disj(substitute(t.left, name, value), substitute(t.right, name, value))
-
-
-# Only nodes with a free variable are dispatched: never It, True or False.
-_SUBSTITUTE = {
-    Var: lambda t, name, value: value,
-    Lam: _sub_lam,
-    App: _sub_app,
-    Pair: _sub_pair,
-    Fst: lambda t, name, value: Fst(substitute(t.pair, name, value)),
-    Snd: lambda t, name, value: Snd(substitute(t.pair, name, value)),
-    Inl: lambda t, name, value: Inl(substitute(t.arg, name, value)),
-    Inr: lambda t, name, value: Inr(substitute(t.arg, name, value)),
-    Case: _sub_case,
-    Forall: _sub_quantifier,
-    Exists: _sub_quantifier,
-    Disj: _sub_disj,
-}
+_SUBSTITUTE[Var] = lambda t, name, value: value
 
 
 def alpha_eq(a: Term, b: Term) -> bool:

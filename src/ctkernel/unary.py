@@ -66,8 +66,8 @@ from .record import Record
 from .syntax import describe, pretty
 from .terms import (
     Disj, Exists, Forall, Inl, Inr, It, Lam, Pair, TFalse, TTrue, Term,
-    TRUE, FALSE, IT, Var, alpha_eq, constructor_depth, free_vars, fresh_name,
-    is_canonical, is_type_former, require_closed, substitute, term_key,
+    TRUE, FALSE, IT, Var, alpha_eq, conj, constructor_depth, free_vars, fresh_name,
+    imp, is_canonical, is_type_former, require_closed, substitute, term_key,
 )
 
 CBN = Strategy.CALL_BY_NAME
@@ -109,11 +109,7 @@ def ground_types(max_depth: int) -> Tuple[Term, ...]:
     for d in range(2, max_depth + 1):
         upto = [t for layer in layers for t in layer]
         layer = []
-        for build in (
-            lambda p, q: Exists(p, "_", q),
-            lambda p, q: Disj(p, q),
-            lambda p, q: Forall(p, "_", q),
-        ):
+        for build in (conj, Disj, imp):
             for p in upto:
                 for q in upto:
                     if max(constructor_depth(p), constructor_depth(q)) == d - 1:

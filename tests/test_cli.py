@@ -44,6 +44,11 @@ class TestEval:
         code, _ = run(["eval", "lam x. <it,"])
         assert code == 1
 
+    def test_sugar_leaves_underscore_unbound(self, capsys):
+        code, text = run(["eval", "True => _"])
+        assert code == 0 and text.startswith("True => _\n")
+        assert capsys.readouterr().err == "warning: term has unbound variables: _\n"
+
 
 class TestCheck:
     def test_worked_example_five_steps(self):
@@ -78,6 +83,11 @@ class TestCheck:
     def test_open_term_exit_1(self):
         code, _ = run(["check", "x", "in", "True"])
         assert code == 1
+
+    def test_open_sugar_exit_1(self, capsys):
+        code, _ = run(["check", "lam h. h", "in", "True => _"])
+        assert code == 1
+        assert "error: type has free variables: _" in capsys.readouterr().err
 
     def test_binary_flag_mismatch(self):
         code, _ = run(["check", "--binary", "it", "in", "True"])

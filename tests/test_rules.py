@@ -65,6 +65,10 @@ P /\\ Q true |-
         rules = parse_rule_file("P true |- P true\n   \nQ /\\ Q true |- Q true\n")
         assert [r.render() for r in rules] == ["P true |- P true", "Q /\\ Q true |- Q true"]
 
+    def test_rule_file_comment_ends_at_its_line(self):
+        rules = parse_rule_file("P true; # first\nQ true |- P /\\ Q true\n")
+        assert [r.render() for r in rules] == ["P true; Q true |- P /\\ Q true"]
+
 
 class TestDerive:
     def test_conjunction_elimination_not_derivable(self):

@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import inspect
 import os
 import pickle
 import subprocess
@@ -96,6 +97,14 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("it it)")
 
+    @pytest.mark.parametrize("text, cls", [("True => _", Forall), ("True /\\ _", Exists)])
+    def test_sugar_keeps_a_free_underscore_free(self, text, cls):
+        # the sugar's binder is "_" unless that would capture a free "_"
+        t = parse(text)
+        assert type(t) is cls and t.binder == "_1" and free_vars(t) == {"_"}
+        assert parse(text.replace("_", "x")).binder == "_"
+        assert parse("True => _ _1").binder == "_2"
+
 
 class TestPrint:
     def test_sugar_folds_back(self):
@@ -113,6 +122,16 @@ class TestPrint:
     @given(terms())
     @settings(max_examples=200)
     def test_parse_print_roundtrip(self, t):
+        assert alpha_eq(parse(pretty(t)), t)
+
+    def test_sugar_over_free_underscore_roundtrip(self):
+        t = Forall(TRUE, "y", Var("_"))
+        assert pretty(t) == "True => _"
+        assert alpha_eq(parse(pretty(t)), t)
+
+    @given(terms(names=CLASHING))
+    @settings(max_examples=300)
+    def test_parse_print_roundtrip_clashing_names(self, t):
         assert alpha_eq(parse(pretty(t)), t)
 
 
@@ -312,6 +331,57 @@ class TestNodes:
     @settings(max_examples=100)
     def test_repr_matches_dataclass(self, t):
         assert repr(t) == repr(mirror(t))
+
+
+def nodes(t):
+    """``t`` and each of its subterms."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(v for v in vars(node).values() if not isinstance(v, str))
+
+
+def own_sets(t):
+    """The free-variable sets of the subterms of ``t`` that hold nothing
+    ``t`` binds: each one is the union itself when it holds all of it."""
+    fields = FIELDS[type(t)]
+    for i, f in enumerate(fields):
+        v = getattr(t, f)
+        if isinstance(v, str):
+            continue
+        if i and fields[i - 1] in BINDERS.get(type(t), ()) and getattr(t, fields[i - 1]) in v.fv:
+            continue
+        yield v.fv
+
+
+class TestConstructors:
+    """What the constructors compiled from the field lists promise."""
+
+    @pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+    def test_signature(self, cls):
+        params = inspect.signature(cls).parameters.values()
+        assert [p.name for p in params] == list(cls.__match_args__) == list(FIELDS[cls])
+        assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
+        if FIELDS[cls]:
+            assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+
+    @pytest.mark.parametrize("t", SAMPLES, ids=lambda t: type(t).__name__)
+    def test_keywords_and_free_variables(self, t):
+        values = [getattr(t, f) for f in FIELDS[type(t)]]
+        by_keyword = type(t)(**dict(zip(FIELDS[type(t)], values)))
+        assert by_keyword == type(t)(*values) == t
+        assert by_keyword.fv == t.fv == oracle.free_vars(t)
+
+    @given(terms(names=CLASHING))
+    @settings(max_examples=200)
+    def test_free_variables_shared(self, t):
+        # a node keeps a child's own set whenever that set holds the union
+        for node in nodes(t):
+            assert node.fv == oracle.free_vars(node)
+            owned = [fv for fv in own_sets(node) if fv == node.fv]
+            if owned:
+                assert any(node.fv is fv for fv in owned), node
 
 
 SHARED_X = Var("x")
