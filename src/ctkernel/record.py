@@ -14,11 +14,14 @@ class Record:
 
     A subclass declares ``__slots__ = __match_args__ = (...)`` and, for
     trailing fields with defaults, ``_defaults = {field: value}``; its
-    ``__init__`` is then compiled from that list, with one
-    ``object.__setattr__`` per field (a loop over the fields would cost
-    over twice as much on the classes built on every check).  A class
-    that writes its own ``__init__`` keeps it, and one that declares no
-    fields (an abstract base) gets none.
+    ``__init__`` is then compiled from that list, unrolled (a loop over
+    the fields would cost over twice as much on the classes built on
+    every check).  It stores each field through the setter of its slot,
+    the slot descriptor's ``__set__``: a plain assignment ``self.f = f``
+    is not possible, as ``__setattr__`` raises, and the setter skips the
+    attribute lookup that ``object.__setattr__`` makes for each field.
+    A class that writes its own ``__init__`` keeps it, and one that
+    declares no fields (an abstract base) gets none.
 
     Equality, hash, ``repr`` and pickling are those of a frozen dataclass
     with these fields: the ``repr`` of a verdict is part of its recorded
@@ -59,17 +62,17 @@ class Record:
         return type(self), self._values()
 
 
-_SET = {"_set": object.__setattr__}
-
-
 def _compile_init(cls: type) -> FunctionType:
-    """``def __init__(self, f1, f2=d2): _set(self, "f1", f1); ...`` for
-    the class's fields, with the defaults of ``cls._defaults``."""
+    """``def __init__(self, f1, f2=d2): _s0(self, f1); ...`` for the
+    class's fields, with the defaults of ``cls._defaults``: ``_s{i}`` is
+    the ``__set__`` of the slot of field i, bound in the function's own
+    globals."""
     fields = cls.__match_args__
     params = [f"_{i}" for i in range(len(fields))]
-    body = "".join(f"\n    _set(self, {p!r}, {p})" for p in params)
+    body = "".join(f"\n    _s{i}(self, {p})" for i, p in enumerate(params))
+    setters = {f"_s{i}": cls.__dict__[f].__set__ for i, f in enumerate(fields)}
     tail = fields[len(fields) - len(cls._defaults):]
-    return instantiate(f"def __init__(self, {', '.join(params)}):{body}", fields, _SET,
+    return instantiate(f"def __init__(self, {', '.join(params)}):{body}", fields, setters,
                        cls, tuple(cls._defaults[f] for f in tail))
 
 

@@ -66,75 +66,92 @@ class RuleScheme(Record):
         return f"{left} |- {right}" if left else f"|- {right}"
 
 
-def _validate_scheme_prop(t: Term, metavars: List[str]) -> None:
-    """Check that ``t`` is in the propositional fragment, and append to
+def _scheme_prop(t: Term, metavars: List[str]) -> bool:
+    """Whether ``t`` is in the propositional fragment; appends to
     ``metavars`` each of its metavariables not yet there, in order of
     first occurrence."""
     match t:
         case Var(n):
             if n not in metavars:
                 metavars.append(n)
+            return True
         case TTrue() | TFalse():
-            return
+            return True
         case Disj(l, r):
-            _validate_scheme_prop(l, metavars)
-            _validate_scheme_prop(r, metavars)
+            return _scheme_prop(l, metavars) and _scheme_prop(r, metavars)
         case (Forall(d, b, f) | Exists(d, b, f)) if b not in free_vars(f):
-            _validate_scheme_prop(d, metavars)
-            _validate_scheme_prop(f, metavars)
-        case _:
+            return _scheme_prop(d, metavars) and _scheme_prop(f, metavars)
+    return False
+
+
+def _parse_judgment(text: str, start: int, end: int, metavars: List[str]) -> IsTrue:
+    """The judgment ``text[start:end]``; a ParseError gives its line and
+    column in ``text``.  Only the judgment is tokenized, so that parsing
+    a text stays linear in its length."""
+    try:
+        tokens = tokenize(text[start:end])
+        if len(tokens) < 2 or tokens[-2].kind != "name" or tokens[-2].text != "true":
+            tok = tokens[-2] if len(tokens) > 1 else tokens[-1]
+            raise ParseError("a rule judgment must end in 'true'", tok.line, tok.col)
+        prop = _Parser(tokens[:-2] + tokens[-1:]).whole()
+        if not _scheme_prop(prop, metavars):
             raise ParseError(
                 "rule propositions are the propositional fragment: "
-                "metavariables, True, False, /\\, \\/, =>", 1, 1,
+                "metavariables, True, False, /\\, \\/, =>", tokens[0].line, tokens[0].col,
             )
-
-
-def _parse_judgment_text(text: str, metavars: List[str]) -> IsTrue:
-    tokens = tokenize(text)
-    if len(tokens) < 2 or tokens[-2].kind != "name" or tokens[-2].text != "true":
-        tok = tokens[-1]
-        raise ParseError("a rule judgment must end in 'true'", tok.line, tok.col)
-    prop = _Parser(tokens[:-2] + tokens[-1:]).whole()
-    _validate_scheme_prop(prop, metavars)
+    except ParseError as e:
+        # the judgment starts at column ``start - bol + 1`` of its line
+        bol = text.rfind("\n", 0, start) + 1
+        raise ParseError(e.message, e.line + text.count("\n", 0, start),
+                         e.col + (start - bol if e.line == 1 else 0)) from None
     return IsTrue(prop)
 
 
+def _skip(text: str, at: int, label: str) -> int:
+    """The index in ``text`` after the white space from ``at`` on, and
+    after ``label`` if it comes next."""
+    at += len(text[at:]) - len(text[at:].lstrip())
+    return at + len(label) if text.startswith(label, at) else at
+
+
 def parse_rule(text: str) -> RuleScheme:
-    """Parse ``premises: J1; J2 |- conclusion: J`` (labels optional)."""
-    body = text.strip()
-    if body.startswith("premises:"):
-        body = body[len("premises:"):]
-    if "|-" in body:
-        left, right = body.rsplit("|-", 1)
-    else:
-        left, right = "", body
-    right = right.strip()
-    if right.startswith("conclusion:"):
-        right = right[len("conclusion:"):]
+    """Parse ``premises: J1; J2 |- conclusion: J`` (labels optional).  A
+    ParseError gives its line and column in ``text``."""
+    at = _skip(text, 0, "premises:")
     metavars: List[str] = []
-    premises = tuple(
-        _parse_judgment_text(part, metavars)
-        for part in left.split(";")
-        if part.strip()
-    )
-    conclusion = _parse_judgment_text(right, metavars)
-    return RuleScheme(tuple(metavars), premises, conclusion)
+    premises = []
+    turnstile = text.rfind("|-", at)
+    if turnstile >= 0:
+        for part in text[at:turnstile].split(";"):
+            if part.strip():
+                premises.append(_parse_judgment(text, at, at + len(part), metavars))
+            at += len(part) + 1
+        at = turnstile + 2
+    at = _skip(text, at, "conclusion:")
+    conclusion = _parse_judgment(text, at, len(text), metavars)
+    return RuleScheme(tuple(metavars), tuple(premises), conclusion)
 
 
 def parse_rule_file(text: str) -> List[RuleScheme]:
     """One rule per block; blocks are separated by blank lines, lines
     that hold nothing but white space.  A comment runs from ``#`` to the
-    end of its line, and a line that starts with one separates nothing."""
+    end of its line, and a line that starts with one separates nothing.
+    A ParseError gives its line and column in the file."""
     rules: List[RuleScheme] = []
-    block: List[str] = []
-    for line in (*text.splitlines(), ""):
+    lines = text.splitlines()
+    start = None  # the index of the first line of the current block
+    for i, line in enumerate((*lines, "")):
         stripped = line.strip()
         if not stripped:
-            if block:
-                rules.append(parse_rule(" ".join(block)))
-                block = []
-        elif not stripped.startswith("#"):
-            block.append(line.partition("#")[0])
+            if start is not None:
+                block = "\n".join(row.partition("#")[0] for row in lines[start:i])
+                try:
+                    rules.append(parse_rule(block))
+                except ParseError as e:
+                    raise ParseError(e.message, e.line + start, e.col) from None
+                start = None
+        elif start is None and not stripped.startswith("#"):
+            start = i
     return rules
 
 

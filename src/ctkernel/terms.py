@@ -206,28 +206,39 @@ def _compile(cls: type) -> tuple:
     subterms' sets, a scope's less its binder.  It reuses an operand that
     already holds the union, so that most nodes share a child's set
     instead of owning a copy (written out, as a call would cost more than
-    the test).  The substitution substitutes into each subterm, and under
-    each binder into its scope.  The source is the same for every class
-    of one shape of fields, and is compiled once."""
+    the test); where a subterm's own set holds the union, the node keeps
+    that set, not an equal one made by ``_bind`` or ``|``.  The
+    substitution substitutes into each subterm, and under each binder
+    into its scope.  The source is the same for every class of one shape
+    of fields, and is compiled once."""
     fields = cls.__match_args__
     binds = [f == "binder" or f.endswith("_binder") for f in fields]
     params = [f"_{i}" for i in range(len(fields))]
     init = [f"_set(self, {p!r}, {p})" for p in params]
-    parts, sets = [], []
+    parts = []
+    fv = None  # the variable that holds the union so far
     for i, p in enumerate(params):
         if binds[i]:
             continue
-        init.append(f"fv{i} = {p}.fv")
-        if i and binds[i - 1]:
-            init.append(f"if _{i - 1} in fv{i}: fv{i} = _bind(fv{i}, _{i - 1})")
-            parts.append(f"*_under(t._{i - 1}, t.{p}, name, value)")
+        scoped = i and binds[i - 1]
+        parts.append(f"*_under(t._{i - 1}, t.{p}, name, value)" if scoped
+                     else f"substitute(t.{p}, name, value)")
+        b = f"fv{i}"
+        init.append(f"{b} = {p}.fv")
+        bind = f"{b} = _bind({b}, _{i - 1})"
+        if fv is None:
+            init += [f"if _{i - 1} in {b}: {bind}"] if scoped else []
+            fv = b
+            continue
+        # on a tie ``tie`` takes ``b``, the subterm's own set unless
+        # ``_bind`` just made it; then ``keep`` keeps the union so far.
+        keep = f"{fv} = {fv} if {b} <= {fv} else {b} if {fv} <= {b} else {fv} | {b}"
+        tie = f"{fv} = {fv} if {b} < {fv} else {b} if {fv} <= {b} else {fv} | {b}"
+        if scoped:
+            init.append(f"if _{i - 1} in {b}:\n        {bind}\n        {keep}\n    else: {tie}")
         else:
-            parts.append(f"substitute(t.{p}, name, value)")
-        sets.append(f"fv{i}")
-    a = sets[0]
-    for b in sets[1:]:
-        init.append(f"{a} = {a} if {b} <= {a} else {b} if {a} <= {b} else {a} | {b}")
-    init.append(f"_set(self, 'fv', {a})")
+            init.append(tie)
+    init.append(f"_set(self, 'fv', {fv})")
     body = "\n    ".join(init)
     return (instantiate(f"def __init__(self, {', '.join(params)}):\n    {body}",
                         fields, globals(), cls),

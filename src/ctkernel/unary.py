@@ -146,23 +146,24 @@ def _inhabited(
     names standing for True or False as valued, without building that
     instance of ``a``.
 
-    A valued metavariable is read from ``valuation``; any other part is
-    run, and a canonical former runs at once, in no step.  A subterm
-    that must be evaluated has the valued metavariables it mentions
-    replaced by True or False first, so it runs, and spends fuel,
-    exactly as its instance does."""
-    if valuation and not valuation.keys().isdisjoint(a.fv):
-        if type(a) is Var:
-            return valuation[a.name]
-        if not is_canonical(a):
+    A valued metavariable is read from ``valuation``; a canonical part
+    is its own canonical form, read without a run, as ``run`` takes no
+    step on it; any other part is run.  A subterm that must be evaluated
+    has the valued metavariables it mentions replaced by True or False
+    first, so it runs, and spends fuel, exactly as its instance does."""
+    if not is_canonical(a):
+        if valuation and not valuation.keys().isdisjoint(a.fv):
+            if type(a) is Var:
+                return valuation[a.name]
             for name, value in valuation.items():
                 a = substitute(a, name, _TRUTH_TERMS[value])
-    res = run(a, tank, strategy)
-    if isinstance(res, FuelExhausted):
-        return Inhabitation.DIVERGED
-    if isinstance(res, Stuck):
-        return Inhabitation.NOT_GROUND
-    match res.term:
+        res = run(a, tank, strategy)
+        if isinstance(res, FuelExhausted):
+            return Inhabitation.DIVERGED
+        if isinstance(res, Stuck):
+            return Inhabitation.NOT_GROUND
+        a = res.term
+    match a:
         case TTrue():
             return Inhabitation.INHABITED
         case TFalse():
@@ -217,10 +218,12 @@ def _member(a: Term, tank: Tank, strategy: Strategy) -> Optional[Term]:
     read off the same structure: ``it``, a pair, the first inhabited
     injection, a constant function, or the identity over an empty
     domain.  None when evaluation runs out of fuel."""
-    res = run(a, tank, strategy)
-    if not isinstance(res, Canonical):
-        return None
-    match res.term:
+    if not is_canonical(a):
+        res = run(a, tank, strategy)
+        if not isinstance(res, Canonical):
+            return None
+        a = res.term
+    match a:
         case TTrue():
             return IT
         case Exists(d, _, f):
@@ -271,16 +274,17 @@ def _dedupe_sorted(ws: List[Term]) -> Tuple[Term, ...]:
 
 
 def _enumerate(a: Term, depth: int, tank: Tank, strategy: Strategy) -> EnumResult:
-    res = run(a, tank, strategy)
-    if isinstance(res, FuelExhausted):
-        return EnumResult((), False, diverged(f"type diverged: {res.remaining}"))
-    if isinstance(res, Stuck):
-        return EnumResult(
-            (), False,
-            refuted(Trace((TraceStep(Blocked(res.offending), "stuck-type"),))),
-        )
-    ac = res.term
-    match ac:
+    if not is_canonical(a):
+        res = run(a, tank, strategy)
+        if isinstance(res, FuelExhausted):
+            return EnumResult((), False, diverged(f"type diverged: {res.remaining}"))
+        if isinstance(res, Stuck):
+            return EnumResult(
+                (), False,
+                refuted(Trace((TraceStep(Blocked(res.offending), "stuck-type"),))),
+            )
+        a = res.term
+    match a:
         case TTrue():
             if depth >= 1:
                 return EnumResult((IT,), True)
@@ -314,7 +318,7 @@ def _enumerate(a: Term, depth: int, tank: Tank, strategy: Strategy) -> EnumResul
         case _:
             return EnumResult(
                 (), False,
-                refuted(Trace((TraceStep(CanonUndefined(ac), "not-a-set"),))),
+                refuted(Trace((TraceStep(CanonUndefined(a), "not-a-set"),))),
             )
 
 

@@ -144,6 +144,14 @@ class TestRule:
         assert code == 0
         assert text.count("rule:") == 2
 
+    def test_rule_file_error_position(self, tmp_path, capsys):
+        # the fault is the 'R' on line 4, in the second block
+        path = tmp_path / "rules.txt"
+        path.write_text("P true |- P true\n\nP true;\n  R |- Q true\n")
+        code, text = run(["rule", "--file", str(path)])
+        assert code == 1 and text == ""
+        assert capsys.readouterr().err == "error: 4:3: a rule judgment must end in 'true'\n"
+
     def test_rule_file_worst_verdict(self, tmp_path):
         # the refuted rule comes first: the file's verdict is the worst
         # of its rules, not the last one, in both modes

@@ -41,6 +41,8 @@ class TestParseRule:
         r = parse_rule("premises: P true; Q true |- conclusion: P /\\ Q true")
         assert len(r.premises) == 2
         assert pretty(r.conclusion.a) == "P /\\ Q"
+        assert parse_rule("conclusion: P true") == parse_rule("premises: P true") \
+            == parse_rule("|- P true")
 
     def test_must_end_in_true(self):
         with pytest.raises(ParseError):
@@ -64,6 +66,47 @@ P /\\ Q true |-
         # a line of spaces is a blank line too
         rules = parse_rule_file("P true |- P true\n   \nQ /\\ Q true |- Q true\n")
         assert [r.render() for r in rules] == ["P true |- P true", "Q /\\ Q true |- Q true"]
+
+    @pytest.mark.parametrize("text, line, col, message", [
+        ("P true |- P true\n\nP true;\n  R |- Q true\n", 4, 3,
+         "a rule judgment must end in 'true'"),
+        ("# first rule\nP true |- P true\n\n  # the second rule\n"
+         "P true; # a premise\n  Q true |- (P true\n", 6, 20,
+         "expected ')' at end of input"),
+        ("P true; # fst P |- P true\n  Q true |-\n    premises: fst P true\n", 3, 13,
+         "trailing input at ':'"),
+        ("# comment\n\n  P true |-\n# comment\n    lam x. x true\n", 5, 5,
+         "rule propositions are the propositional fragment: "
+         "metavariables, True, False, /\\, \\/, =>"),
+    ])
+    def test_rule_file_error_position(self, text, line, col, message):
+        # the line and column of the fault in the file, past blocks and
+        # comments before it
+        with pytest.raises(ParseError) as info:
+            parse_rule_file(text)
+        assert (info.value.line, info.value.col, info.value.message) == (line, col, message)
+
+    def test_rule_error_position(self):
+        with pytest.raises(ParseError) as info:
+            parse_rule("premises: P true;\n Q |- conclusion: P true")
+        assert (info.value.line, info.value.col) == (2, 2)
+        with pytest.raises(ParseError) as info:
+            parse_rule("P true |- conclusion:\n  fst P true")
+        assert (info.value.line, info.value.col) == (2, 3)
+
+    def test_rule_file_tokenizes_each_character_once(self, monkeypatch):
+        # tokenizing stays linear in the file's length, however far into
+        # the file a block starts; the fault's position still counts
+        # every line before it
+        seen = []
+        real = ctkernel.rules.tokenize
+        monkeypatch.setattr(ctkernel.rules, "tokenize", lambda s: seen.append(len(s)) or real(s))
+        text = "P true;\n  Q true |- P /\\ Q true\n\n" * 500
+        assert len(parse_rule_file(text)) == 500
+        assert sum(seen) <= len(text)
+        with pytest.raises(ParseError) as info:
+            parse_rule_file(text + "P true;\n  R |- Q true\n")
+        assert (info.value.line, info.value.col) == (1502, 3)
 
     def test_rule_file_comment_ends_at_its_line(self):
         rules = parse_rule_file("P true; # first\nQ true |- P /\\ Q true\n")

@@ -14,7 +14,7 @@ from typing import get_args
 
 import pytest
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import ctkernel
 import term_oracle as oracle
@@ -375,6 +375,10 @@ class TestConstructors:
 
     @given(terms(names=CLASHING))
     @settings(max_examples=200)
+    # the right branch's own set equals a union made by ``_bind`` (first)
+    # or by ``|`` (second)
+    @example(Case(It(), "y", Case(It(), "x", Var("y"), "x", Var("v1")), "x", Var("v1")))
+    @example(Case(Var("x"), "a", Var("y"), "b", App(Var("x"), Var("y"))))
     def test_free_variables_shared(self, t):
         # a node keeps a child's own set whenever that set holds the union
         for node in nodes(t):

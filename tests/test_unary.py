@@ -11,7 +11,8 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from ctkernel.evaluation import Strategy, evaluate, Canonical
+import ctkernel.unary
+from ctkernel.evaluation import Strategy, Tank, evaluate, Canonical
 from ctkernel.judgments import (
     CanonEmpty, Gen, Hyp, Member, Status, replay,
 )
@@ -21,7 +22,7 @@ from ctkernel.terms import (
     FALSE, Var, alpha_eq, constructor_depth,
 )
 from ctkernel.unary import (
-    Inhabitation, check_is_set, check_member, enumerate_canonical,
+    Inhabitation, _inhabited, check_is_set, check_member, enumerate_canonical,
     ground_types, inhabited_exact,
 )
 from termgen import OMEGA, STUCK_TERM, closed_terms, generated_checks
@@ -224,6 +225,53 @@ class TestInhabited:
         assert any(alpha_eq(ground, t) for t in ground_types(3))
         assert not any(alpha_eq(Forall(TRUE, "x", Var("x")), t) for t in ground_types(3))
         assert constructor_depth(parse("True \\/ (True => False)")) == 3
+
+
+INHABITED, UNINHABITED = Inhabitation.INHABITED, Inhabitation.UNINHABITED
+
+
+class TestCanonicalInputNotRun:
+    """A canonical proposition is its own canonical form: ``_inhabited``
+    reads it without a run, so it takes no step and leaves the tank as it
+    was, even an empty one."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        ran = []
+        real = ctkernel.unary.run
+
+        def counted(t, tank, strategy=Strategy.CALL_BY_NAME):
+            ran.append(t)
+            return real(t, tank, strategy)
+
+        monkeypatch.setattr(ctkernel.unary, "run", counted)
+        return ran
+
+    @pytest.mark.parametrize("text, valuation, expected", [
+        ("True", {}, INHABITED),
+        ("False", {}, UNINHABITED),
+        ("(True => False) \\/ (False => True)", {}, INHABITED),
+        ("(True /\\ False) => False", {}, INHABITED),
+        ("True /\\ (True => False)", {}, UNINHABITED),
+        ("P", {"P": UNINHABITED}, UNINHABITED),
+        ("P \\/ Q", {"P": UNINHABITED, "Q": INHABITED}, INHABITED),
+        ("(P => Q) /\\ (Q => P)", {"P": INHABITED, "Q": UNINHABITED}, UNINHABITED),
+    ])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_answered_at_empty_tank_without_a_run(self, runs, text, valuation, expected,
+                                                   strategy):
+        tank = Tank(0)
+        assert _inhabited(parse(text), tank, strategy, valuation) is expected
+        assert runs == []
+        assert tank.remaining == 0
+
+    def test_only_the_parts_that_step_are_run(self, runs):
+        redex = parse("(lam x. x) P")
+        tank = Tank(10)
+        prop = Disj(FALSE, Forall(redex, "_", TRUE))
+        assert _inhabited(prop, tank, Strategy.CALL_BY_NAME, {"P": UNINHABITED}) is INHABITED
+        assert runs == [parse("(lam x. x) False")]
+        assert tank.remaining == 9
 
 
 class TestEnumerate:
