@@ -35,7 +35,10 @@ sections.  The sections:
   fragment (seed 14) and the hand-built schemes outside it, at fuel 1,
   2, 3, 5, 13 and 10^4, under both strategies;
 * ``rules/compare_readings``: the rendered report of ``compare_readings``
-  of the same schemes, and its admissibility verdict.
+  of the same schemes, and its admissibility verdict;
+* ``rules/derive``: ``derive`` of the same schemes at search depths 1-6:
+  the rendered derivation with its realizer and ``check_derivation``
+  result, or the ``NotDerivable`` record.
 
 Run it on two checkouts and compare the output; ``--records`` prints the
 status and a short hash per verdict instead, so that ``diff`` counts the
@@ -59,7 +62,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from ctkernel.binary import check_eq_member, check_eq_set, check_functionality  # noqa: E402
 from ctkernel.evaluation import Strategy  # noqa: E402
-from ctkernel.rules import admissible, compare_readings  # noqa: E402
+from ctkernel.rules import (  # noqa: E402
+    Derivation, admissible, check_derivation, compare_readings, derive, extract_realizer,
+)
 from ctkernel.syntax import (  # noqa: E402
     PREC_ATOM, PREC_TERM, ParseError, parse, pretty, pretty_at,
 )
@@ -80,6 +85,7 @@ DEPENDENT_TYPES = 200
 ORDER_FUELS = (1, 2, 3, 5, 8, 13, 1000)
 RULE_SCHEMES = (14, 200)
 RULE_FUELS = (1, 2, 3, 5, 13, 10_000)
+SEARCH_DEPTHS = range(1, 7)
 MALFORMED = (
     "", "(", ")", "lam", "lam x", "lam x.", "lam . x", "forall x . A", "forall x : A",
     "exists : A . B", "case x of inr a -> a | inl b -> b", "case x of inl a -> a",
@@ -222,6 +228,15 @@ def sections():
         report = compare_readings(rule)
         v = report.admissibility
         yield "rules/compare_readings", v.status.value, [report.render(), admissible_record(v)]
+    for depth in SEARCH_DEPTHS:
+        for rule in schemes:
+            d = derive(rule, depth)
+            if isinstance(d, Derivation):
+                record = [d.render(), repr(extract_realizer(d)), check_derivation(d)]
+                yield "rules/derive", "derivable", record
+            else:
+                outcome = "exhaustive" if d.exhausted else "cut-off"
+                yield "rules/derive", outcome, [repr(d)]
 
 
 def main() -> None:

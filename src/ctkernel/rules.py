@@ -10,7 +10,12 @@ arbitrary ground propositions).  Two readings are contrasted:
   discharge) plus the hypothesis rule.  No elimination rules exist in
   the system.  Because goal-directed search over this calculus strictly
   shrinks the goal, a failed exhaustive search is definitive, and the
-  result says so.
+  result says so.  Each introduction rule is written once, as an entry
+  of one table (``_INTRODUCTIONS``): its name, the premises it leaves
+  for a goal of its connective, and the constructor of its realizer.
+  The search tries the entries in order, the checker requires each
+  child's conclusion to be the entry's premise, and realizer
+  extraction builds with the entry's constructor.
 
 * *Admissible*: for every ground instantiation of the metavariables
   under which every premise has a canonical verification, the
@@ -34,7 +39,7 @@ holds.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .config import (
     DEFAULT_DEPTH, DEFAULT_FUEL, DEFAULT_INSTANCE_DEPTH, DEFAULT_SEARCH_DEPTH,
@@ -183,6 +188,37 @@ class NotDerivable(Record):
     __slots__ = __match_args__ = ("at_depth", "exhausted")
 
 
+def _implication(hyps: tuple, goal: Forall) -> tuple:
+    if goal.binder in goal.family.fv:
+        return ()
+    name = f"h{len(hyps)}"
+    return (("imp-intro", ((hyps + ((name, goal.domain),), goal.family),),
+             lambda body: Lam(name, body)),)
+
+
+# The introduction rules, by the class of the goal they conclude.  Given
+# the hypotheses in scope and a goal, an entry lists its rules in the
+# order the search tries them: each rule's name, its premises as
+# (hypotheses, goal) pairs, and the constructor that builds its realizer
+# from the premises' realizers.  A conjunction or implication is a
+# quantifier whose family does not use its binder.
+_INTRODUCTIONS = {
+    TTrue: lambda hyps, goal: (("truth-intro", (), It),),
+    Exists: lambda hyps, goal: () if goal.binder in goal.family.fv else (
+        ("and-intro", ((hyps, goal.domain), (hyps, goal.family)), Pair),),
+    Disj: lambda hyps, goal: (("or-intro-left", ((hyps, goal.left),), Inl),
+                              ("or-intro-right", ((hyps, goal.right),), Inr)),
+    Forall: _implication,
+}
+
+
+def _introductions(hyps: Tuple[Tuple[str, Term], ...], goal: Term) -> tuple:
+    """The introduction rules that conclude ``goal`` under ``hyps``: with
+    the hypothesis rule, the whole calculus."""
+    rules = _INTRODUCTIONS.get(type(goal))
+    return rules(hyps, goal) if rules else ()
+
+
 def derive(rule: RuleScheme, search_depth: int = DEFAULT_SEARCH_DEPTH) -> Union[Derivation, NotDerivable]:
     """Goal-directed schematic search in the introduction-only calculus.
 
@@ -202,41 +238,60 @@ def derive(rule: RuleScheme, search_depth: int = DEFAULT_SEARCH_DEPTH) -> Union[
 def _search(
     hyps: Tuple[Tuple[str, Term], ...], goal: Term, budget: int
 ) -> Tuple[Optional[Derivation], bool]:
-    seq = Sequent(hyps, goal)
+    """A derivation of ``goal`` under ``hyps`` within ``budget``
+    introductions on each branch, or None; and whether the search never
+    hit the cutoff.  A rule without premises needs no budget."""
     for name, prop in hyps:
         if alpha_eq(prop, goal):
-            return Derivation(seq, "hypothesis"), True
-    if isinstance(goal, TTrue):
-        return Derivation(seq, "truth-intro"), True
-    if budget <= 0:
-        return None, False
-    match goal:
-        case Exists(p, b, q) if b not in free_vars(q):
-            left, e1 = _search(hyps, p, budget - 1)
-            if left is None:
-                return None, e1
-            right, e2 = _search(hyps, q, budget - 1)
-            if right is None:
-                return None, e2
-            return Derivation(seq, "and-intro", (left, right)), True
-        case Disj(p, q):
-            left, e1 = _search(hyps, p, budget - 1)
-            if left is not None:
-                return Derivation(seq, "or-intro-left", (left,)), True
-            right, e2 = _search(hyps, q, budget - 1)
-            if right is not None:
-                return Derivation(seq, "or-intro-right", (right,)), True
-            return None, e1 and e2
-        case Forall(p, b, q) if b not in free_vars(q):
-            name = f"h{len(hyps)}"
-            body, e = _search(hyps + ((name, p),), q, budget - 1)
-            if body is not None:
-                return Derivation(seq, "imp-intro", (body,)), True
-            return None, e
-        case _:
-            # Atomic metavariable (or out-of-fragment goal): no
-            # introduction applies and the hypothesis rule already failed.
-            return None, True
+            return Derivation(Sequent(hyps, goal), "hypothesis"), True
+    exhausted = budget > 0
+    for rule, premises, _ in _introductions(hyps, goal):
+        if premises and budget <= 0:
+            continue
+        children = ()
+        for premise in premises:
+            child, complete = _search(*premise, budget - 1)
+            if child is None:
+                exhausted = exhausted and complete
+                break
+            children += (child,)
+        else:
+            return Derivation(Sequent(hyps, goal), rule, children), True
+    return None, exhausted
+
+
+def _step(d: Derivation) -> tuple:
+    """The table entry that the node ``d`` applies, its children's
+    conclusions being the entry's premises; for the hypothesis rule, an
+    entry without premises whose realizer is the first hypothesis that
+    matches the goal.  Raises ValueError when ``d`` is no step of the
+    calculus."""
+    try:
+        seq, rule, children = d.conclusion, d.rule, d.children or ()
+        if rule != "hypothesis":
+            for entry in _introductions(seq.hypotheses, seq.goal):
+                if entry[0] == rule and len(children) == len(entry[1]) and all(
+                    child.conclusion == Sequent(*premise)
+                    for child, premise in zip(children, entry[1])
+                ):
+                    return entry
+        elif not children:
+            for name, prop in seq.hypotheses:
+                if alpha_eq(prop, seq.goal):
+                    return rule, (), lambda: Var(name)
+    except (AttributeError, ValueError, TypeError):
+        pass
+    raise ValueError(f"no step of the calculus: [{getattr(d, 'rule', None)}]")
+
+
+def _steps(d: Derivation) -> Iterator[tuple]:
+    """The entry (``_step``) of each node of ``d``, depth-first, first
+    child first, by a loop rather than recursion."""
+    stack = [d]
+    while stack:
+        d = stack.pop()
+        yield _step(d)
+        stack.extend(reversed(d.children or ()))
 
 
 def check_derivation(d: Derivation) -> Tuple[bool, int]:
@@ -244,61 +299,12 @@ def check_derivation(d: Derivation) -> Tuple[bool, int]:
 
     Returns (ok, nodes visited); never raises on malformed trees."""
     visited = 0
-
-    def go(d: Derivation) -> bool:
-        nonlocal visited
-        visited += 1
-        seq = d.conclusion
-        try:
-            match d.rule:
-                case "hypothesis":
-                    return not d.children and any(
-                        alpha_eq(p, seq.goal) for _, p in seq.hypotheses
-                    )
-                case "truth-intro":
-                    return not d.children and isinstance(seq.goal, TTrue)
-                case "and-intro":
-                    match seq.goal:
-                        case Exists(p, b, q) if b not in free_vars(q):
-                            left, right = d.children
-                            return (
-                                left.conclusion == Sequent(seq.hypotheses, p)
-                                and right.conclusion == Sequent(seq.hypotheses, q)
-                                and go(left)
-                                and go(right)
-                            )
-                    return False
-                case "or-intro-left":
-                    match seq.goal:
-                        case Disj(p, _):
-                            (left,) = d.children
-                            return left.conclusion == Sequent(seq.hypotheses, p) and go(left)
-                    return False
-                case "or-intro-right":
-                    match seq.goal:
-                        case Disj(_, q):
-                            (right,) = d.children
-                            return right.conclusion == Sequent(seq.hypotheses, q) and go(right)
-                    return False
-                case "imp-intro":
-                    match seq.goal:
-                        case Forall(p, b, q) if b not in free_vars(q):
-                            (body,) = d.children
-                            hyps = body.conclusion.hypotheses
-                            return (
-                                len(hyps) == len(seq.hypotheses) + 1
-                                and hyps[:-1] == seq.hypotheses
-                                and alpha_eq(hyps[-1][1], p)
-                                and alpha_eq(body.conclusion.goal, q)
-                                and go(body)
-                            )
-                    return False
-                case _:
-                    return False
-        except (AttributeError, ValueError, TypeError):
-            return False
-
-    return go(d), visited
+    try:
+        for _ in _steps(d):
+            visited += 1
+    except ValueError:
+        return False, visited + 1  # the node that is no step counts too
+    return True, visited
 
 
 def derivation_size(d: Derivation) -> int:
@@ -309,27 +315,15 @@ def extract_realizer(d: Derivation) -> Term:
     """Witness skeleton of a derivation; hypothesis leaves stay variables.
 
     Substituting concrete premise witnesses for the hypothesis variables
-    yields a closed witness for the conclusion."""
-    match d.rule:
-        case "hypothesis":
-            name = next(
-                n for n, p in d.conclusion.hypotheses if alpha_eq(p, d.conclusion.goal)
-            )
-            return Var(name)
-        case "truth-intro":
-            return It()
-        case "and-intro":
-            return Pair(extract_realizer(d.children[0]), extract_realizer(d.children[1]))
-        case "or-intro-left":
-            return Inl(extract_realizer(d.children[0]))
-        case "or-intro-right":
-            return Inr(extract_realizer(d.children[0]))
-        case "imp-intro":
-            body = d.children[0]
-            name = body.conclusion.hypotheses[-1][0]
-            return Lam(name, extract_realizer(body))
-        case _:
-            raise ValueError(f"unknown rule in derivation: {d.rule}")
+    yields a closed witness for the conclusion.  Raises ValueError on a
+    tree that ``check_derivation`` rejects."""
+    # Read backwards, the depth-first order puts each node after its
+    # children, last child first.
+    realizers: List[Term] = []
+    for _, premises, build in reversed(list(_steps(d))):
+        at = len(realizers) - len(premises)
+        realizers[at:] = [build(*reversed(realizers[at:]))]
+    return realizers[0]
 
 
 # -- admissibility -------------------------------------------------------------

@@ -112,15 +112,20 @@ class WorldModel(Record):
         for u, v in order_pairs:
             if u not in wset or v not in wset:
                 raise ModelError(f"order pair ({u}, {v}) names an unknown world")
-        relation = {(w, w) for w in worlds} | {tuple(p) for p in order_pairs}
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(relation):
-                for (c, d) in list(relation):
-                    if b == c and (a, d) not in relation:
-                        relation.add((a, d))
-                        changed = True
+        successors: Dict[str, List[str]] = {w: [] for w in worlds}
+        for u, v in order_pairs:
+            successors[u].append(v)
+        # the worlds above each world: those reached over the given pairs
+        above: Dict[str, set] = {}
+        for w in worlds:
+            reached, stack = {w}, [w]
+            while stack:
+                for v in successors[stack.pop()]:
+                    if v not in reached:
+                        reached.add(v)
+                        stack.append(v)
+            above[w] = reached
+        relation = {(w, v) for w in worlds for v in above[w]}
         for u, v in relation:
             if u != v and (v, u) in relation:
                 raise ModelError(f"order is not antisymmetric: {u} <= {v} <= {u}")
@@ -132,9 +137,8 @@ class WorldModel(Record):
                 raise ModelError(f"verify line names unknown world {w!r}")
             if a not in atoms:
                 raise ModelError(f"verify line names unknown atom {a!r}")
-            for v in worlds:
-                if (w, v) in relation:
-                    verifications[(v, a)].add(tok)
+            for v in above[w]:
+                verifications[(v, a)].add(tok)
         return WorldModel(
             worlds,
             frozenset(relation),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import ctkernel.rules
+import derivation_oracle as oracle
 from admissibility_oracle import bounded_admissible, instance_admissible
 from ctkernel.evaluation import Strategy
 from ctkernel.judgments import IsTrue, Status
@@ -15,9 +16,12 @@ from ctkernel.rules import (
     instantiate, parse_rule, parse_rule_file,
 )
 from ctkernel.syntax import ParseError, parse, pretty
-from ctkernel.terms import FALSE, TRUE, Disj, Var, substitute
+from ctkernel.terms import FALSE, IT, TRUE, Disj, Forall, Inl, Var, conj, imp, substitute
 from ctkernel.unary import check_member, enumerate_canonical, ground_types
 from termgen import outside_fragment_schemes, random_rule_schemes
+from test_terms import stack_safe
+
+P, Q = Var("P"), Var("Q")
 
 
 class TestParseRule:
@@ -183,6 +187,59 @@ class TestCheckDerivation:
                        Derivation(None, "truth-intro")):
             assert check_derivation(broken) == (False, 1)
 
+    def test_shadowed_hypothesis_rejected(self):
+        # the body rebinds h0, so the leaf's h0, meant for the outer
+        # hypothesis P, names the new hypothesis Q under lam h0: with it
+        # for the outer h0, lam h0. h0 is no member of the instance
+        # (True /\ True) => True
+        d = Derivation(Sequent((("h0", P),), imp(Q, P)), "imp-intro",
+                       (Derivation(Sequent((("h0", P), ("h0", Q)), P), "hypothesis"),))
+        assert oracle.check_derivation(d) == (True, 2)
+        wrong = oracle.extract_realizer(d)
+        assert pretty(wrong) == "lam h0. h0"
+        instance = substitute(wrong, "h0", IT)
+        assert check_member(instance, imp(conj(TRUE, TRUE), TRUE)).status is Status.REFUTED
+        assert check_derivation(d) == (False, 1)
+        with pytest.raises(ValueError):
+            extract_realizer(d)
+        derived = derive(parse_rule("P true |- Q => P true"), 5)
+        assert pretty(extract_realizer(derived)) == "lam h1. h0"
+
+    def test_imp_intro_requires_its_premise_exactly(self):
+        # the new hypothesis is h{n}, and no alpha-variant stands in for
+        # the premise: the only trees the reference checker accepts and
+        # this one rejects
+        goal = Forall(P, "x", Q)
+        for name, hypothesis in (("x", goal), ("h0", Forall(P, "y", Q))):
+            d = Derivation(Sequent((), imp(goal, goal)), "imp-intro", (
+                Derivation(Sequent(((name, hypothesis),), goal), "hypothesis"),))
+            assert oracle.check_derivation(d) == (True, 2)
+            assert check_derivation(d) == (False, 1)
+        d = Derivation(Sequent((), imp(goal, goal)), "imp-intro", (
+            Derivation(Sequent((("h0", goal),), goal), "hypothesis"),))
+        assert check_derivation(d) == oracle.check_derivation(d) == (True, 2)
+
+    @stack_safe
+    def test_deep_chain(self):
+        # a valid or-intro-left chain 10^4 deep; then one bad leaf
+        n = 10_000
+        d, goal = Derivation(Sequent((), TRUE), "truth-intro"), TRUE
+        for _ in range(n):
+            goal = Disj(goal, FALSE)
+            d = Derivation(Sequent((), goal), "or-intro-left", (d,))
+        assert check_derivation(d) == (True, n + 1)
+        realizer = IT
+        for _ in range(n):
+            realizer = Inl(realizer)
+        assert extract_realizer(d) == realizer
+        bad = Derivation(Sequent((), FALSE), "truth-intro")
+        for _ in range(n):
+            bad = Derivation(Sequent((), Disj(bad.conclusion.goal, FALSE)), "or-intro-left",
+                             (bad,))
+        assert check_derivation(bad) == (False, n + 1)
+        with pytest.raises(ValueError):
+            extract_realizer(bad)
+
 
 class TestRealizers:
     def test_extraction_shapes(self):
@@ -190,6 +247,19 @@ class TestRealizers:
         assert pretty(extract_realizer(d)) == "<h0, h1>"
         d = derive(parse_rule("|- P => P true"), 5)
         assert pretty(extract_realizer(d)) == "lam h0. h0"
+
+    def test_bad_trees_raise_value_error(self):
+        # a hypothesis leaf that matches no hypothesis, and an and-intro
+        # with one child: the reference raised StopIteration and IndexError
+        stray = Derivation(Sequent((("h0", P),), Q), "hypothesis")
+        half = Derivation(Sequent((("h0", P),), conj(P, P)), "and-intro",
+                          (Derivation(Sequent((("h0", P),), P), "hypothesis"),))
+        for d, reference_error in ((stray, StopIteration), (half, IndexError)):
+            assert not check_derivation(d)[0]
+            with pytest.raises(ValueError):
+                extract_realizer(d)
+            with pytest.raises(reference_error):
+                oracle.extract_realizer(d)
 
     def test_derivations_realize_witnesses(self):
         schemes = [
@@ -217,6 +287,115 @@ class TestRealizers:
                         term = substitute(term, f"h{i}", w)
                     conclusion = instantiate(rule.conclusion.a, assignment)
                     assert check_member(term, conclusion).status is Status.VERIFIED
+
+
+RULE_NAMES = ("hypothesis", "truth-intro", "and-intro", "or-intro-left", "or-intro-right",
+              "imp-intro", "cut")
+
+
+def _nodes(d, path=()):
+    """Each node of ``d`` with its path of child indices, depth-first."""
+    yield path, d
+    for i, child in enumerate(d.children):
+        yield from _nodes(child, path + (i,))
+
+
+def _replace(d, path, node):
+    """``d`` with the node at ``path`` replaced by ``node``."""
+    if not path:
+        return node
+    children = list(d.children)
+    children[path[0]] = _replace(children[path[0]], path[1:], node)
+    return Derivation(d.conclusion, d.rule, tuple(children))
+
+
+def _rename_hypothesis(d, old, new):
+    """``d`` with the hypothesis ``old`` renamed ``new`` in every sequent."""
+    hyps = tuple((new if n == old else n, p) for n, p in d.conclusion.hypotheses)
+    return Derivation(Sequent(hyps, d.conclusion.goal), d.rule,
+                      tuple(_rename_hypothesis(c, old, new) for c in d.children))
+
+
+def _mutants(d):
+    """Single edits of ``d``: a rule renamed, a child dropped, duplicated
+    or swapped with the next, or a child's goal replaced by its parent's
+    or by True."""
+    for path, node in _nodes(d):
+        for name in RULE_NAMES:
+            if name != node.rule:
+                yield _replace(d, path, Derivation(node.conclusion, name, node.children))
+        kids = node.children
+        for i, child in enumerate(kids):
+            for edited in (kids[:i] + kids[i + 1:], kids[:i + 1] + kids[i:],
+                           kids[:i] + kids[i + 1:i + 2] + kids[i:i + 1] + kids[i + 2:]):
+                if edited != kids:
+                    yield _replace(d, path, Derivation(node.conclusion, node.rule, edited))
+            for goal in (node.conclusion.goal, TRUE):
+                if goal != child.conclusion.goal:
+                    moved = Derivation(Sequent(child.conclusion.hypotheses, goal), child.rule,
+                                       child.children)
+                    yield _replace(d, path + (i,), moved)
+
+
+class TestAgainstOracle:
+    """The search, checker and extractor read one table of introduction
+    rules; ``tests/derivation_oracle.py`` writes each rule out in each."""
+
+    SCHEMES = random_rule_schemes(seed=11, count=3000) + outside_fragment_schemes()
+
+    def _trees(self):
+        trees = {}
+        for depth in range(1, 7):
+            for rule in self.SCHEMES:
+                d = derive(rule, depth)
+                assert d == oracle.derive(rule, depth), (rule.render(), depth)
+                if isinstance(d, Derivation):
+                    trees.setdefault(repr(d), d)
+        return list(trees.values())
+
+    def test_derive_and_realizers(self):
+        trees = self._trees()
+        assert len(trees) > 500
+        for d in trees:
+            assert extract_realizer(d) == oracle.extract_realizer(d), d.render()
+            assert check_derivation(d) == oracle.check_derivation(d) == (True,
+                                                                         derivation_size(d))
+
+    def test_mutants(self):
+        seen, rejected = set(), 0
+        for d in self._trees():
+            for m in _mutants(d):
+                key = repr(m)
+                if key in seen:
+                    continue
+                seen.add(key)
+                verdict = check_derivation(m)
+                assert verdict == oracle.check_derivation(m), m.render()
+                if verdict[0]:
+                    assert extract_realizer(m) == oracle.extract_realizer(m), m.render()
+                else:
+                    rejected += 1
+                    with pytest.raises(ValueError):
+                        extract_realizer(m)
+        assert rejected > 0.9 * len(seen) > 10_000
+
+    def test_renamed_new_hypothesis(self):
+        # the imp-intro tightening: with its new hypothesis renamed through
+        # the body, a tree passes the reference checker and fails here, at
+        # the imp-intro node
+        count = 0
+        for d in self._trees():
+            for index, (path, node) in enumerate(_nodes(d)):
+                if node.rule != "imp-intro":
+                    continue
+                body = node.children[0]
+                old = body.conclusion.hypotheses[-1][0]
+                m = _replace(d, path, Derivation(node.conclusion, node.rule,
+                                                 (_rename_hypothesis(body, old, "x"),)))
+                assert oracle.check_derivation(m) == (True, derivation_size(m))
+                assert check_derivation(m) == (False, index + 1)
+                count += 1
+        assert count > 100
 
 
 class TestAdmissible:

@@ -142,3 +142,58 @@ class TestRandomModels:
             for w in m.worlds:
                 if before[w]:
                     assert forces(richer, w, j)
+
+
+def fixpoint_order(worlds, pairs):
+    """The reflexive-transitive closure of ``pairs`` by the fixpoint over
+    all pairs of pairs that ``WorldModel.build`` once ran: the reference."""
+    relation = {(w, w) for w in worlds} | {tuple(p) for p in pairs}
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(relation):
+            for (c, d) in list(relation):
+                if b == c and (a, d) not in relation:
+                    relation.add((a, d))
+                    changed = True
+    return relation
+
+
+class TestOrderClosure:
+    def test_random_models_close_as_the_fixpoint(self, monkeypatch):
+        calls = []
+        real = WorldModel.build
+
+        def spy(worlds, pairs, atoms, tokens):
+            calls.append((list(worlds), list(pairs)))
+            return real(worlds, pairs, atoms, tokens)
+
+        monkeypatch.setattr(WorldModel, "build", staticmethod(spy))
+        rng = random.Random(17)
+        for _ in range(500):
+            m = random_model(rng, max_worlds=9)
+            worlds, pairs = calls.pop()
+            assert m.order == fixpoint_order(worlds, pairs)
+
+    def test_cycles_rejected_as_the_fixpoint_finds_them(self):
+        rng = random.Random(23)
+        cyclic = 0
+        for _ in range(300):
+            worlds = [f"w{i}" for i in range(rng.randint(2, 6))]
+            pairs = [(u, v) for u in worlds for v in worlds if u != v and rng.random() < 0.2]
+            closure = fixpoint_order(worlds, pairs)
+            if any(u != v and (v, u) in closure for u, v in closure):
+                cyclic += 1
+                with pytest.raises(ModelError, match="antisymmetric"):
+                    WorldModel.build(worlds, pairs, [], [])
+            else:
+                assert WorldModel.build(worlds, pairs, [], []).order == closure
+        assert 0 < cyclic < 300
+
+    def test_long_chain(self):
+        worlds = [f"w{i:03}" for i in range(300)]
+        m = WorldModel.build(worlds, list(zip(worlds, worlds[1:])), ["A"],
+                             [("w000", "A", "t")])
+        assert len(m.order) == 300 * 301 // 2
+        assert m.leq("w000", "w299") and not m.leq("w299", "w000")
+        assert all(m.tokens(w, "A") == {"t"} for w in worlds)
