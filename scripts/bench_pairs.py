@@ -4,11 +4,15 @@
 
     python3 scripts/bench_pairs.py --pr N [--base REV]
 
-The change is the working tree of this checkout; the parent is the
-commit ``--base`` (default ``HEAD``, so that uncommitted work is measured
-against the last commit; pass ``HEAD~1`` once the change is committed).
-The parent's committed files are exported with ``git archive`` into a
-temporary directory, removed at exit.
+The change is the working tree of this checkout: its tracked files and
+its new files that git does not ignore, uncommitted edits included; the
+parent is the commit ``--base`` (default ``HEAD``, so that uncommitted
+work is measured against the last commit; pass ``HEAD~1`` once the
+change is committed).  Both sides are exported into sibling
+directories, ``parent`` (with ``git archive``) and ``change``, of one
+temporary directory, removed at exit, so that neither side runs from
+a different kind of location: the location alone moves ``peak_rss_mb``
+by about 0.1 MB.
 
 For each workload of ``BENCHMARK.json``, pair k of ``PAIRS`` runs
 ``perfbench/run.py --workload W --seed SEED+k --seconds T --trace 0``,
@@ -90,12 +94,27 @@ def git(*args: str) -> str:
     return out.stdout.strip()
 
 
-def export(rev: str, into: Path) -> None:
-    """The files of commit ``rev``, written under ``into``."""
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+def export(rev: str, into: Path, root: Path = ROOT) -> None:
+    """The files of commit ``rev`` of the checkout ``root``, written under
+    ``into``."""
+    archive = subprocess.run(["git", "-C", str(root), "archive", "--format=tar", rev],
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into)
+
+
+def snapshot(into: Path, root: Path = ROOT) -> None:
+    """The working tree of the checkout ``root``, as it stands, copied
+    under ``into``: each tracked file that is still there and each new
+    file that git does not ignore."""
+    names = subprocess.run(["git", "-C", str(root), "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], capture_output=True, check=True).stdout
+    for name in filter(None, names.split(b"\0")):
+        source = root / os.fsdecode(name)
+        if source.is_file():
+            target = into / os.fsdecode(name)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
 
 
 def run_once(side: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -131,7 +150,7 @@ def main() -> int:
         "pr": args.pr,
         "parent": {"commit": git("rev-parse", f"{args.base}^{{commit}}")},
         "change": {"commit": git("rev-parse", "HEAD"), "uncommitted_changes":
-                   bool(git("status", "--porcelain", "--untracked-files=no"))},
+                   bool(git("status", "--porcelain"))},
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "seconds": seconds,
@@ -142,9 +161,10 @@ def main() -> int:
     }
     # stopped by SIGTERM, the script still removes its temporary directory
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        export(args.base, Path(tmp))
-        roots = {"parent": Path(tmp), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        roots = {side: Path(tmp) / side for side in SIDES}
+        export(args.base, roots["parent"])
+        snapshot(roots["change"])
         for workload in workloads:
             runs = {side: [] for side in SIDES}
             for k, seed in enumerate(seeds):

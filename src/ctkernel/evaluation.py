@@ -251,6 +251,9 @@ _FRAMES = {App: _frame(App, "fn"), Fst: _frame(Fst, "pair"), Snd: _frame(Snd, "p
            Case: _frame(Case, "scrutinee"), Lam: _frame(App, "arg")}
 
 
+_APP_HEAD = _FRAMES[App][1]  # the context of an App's head
+
+
 def _layout(frame) -> tuple:
     return _FRAMES[frame[0] if type(frame) is tuple else App]
 
@@ -275,11 +278,15 @@ def _describe(stack: list, focus, limit: int = 120) -> str:
     outermost frame first, then the focus, then the closers innermost
     frame first; writing stops once past ``limit`` characters, and only
     what is written is read back.  A frame is parenthesised when its
-    level binds more loosely than the hole of the frame around it."""
+    level binds more loosely than the hole of the frame around it.  An
+    App frame in an App's head writes no opener and leaves the context
+    as it is, so the openers skip it without laying it out."""
     out: list = []
     size = 0
     ctx = PREC_TERM
     for frame in stack:
+        if ctx == _APP_HEAD and type(frame) is not tuple:
+            continue
         level, hole, opener, _ = _layout(frame)
         if level < ctx:
             out.append("(")

@@ -84,7 +84,8 @@ def instantiate(source: str, names: tuple, namespace: dict, owner: type,
     """The one function that ``source`` defines, named as a method of
     ``owner``, with the placeholders ``_0``, ``_1``, ... renamed to
     ``names[0]``, ``names[1]``, ... wherever they stand as parameters,
-    attribute names or string constants.  Each source is compiled once,
+    attribute names or string constants, the keys of a dict display
+    included.  Each source is compiled once,
     in ``namespace``, which the function keeps as its globals; a later
     call with the same source only renames."""
     template = _CODE.get(source)
@@ -97,7 +98,8 @@ def instantiate(source: str, names: tuple, namespace: dict, owner: type,
     code = template.replace(
         co_varnames=tuple(rename.get(v, v) for v in template.co_varnames),
         co_names=tuple(rename.get(v, v) for v in template.co_names),
-        co_consts=tuple(rename.get(c, c) for c in template.co_consts))
+        co_consts=tuple(tuple(rename.get(k, k) for k in c) if type(c) is tuple
+                        else rename.get(c, c) for c in template.co_consts))
     function = FunctionType(code, namespace, code.co_name, defaults)
     function.__qualname__ = f"{owner.__qualname__}.{code.co_name}"
     function.__module__ = owner.__module__

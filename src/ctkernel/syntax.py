@@ -328,7 +328,7 @@ def write(stack: list, out: list, size: int = 0, limit: int = sys.maxsize) -> in
                 emit("(")
                 size += 1
                 push(")")
-            fields = vars(t)
+            fields = t._fields()
         for piece in reversed(pieces):
             if type(piece) is str:
                 push(piece)

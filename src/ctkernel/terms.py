@@ -21,7 +21,6 @@ from typing import Optional, Union
 from .record import instantiate
 
 
-_set = object.__setattr__
 _EMPTY: frozenset = frozenset()
 # One free-variable set per variable name, shared by every Var of that
 # name: a set per occurrence would cost about 200 bytes a node.
@@ -36,32 +35,46 @@ def _bind(fv: frozenset, binder: str) -> frozenset:
 class _Node:
     """Immutable term node.
 
-    The constructor fields live in the instance ``__dict__``, in
-    declaration order, so ``vars(node)`` lists exactly them.  Beside them,
-    in slots: ``fv``, the free variables, computed at construction from
-    the children's; and ``_meta``, the pair (hash, constructor depth),
-    computed on first use for the node and every subterm that lacks it,
-    by a loop rather than recursion, so that neither depends on the
-    Python stack.  One slot for the pair keeps a node that is never
-    hashed 8 bytes smaller.
+    The constructor fields are slots, named in declaration order by the
+    class's ``__slots__`` and ``__match_args__``.  ``_values`` reads them
+    as a tuple, in that order, and ``_fields`` as a fresh ``{field:
+    value}`` map; the kernel reads fields through these, or by name.
+    ``vars(node)`` lists exactly the fields, through ``__dict__``, a
+    read-only view that returns ``_fields()``.  Beside them, in slots of
+    this class: ``fv``, the free variables, computed at construction
+    from the children's; and ``_meta``, the pair (hash, constructor
+    depth), computed on first use for the node and every subterm that
+    lacks it, by a loop rather than recursion, so that neither depends
+    on the Python stack.  One slot for the pair keeps a node that is
+    never hashed 8 bytes smaller.
 
     The binder rule: a string field other than ``Var.name`` is a binder,
     and its scope is the field right after it (``Lam``, ``Case``,
     ``Forall`` and ``Exists``).  ``alpha_eq``, ``term_key`` and ``repr``
     (the dataclass ``repr``) are loops over the fields that follow it.
-    A subclass that names its fields in ``__match_args__`` gets its
-    constructor and its substitution compiled from that list by the same
-    rule (``_compile``), a binder field being one named ``binder`` or
-    ``*_binder``; ``Var`` writes its own.
+    Each subclass gets its readers compiled from its ``__match_args__``,
+    and one that names its fields there gets its constructor and its
+    substitution compiled from that list by the same rule (``_compile``),
+    a binder field being one named ``binder`` or ``*_binder``; ``Var``
+    writes its own constructor.
     """
 
-    __slots__ = ("fv", "_meta", "__dict__")
+    __slots__ = ("fv", "_meta")
     __match_args__: tuple = ()
 
     def __init_subclass__(cls, **kw):
         super().__init_subclass__(**kw)
+        fields = cls.__match_args__
+        values = "".join(f"self._{i}, " for i in range(len(fields)))
+        items = ", ".join(f"'_{i}': self._{i}" for i in range(len(fields)))
+        cls._values = instantiate(f"def _values(self):\n    return ({values})", fields, {}, cls)
+        cls._fields = instantiate(f"def _fields(self):\n    return {{{items}}}", fields, {}, cls)
         if "__match_args__" in cls.__dict__ and "__init__" not in cls.__dict__:
             cls.__init__, _SUBSTITUTE[cls] = _compile(cls)
+
+    @property
+    def __dict__(self) -> dict:
+        return self._fields()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -92,7 +105,13 @@ class _Node:
         return _write(self, False)
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+        return type(self), self._values()
+
+
+# The setters of the two slots of every node, each slot descriptor's
+# ``__set__``: a node's ``__setattr__`` raises.
+_set_fv = _Node.fv.__set__
+_set_meta = _Node._meta.__set__
 
 
 def _fill(t: "_Node") -> None:
@@ -101,7 +120,7 @@ def _fill(t: "_Node") -> None:
     stack = [t]
     while stack:
         node = stack[-1]
-        fields = [getattr(node, f) for f in node.__match_args__]
+        fields = node._values()
         todo = [v for v in fields if type(v) is not str and not hasattr(v, "_meta")]
         if todo:
             stack.extend(todo)
@@ -119,7 +138,7 @@ def _fill(t: "_Node") -> None:
                 key.append(h)
                 if d >= depth:
                     depth = d + 1
-        _set(node, "_meta", (hash(tuple(key)), depth))
+        _set_meta(node, (hash(tuple(key)), depth))
 
 
 def _write(t: "_Node", rename: bool) -> str:
@@ -150,11 +169,11 @@ def _write(t: "_Node", rename: bool) -> str:
             out.append(f"{env.get(name, name)!r}{label}")
             stack.append(scope)
             continue
-        fields = vars(item)
         if type(item) is Var:
-            name = fields["name"]
+            name = item.name
             out.append(f"Var(name={env.get(name, name)!r})")
             continue
+        fields = item._fields()
         if not fields:
             out.append(f"{type(item).__qualname__}()")
             continue
@@ -202,7 +221,8 @@ _SUBSTITUTE: dict = {}
 def _compile(cls: type) -> tuple:
     """The ``__init__`` and the substitution of ``cls``, from its fields.
 
-    The constructor sets each field, then ``fv``: the union of the
+    The constructor sets each field, then ``fv``, through the setters of
+    their slots, bound in its own globals; ``fv`` is the union of the
     subterms' sets, a scope's less its binder.  It reuses an operand that
     already holds the union, so that most nodes share a child's set
     instead of owning a copy (written out, as a call would cost more than
@@ -214,7 +234,7 @@ def _compile(cls: type) -> tuple:
     fields = cls.__match_args__
     binds = [f == "binder" or f.endswith("_binder") for f in fields]
     params = [f"_{i}" for i in range(len(fields))]
-    init = [f"_set(self, {p!r}, {p})" for p in params]
+    init = [f"_s{i}(self, {p})" for i, p in enumerate(params)]
     parts = []
     fv = None  # the variable that holds the union so far
     for i, p in enumerate(params):
@@ -238,73 +258,69 @@ def _compile(cls: type) -> tuple:
             init.append(f"if _{i - 1} in {b}:\n        {bind}\n        {keep}\n    else: {tie}")
         else:
             init.append(tie)
-    init.append(f"_set(self, 'fv', {fv})")
+    init.append(f"_set_fv(self, {fv})")
     body = "\n    ".join(init)
+    setters = {f"_s{i}": cls.__dict__[f].__set__ for i, f in enumerate(fields)}
     return (instantiate(f"def __init__(self, {', '.join(params)}):\n    {body}",
-                        fields, globals(), cls),
+                        fields, {"_bind": _bind, "_set_fv": _set_fv, **setters}, cls),
             instantiate(f"def _substitute(t, name, value):\n"
                         f"    return type(t)({', '.join(parts)})", fields, globals(), cls))
 
 
 class Var(_Node):
     """Variable occurrence: x"""
-    __slots__ = ()
-    __match_args__ = ("name",)
+    __slots__ = __match_args__ = ("name",)
 
     def __init__(self, name: str):
-        _set(self, "name", name)
+        _set_name(self, name)
         fv = _NAME_FV.get(name)
         if fv is None:
             fv = _NAME_FV[name] = frozenset((name,))
-        _set(self, "fv", fv)
+        _set_fv(self, fv)
+
+
+_set_name = Var.name.__set__
 
 
 class Lam(_Node):
     """Function witness: lam x. M"""
-    __slots__ = ()
-    __match_args__ = ("binder", "body")
+    __slots__ = __match_args__ = ("binder", "body")
 
 
 class App(_Node):
     """Application: M N"""
-    __slots__ = ()
-    __match_args__ = ("fn", "arg")
+    __slots__ = __match_args__ = ("fn", "arg")
 
 
 class Pair(_Node):
     """Pair witness: <M, N>"""
-    __slots__ = ()
-    __match_args__ = ("fst", "snd")
+    __slots__ = __match_args__ = ("fst", "snd")
 
 
 class Fst(_Node):
     """First projection: fst M"""
-    __slots__ = ()
-    __match_args__ = ("pair",)
+    __slots__ = __match_args__ = ("pair",)
 
 
 class Snd(_Node):
     """Second projection: snd M"""
-    __slots__ = ()
-    __match_args__ = ("pair",)
+    __slots__ = __match_args__ = ("pair",)
 
 
 class Inl(_Node):
     """Left injection: inl M"""
-    __slots__ = ()
-    __match_args__ = ("arg",)
+    __slots__ = __match_args__ = ("arg",)
 
 
 class Inr(_Node):
     """Right injection: inr M"""
-    __slots__ = ()
-    __match_args__ = ("arg",)
+    __slots__ = __match_args__ = ("arg",)
 
 
 class Case(_Node):
     """Sum eliminator: case M of inl x -> L | inr y -> R"""
-    __slots__ = ()
-    __match_args__ = ("scrutinee", "left_binder", "left_body", "right_binder", "right_body")
+    __slots__ = __match_args__ = (
+        "scrutinee", "left_binder", "left_body", "right_binder", "right_body")
 
 
 class It(_Node):
@@ -327,20 +343,17 @@ class TFalse(_Node):
 
 class Forall(_Node):
     """Universal quantifier: forall x : A . B (binder scopes over B)"""
-    __slots__ = ()
-    __match_args__ = ("domain", "binder", "family")
+    __slots__ = __match_args__ = ("domain", "binder", "family")
 
 
 class Exists(_Node):
     """Existential quantifier: exists x : A . B (binder scopes over B)"""
-    __slots__ = ()
-    __match_args__ = ("domain", "binder", "family")
+    __slots__ = __match_args__ = ("domain", "binder", "family")
 
 
 class Disj(_Node):
     """Disjoint union: A \\/ B"""
-    __slots__ = ()
-    __match_args__ = ("left", "right")
+    __slots__ = __match_args__ = ("left", "right")
 
 
 Term = Union[
@@ -481,13 +494,12 @@ def alpha_eq(a: Term, b: Term) -> bool:
             return False
         if a is b and not a.fv:
             continue
-        fa, fb = vars(a), vars(b)
         if type(a) is Var:
-            x, y = fa["name"], fb["name"]
+            x, y = a.name, b.name
             if ea.get(x, x) != eb.get(y, y):
                 return False
             continue
-        ia, ib = iter(fa.values()), iter(fb.values())
+        ia, ib = iter(a._values()), iter(b._values())
         for x, y in zip(ia, ib):
             if type(x) is str:
                 stack.append((next(ia), next(ib), k, x, y))

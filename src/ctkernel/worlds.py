@@ -125,10 +125,13 @@ class WorldModel(Record):
                         reached.add(v)
                         stack.append(v)
             above[w] = reached
+        # the first offending pair in the order of the worlds, whatever
+        # the order of iteration of the sets
+        for u in worlds:
+            for v in worlds:
+                if u != v and v in above[u] and u in above[v]:
+                    raise ModelError(f"order is not antisymmetric: {u} <= {v} <= {u}")
         relation = {(w, v) for w in worlds for v in above[w]}
-        for u, v in relation:
-            if u != v and (v, u) in relation:
-                raise ModelError(f"order is not antisymmetric: {u} <= {v} <= {u}")
         verifications: Dict[Tuple[str, str], set] = {
             (w, a): set() for w in worlds for a in atoms
         }

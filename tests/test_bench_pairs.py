@@ -1,6 +1,8 @@
-"""The verdict rule of ``scripts/bench_pairs.py``, on hand-made samples."""
+"""The verdict rule of ``scripts/bench_pairs.py``, on hand-made samples,
+and the two sides it exports."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -71,3 +73,33 @@ class TestVerdict:
         parent = [10.0, 14.0, 10.0, 14.0, 12.0, 12.0, 10.0, 14.0, 12.0, 12.0]
         change = [14.0, 10.0, 10.0, 14.0, 12.0, 12.0, 14.0, 10.0, 12.0, 12.0]
         assert verdict(parent, change, "higher", bound)["verdict"] == expected
+
+
+class TestSides:
+    def test_change_side_holds_uncommitted_edits(self, tmp_path):
+        repo = tmp_path / "repo"
+        (repo / "pkg").mkdir(parents=True)
+
+        def git(*args):
+            subprocess.run(["git", "-C", str(repo), "-c", "user.name=bench",
+                            "-c", "user.email=bench@example.org", *args],
+                           check=True, capture_output=True)
+
+        git("init", "-q")
+        (repo / ".gitignore").write_text("out.log\n")
+        (repo / "pkg" / "kept.py").write_text("committed\n")
+        (repo / "gone.py").write_text("committed\n")
+        git("add", "-A")
+        git("commit", "-q", "-m", "parent")
+        (repo / "pkg" / "kept.py").write_text("edited\n")
+        (repo / "new.py").write_text("new\n")
+        (repo / "out.log").write_text("ignored\n")
+        (repo / "gone.py").unlink()
+        bench_pairs.export("HEAD", tmp_path / "parent", repo)
+        bench_pairs.snapshot(tmp_path / "change", repo)
+        parent, change = tmp_path / "parent", tmp_path / "change"
+        assert (parent / "pkg" / "kept.py").read_text() == "committed\n"
+        assert (change / "pkg" / "kept.py").read_text() == "edited\n"
+        assert (change / "new.py").read_text() == "new\n"
+        assert (parent / "gone.py").exists() and not (change / "gone.py").exists()
+        assert not (change / "out.log").exists()

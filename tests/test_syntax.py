@@ -9,12 +9,13 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import syntax_oracle as oracle
+from ctkernel import evaluation
 from ctkernel.evaluation import _describe
 from ctkernel.syntax import (
     KEYWORDS, PREC_ATOM, PREC_TERM, ParseError, describe, parse, pretty, pretty_at,
     tokenize,
 )
-from ctkernel.terms import IT, App, Case, Fst, Lam, Snd, substitute
+from ctkernel.terms import IT, App, Case, Fst, Lam, Snd, Var, substitute
 from ctkernel.unary import ground_types
 from termgen import NAMES, closed_terms, generated_checks, terms
 
@@ -154,3 +155,17 @@ class TestFuelReport:
     @settings(max_examples=300)
     def test_describe_of_plugged_term(self, stack, focus, limit):
         assert _describe(stack, focus, limit) == oracle.describe(plug(stack, focus), limit)
+
+    def test_app_frames_in_a_head_not_laid_out(self, monkeypatch):
+        # the openers lay out the Case, the Fst and the first App frame
+        # only, and the closers stop at the cut: with every frame laid
+        # out, the calls would number over 10^4
+        stack = [(Case, Case(IT, "a", Var("a"), "b", Var("b")), {}), (Fst,)] + [IT] * 10**4
+        focus = Lam("x", Var("x"))
+        expected = describe(plug(stack, focus))
+        calls = []
+        layout = evaluation._layout
+        monkeypatch.setattr(evaluation, "_layout", lambda f: calls.append(f) or layout(f))
+        assert _describe(stack, focus) == expected
+        assert expected.startswith("case fst ((lam x. x) it it ")
+        assert len(calls) < 100

@@ -8,6 +8,7 @@ import pickle
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from dataclasses import make_dataclass
 from typing import get_args
@@ -314,18 +315,45 @@ class TestNodes:
                 assert alpha_eq(t, renamed) == (j == i + 1), (fields[i], f)
                 assert (term_key(t) == term_key(renamed)) == (j == i + 1)
 
+    @pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+    def test_fields_in_slots(self, cls):
+        assert cls.__dictoffset__ == 0
+        assert cls.__slots__ == cls.__match_args__ == FIELDS[cls]
+
     @pytest.mark.parametrize("t", SAMPLES, ids=lambda t: type(t).__name__)
     def test_fields_and_repr(self, t):
-        assert list(vars(t)) == list(FIELDS[type(t)])
+        # vars() is a fresh map: writing to it leaves the node as it is
+        fields = vars(t)
+        assert list(fields.items()) == [(f, getattr(t, f)) for f in FIELDS[type(t)]]
+        fields.update({f: "changed" for f in fields}, extra=IT)
+        assert vars(t) == dict(zip(FIELDS[type(t)], t._values())) != fields
         assert repr(t) == repr(mirror(t))
 
     @pytest.mark.parametrize("t", SAMPLES, ids=lambda t: type(t).__name__)
     def test_immutable_and_copyable(self, t):
-        with pytest.raises(AttributeError):
-            t.fv = frozenset()
-        for copied in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
-            assert copied == t and hash(copied) == hash(t)
-            assert copied.fv == t.fv
+        for name in (*FIELDS[type(t)], "fv", "_meta", "__dict__", "other"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, IT)
+            with pytest.raises(AttributeError):
+                delattr(t, name)
+        pickled = [pickle.loads(pickle.dumps(t, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for copied in (*pickled, copy.copy(t), copy.deepcopy(t)):
+            assert type(copied) is type(t) and copied == t and hash(copied) == hash(t)
+            assert repr(copied) == repr(t) and copied.fv == t.fv
+
+    def test_node_size(self):
+        # with its fields in an instance dict a Pair costs 96 bytes
+        n = 10**4
+        pairs = [None] * n
+        tracemalloc.start()
+        try:
+            for i in range(n):
+                pairs[i] = Pair(IT, IT)
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size // n <= 64
 
     @given(terms())
     @settings(max_examples=100)

@@ -1,9 +1,14 @@
 """Finite world models: forcing, monotonicity, the two readings."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from ctkernel import worlds
 from ctkernel.worlds import (
     Atom, HypForced, ModelError, RuleValid, WorldModel, chain_model,
     check_monotone, forces, parse_model, parse_wjudgment, random_model,
@@ -92,6 +97,24 @@ verify v A t0
         assert parse_wjudgment(render_wjudgment(j)) == j
         with pytest.raises(ValueError):
             parse_wjudgment("rule A")
+
+    def test_cycle_named_whatever_the_hash_seed(self):
+        # a <= b <= c <= a names its first offending pair in the order of
+        # the worlds, under every string hash seed
+        code = ("from ctkernel.worlds import ModelError, parse_model\n"
+                "try:\n"
+                "    parse_model('world a\\nworld b\\nworld c\\n"
+                "order a b\\norder b c\\norder c a\\n')\n"
+                "except ModelError as exc:\n"
+                "    print(exc)\n")
+        src = Path(worlds.__file__).resolve().parent.parent
+        messages = {
+            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": str(src),
+                                "PYTHONHASHSEED": str(seed)}).stdout
+            for seed in range(5)}
+        assert messages == {"order is not antisymmetric: a <= b <= a\n"}
 
 
 class TestRandomModels:
