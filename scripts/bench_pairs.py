@@ -25,7 +25,11 @@ or reports ``correct: false`` stops the script with exit status 1.
 
 For each end-to-end metric of ``BENCHMARK.json`` the file, written at
 the root of this checkout, records each side's runs, median and
-quartiles, the pairs the change won and lost, and a verdict by ``RULE``.
+quartiles, the pairs the change won and lost, a verdict by ``RULE``,
+the change of the median relative to the parent's median
+(``median_change``, signed; None when the parent's median is 0), and
+whether the change's median is worse than the parent's by no more than
+the metric's bound times the parent's median (``within_bound``).
 """
 
 from __future__ import annotations
@@ -69,8 +73,8 @@ def summary(values: list) -> dict:
 
 def verdict(parent: list, change: list, better: str, bound: float) -> dict:
     """Compare the paired runs of one metric, ``parent[k]`` against
-    ``change[k]``, by ``RULE``; ``bound`` is the metric's bound in
-    ``BENCHMARK.json``."""
+    ``change[k]``, by ``RULE``, and the medians against ``bound``, the
+    metric's bound in ``BENCHMARK.json``."""
     sign = 1 if better == "higher" else -1
     won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     lost = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
@@ -85,7 +89,10 @@ def verdict(parent: list, change: list, better: str, bound: float) -> dict:
         outcome = "unchanged"
     else:
         outcome = "unresolved"
-    return {"parent": p, "change": c, "won": won, "lost": lost, "verdict": outcome}
+    base = p["median"]
+    return {"parent": p, "change": c, "won": won, "lost": lost, "verdict": outcome,
+            "median_change": (c["median"] - base) / abs(base) if base else None,
+            "within_bound": -gap <= bound * abs(base)}
 
 
 def git(*args: str) -> str:
@@ -182,9 +189,10 @@ def main() -> int:
     path.write_text(json.dumps(report, indent=1) + "\n")
     for workload, metrics in report["workloads"].items():
         for name, m in metrics.items():
+            moved = "" if m["median_change"] is None else f"{m['median_change']:+.1%} "
             print(f"{workload:12} {name:17} parent {m['parent']['median']:.6g} "
-                  f"change {m['change']['median']:.6g} won {m['won']}/{PAIRS} "
-                  f"{m['verdict']}")
+                  f"change {m['change']['median']:.6g} {moved}won {m['won']}/{PAIRS} "
+                  f"{m['verdict']}{'' if m['within_bound'] else ' past bound'}")
     print(f"wrote {path}")
     return 0
 

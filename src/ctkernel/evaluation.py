@@ -34,6 +34,7 @@ that verdicts do not depend on the strategy; step counts do.
 from __future__ import annotations
 
 from enum import Enum
+from types import SimpleNamespace
 from typing import Optional, Union
 
 from .record import Record
@@ -134,14 +135,15 @@ def run(t: Term, tank: Tank, strategy: Strategy = Strategy.CALL_BY_NAME) -> Eval
             elif kind is list:
                 t, env = t
                 continue
-            # The focus is canonical or a free variable: the whole term
-            # is canonical, or it must step, or it is stuck.
-            if not stack and kind is not Var:
+            # The focus is a free variable, and the term is stuck on it
+            # whatever fuel is left; or the focus is canonical, and the
+            # whole term is canonical or it must step.
+            if kind is Var:
+                return Stuck(t)
+            if not stack:
                 return Canonical(_read(t, env) if env else t, classify(t), steps)
             if steps >= budget:
                 return FuelExhausted(_describe(stack, [t, env] if env else t))
-            if kind is Var:
-                return Stuck(t)
             frame = pop()
             if type(frame) is not tuple:
                 if kind is not Lam:
@@ -258,16 +260,17 @@ def _layout(frame) -> tuple:
     return _FRAMES[frame[0] if type(frame) is tuple else App]
 
 
-def _fields(frame, pieces: tuple) -> dict:
-    """The fields of a frame that ``pieces`` name, read back, by name;
-    a frame is read back only when some of its fields are written."""
+def _fields(frame, pieces: tuple) -> Optional[SimpleNamespace]:
+    """The fields of a frame that ``pieces`` name, read back, as the
+    attributes of a namespace; a frame is read back only when some of
+    its fields are written."""
     if not any(type(p) is tuple for p in pieces):
-        return {}
+        return None
     if type(frame) is not tuple:
-        return {"arg": _readback(frame)}
+        return SimpleNamespace(arg=_readback(frame))
     if frame[0] is Lam:
-        return {"fn": _read(frame[1], frame[2])}
-    return _branches(frame[1], frame[2])
+        return SimpleNamespace(fn=_read(frame[1], frame[2]))
+    return SimpleNamespace(**_branches(frame[1], frame[2]))
 
 
 def _describe(stack: list, focus, limit: int = 120) -> str:

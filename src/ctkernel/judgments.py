@@ -5,9 +5,11 @@ membership, and their binary (equality) refinements, plus hypothetical
 and general closures.  Traces additionally record the semantic
 statements a derivation walks through (evaluation steps, membership in
 a canonical-witness relation, emptiness facts), so a verified check can
-be rendered as a numbered derivation.  ``replay`` only partly re-checks
-a trace: its closed evaluation steps and the shallow shape of its
-closed ``canon(T)`` memberships.
+be rendered as a numbered derivation.  A check's trace is built on its
+first read (``later``), so a check whose trace is never read builds
+none of it.  ``replay`` only partly re-checks a trace: its closed
+evaluation steps and the shallow shape of its closed ``canon(T)``
+memberships.
 
 Each form is written once, as one row below: its name, its fields in
 order and its rendering template.  ``render_statement`` is one writer
@@ -105,8 +107,25 @@ class TraceStep(Record):
 
 
 class Trace(Record):
-    __slots__ = __match_args__ = ("steps",)
+    """A tree of steps.  A trace made by ``later`` holds, in the slot
+    ``_build``, the function that builds its steps, and runs it on the
+    first read of ``steps``; from then on it is the trace of those steps,
+    built eagerly, in ``repr``, equality, hash, pickling and copying,
+    which all read ``steps``."""
+
+    __slots__ = ("steps", "_build")
+    __match_args__ = ("steps",)
     _defaults = {"steps": ()}
+
+    def __getattr__(self, name):
+        # Python calls this only when a lookup fails: for ``steps``,
+        # while a deferred trace is not yet built.
+        if name != "steps":
+            raise AttributeError(name)
+        steps = self._build()
+        _set_steps(self, steps)
+        _drop_build(self)
+        return steps
 
     def to_json(self) -> list:
         return [_step_to_json(s) for s in self.steps]
@@ -120,6 +139,19 @@ class Trace(Record):
             for child in step.children:
                 lines.append(child.render(indent + 1))
         return "\n".join(lines)
+
+
+_new = object.__new__
+_set_steps = Trace.steps.__set__
+_set_build = Trace._build.__set__
+_drop_build = Trace._build.__delete__
+
+
+def later(build) -> Trace:
+    """The trace whose steps ``build()`` returns, built on first read."""
+    trace = _new(Trace)
+    _set_build(trace, build)
+    return trace
 
 
 def _step_to_json(step: TraceStep) -> dict:

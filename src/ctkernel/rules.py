@@ -46,7 +46,7 @@ from .config import (
 )
 from .evaluation import Strategy, Tank
 from .judgments import (
-    IsTrue, Trace, TraceStep, Verdict, diverged, refuted, render_statement, unknown,
+    IsTrue, TraceStep, Verdict, diverged, later, refuted, render_statement, unknown,
     verified,
 )
 from .record import Record
@@ -178,9 +178,14 @@ class Derivation(Record):
     _defaults = {"children": ()}
 
     def render(self, indent: int = 0) -> str:
-        lines = [f"{'  ' * indent}{self.conclusion.render()}    [{self.rule}]"]
-        for child in self.children:
-            lines.append(child.render(indent + 1))
+        """One line per node, depth-first, each child indented under its
+        parent; by a loop rather than recursion."""
+        lines = []
+        stack = [(self, indent)]
+        while stack:
+            d, at = stack.pop()
+            lines.append(f"{'  ' * at}{d.conclusion.render()}    [{d.rule}]")
+            stack.extend((child, at + 1) for child in reversed(d.children))
         return "\n".join(lines)
 
 
@@ -308,7 +313,13 @@ def check_derivation(d: Derivation) -> Tuple[bool, int]:
 
 
 def derivation_size(d: Derivation) -> int:
-    return 1 + sum(derivation_size(c) for c in d.children)
+    """The number of nodes of ``d``, counted by a loop rather than
+    recursion."""
+    size, stack = 0, [d]
+    while stack:
+        size += 1
+        stack.extend(stack.pop().children)
+    return size
 
 
 def extract_realizer(d: Derivation) -> Term:
@@ -402,13 +413,12 @@ def admissible(
     if undecided is not None:
         return unknown(
             witness_depth,
-            Trace((TraceStep(IsTrue(undecided), "undecided-outside-ground-fragment"),)),
+            later(lambda: (TraceStep(IsTrue(undecided), "undecided-outside-ground-fragment"),)),
             bounds=bounds,
         )
-    cert = Trace((
+    return verified(later(lambda: (
         TraceStep(IsTrue(rule.conclusion.a), f"admissible-exact(valuations={checked})"),
-    ))
-    return verified(cert, bounds=bounds)
+    )), bounds=bounds)
 
 
 def _refutation(
@@ -426,13 +436,11 @@ def _refutation(
         if w is None:
             return diverged(f"premise witness diverged: {describe(prop)}")
         witnesses.append(w)
-    steps = [
-        TraceStep(IsTrue(prop), f"premise witness {pretty(w)}")
-        for prop, w in zip(premise_props, witnesses)
-    ]
-    steps.append(TraceStep(IsTrue(conclusion_prop), "conclusion uninhabited"))
     return refuted(
-        Trace(tuple(steps)),
+        later(lambda: tuple([
+            TraceStep(IsTrue(prop), f"premise witness {pretty(w)}")
+            for prop, w in zip(premise_props, witnesses)
+        ]) + (TraceStep(IsTrue(conclusion_prop), "conclusion uninhabited"),)),
         instantiation=assignment,
         premise_witnesses=tuple(witnesses),
     )

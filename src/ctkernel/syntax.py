@@ -308,8 +308,9 @@ def write(stack: list, out: list, size: int = 0, limit: int = sys.maxsize) -> in
     """Write the items of ``stack``, top first, onto ``out`` until the
     stack is empty or the text is longer than ``limit``; returns its new
     length ``size``.  An item is text, a pair (term, context), or a pair
-    (pieces, fields): layout pieces and the values of the fields they
-    name."""
+    (pieces, fields): layout pieces and an object whose attributes are
+    the fields they name.  A term's fields are read off the term itself,
+    by name."""
     pop, push, emit = stack.pop, stack.append, out.append
     while stack and size <= limit:
         item = pop()
@@ -328,13 +329,14 @@ def write(stack: list, out: list, size: int = 0, limit: int = sys.maxsize) -> in
                 emit("(")
                 size += 1
                 push(")")
-            fields = t._fields()
+            fields = t
         for piece in reversed(pieces):
             if type(piece) is str:
                 push(piece)
             else:
                 field, ctx = piece
-                push(fields[field] if ctx is None else (fields[field], ctx))
+                value = getattr(fields, field)
+                push(value if ctx is None else (value, ctx))
     return size
 
 

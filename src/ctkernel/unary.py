@@ -52,14 +52,14 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .config import DEFAULT_DEPTH, DEFAULT_FUEL
 from .evaluation import Canonical, FuelExhausted, Strategy, Stuck, Tank, run
 from .judgments import (
     Blocked, Both, CanonClosureIn, CanonEmpty, CanonEq, CanonIn, CanonNeq,
     CanonNotIn, CanonUndefined, EqMember, EqSet, Evals, Gen, Hyp, IsSet, Member,
-    Status, Trace, TraceStep, Verdict, diverged, refuted, unknown, verified,
+    Status, Trace, TraceStep, Verdict, diverged, later, refuted, unknown, verified,
     worst,
 )
 from .record import Record
@@ -281,7 +281,7 @@ def _enumerate(a: Term, depth: int, tank: Tank, strategy: Strategy) -> EnumResul
         if isinstance(res, Stuck):
             return EnumResult(
                 (), False,
-                refuted(Trace((TraceStep(Blocked(res.offending), "stuck-type"),))),
+                refuted(later(lambda: (TraceStep(Blocked(res.offending), "stuck-type"),))),
             )
         a = res.term
     match a:
@@ -318,7 +318,7 @@ def _enumerate(a: Term, depth: int, tank: Tank, strategy: Strategy) -> EnumResul
         case _:
             return EnumResult(
                 (), False,
-                refuted(Trace((TraceStep(CanonUndefined(a), "not-a-set"),))),
+                refuted(later(lambda: (TraceStep(CanonUndefined(a), "not-a-set"),))),
             )
 
 
@@ -386,10 +386,11 @@ def _enumerate_functions(
 
 
 def _evaluate(
-    head: TraceStep, roles: Tuple[str, ...], terms: Tuple[Term, ...],
+    head: Callable[[], TraceStep], roles: Tuple[str, ...], terms: Tuple[Term, ...],
     tank: Tank, strategy: Strategy,
 ) -> Union[List[Term], Verdict]:
-    """Evaluate the terms in order, drawing on the shared tank.
+    """Evaluate the terms in order, drawing on the shared tank; ``head()``
+    builds the first step of a failure's trace.
 
     Returns their canonical forms, or the REFUTED verdict of a term that
     gets stuck within the whole budget, else the DIVERGED verdict of the
@@ -419,9 +420,9 @@ def _evaluate(
                     i, r, tank.remaining = j, s, own.remaining
                     break
             else:
-                return diverged(f"{roles[i]} diverged: {r.remaining}", Trace((head,)))
+                return diverged(f"{roles[i]} diverged: {r.remaining}", later(lambda: (head(),)))
         rule = "stuck-term" if roles[i].endswith("term") else "stuck-type"
-        return refuted(Trace((head, TraceStep(Blocked(r.offending), rule))))
+        return refuted(later(lambda: (head(), TraceStep(Blocked(r.offending), rule))))
     return forms
 
 
@@ -438,11 +439,12 @@ def _combine(out: Trace, subs: Sequence[Verdict], depth: int, complete: bool = T
 
 
 def _claim(
-    head: TraceStep, statement, rule: str, subs: Sequence[Verdict],
+    head: Callable[[], TraceStep], statement: Callable, rule: str, subs: Sequence[Verdict],
     depth: int, complete: bool = True,
 ) -> Verdict:
-    """``statement`` by ``rule``, with the sub-verdicts as its premises."""
-    out = Trace((head, TraceStep(statement, rule, tuple(v.trace for v in subs))))
+    """``statement()`` by ``rule``, with the sub-verdicts as its premises,
+    after the step ``head()``; both are built when the trace is read."""
+    out = later(lambda: (head(), TraceStep(statement(), rule, tuple([v.trace for v in subs]))))
     return _combine(out, subs, depth, complete)
 
 
@@ -513,9 +515,13 @@ def _relate(args: Tuple[Term, ...], a: Term, tank: Tank, depth: int, strategy: S
 
     The type and the terms are evaluated; the type's former picks the
     clause of ``canon(A)`` and the terms' components are related in the
-    component types."""
-    form, rule, roles = _FORMS[len(args)]
-    head = TraceStep(form(*args, a), rule)
+    component types.  Its trace is built when it is read, by the
+    builders ``head`` and ``evals`` and the closures over them."""
+    form, judged, roles = _FORMS[len(args)]
+
+    def head():
+        return TraceStep(form(*args, a), judged)
+
     res = _evaluate(head, roles[:1], (a,), tank, strategy)
     if isinstance(res, Verdict):
         return res
@@ -524,12 +530,15 @@ def _relate(args: Tuple[Term, ...], a: Term, tank: Tank, depth: int, strategy: S
     if isinstance(res, Verdict):
         return res
     cs = tuple(res)
-    # The type's evaluation is recorded only when it actually computes,
-    # so a canonical type keeps the derivation at its minimal length.
-    evals = (Evals(a, ac), Evals(args[0], cs[0])) if ac is not a else (Evals(args[0], cs[0]),)
-    if len(args) == 2 and not (_same(args[0], args[1]) and _same(cs[0], cs[1])):
-        # the right side of a diagonal would repeat the left side's evaluation
-        evals += (Evals(args[1], cs[1]),)
+
+    def evals():
+        # The type's evaluation is recorded only when it actually computes,
+        # so a canonical type keeps the derivation at its minimal length.
+        out = (Evals(a, ac), Evals(args[0], cs[0])) if ac is not a else (Evals(args[0], cs[0]),)
+        if len(args) == 2 and not (_same(args[0], args[1]) and _same(cs[0], cs[1])):
+            # the right side of a diagonal would repeat the left side's evaluation
+            out += (Evals(args[1], cs[1]),)
+        return out
 
     shape = type(cs[0])
     for c in cs:
@@ -538,11 +547,13 @@ def _relate(args: Tuple[Term, ...], a: Term, tank: Tank, depth: int, strategy: S
 
     match ac:
         case TTrue() if shape is It:
-            return verified(Trace((head, TraceStep(Both(evals + (CanonIn(ac, cs),)), "canon-true"))))
+            return verified(later(lambda: (
+                head(), TraceStep(Both(evals() + (CanonIn(ac, cs),)), "canon-true"),
+            )))
         case TFalse():
-            return refuted(Trace((
-                head,
-                TraceStep(Both(evals), "evaluate"),
+            return refuted(later(lambda: (
+                head(),
+                TraceStep(Both(evals()), "evaluate"),
                 TraceStep(CanonEmpty(ac), "canon-false"),
             )))
         case Disj(l, _) if shape is Inl:
@@ -570,16 +581,16 @@ def _relate(args: Tuple[Term, ...], a: Term, tank: Tank, depth: int, strategy: S
         case _:
             # No clause matches the witnesses, or the canonical type has
             # no witness relation at all.
-            return refuted(Trace((
-                head,
-                TraceStep(Both(evals), "evaluate"),
+            return refuted(later(lambda: (
+                head(),
+                TraceStep(Both(evals()), "evaluate"),
                 TraceStep(CanonNotIn(ac, cs), _CLAUSE.get(type(ac), "no-former")),
             )))
-    return _claim(head, Both(evals + (CanonIn(ac, cs),)), rule, subs, depth)
+    return _claim(head, lambda: Both(evals() + (CanonIn(ac, cs),)), rule, subs, depth)
 
 
 def _relate_forall(
-    lams: Tuple[Lam, ...], ac: Forall, head: TraceStep, evals: Tuple,
+    lams: Tuple[Lam, ...], ac: Forall, head: Callable[[], TraceStep], evals: Callable[[], Tuple],
     tank: Tank, depth: int, strategy: Strategy,
 ) -> Verdict:
     """The hypothetical-general clause: for all related domain arguments,
@@ -597,11 +608,17 @@ def _relate_forall(
         names.append(x)
         bodies.append(body)
     names = tuple(names)
-    xs = tuple(map(Var, names))
     form = _FORMS[len(lams)][0]
-    goal = form(*bodies, substitute(f, b, xs[0]) if b != names[0] else f)
-    gen = Gen(names, Hyp((form(*xs, d),), goal))
-    claim = TraceStep(Both(evals + (CanonIn(ac, lams),)), "canonical-closure")
+
+    def opening(rule: str, children: tuple = ()):
+        """The first steps of the trace: the head, the claim, and the
+        general premise by ``rule``; with the variables and the goal of
+        that premise."""
+        xs = tuple(map(Var, names))
+        goal = form(*bodies, substitute(f, b, xs[0]) if b != names[0] else f)
+        steps = (head(), TraceStep(Both(evals() + (CanonIn(ac, lams),)), "canonical-closure"),
+                 TraceStep(Gen(names, Hyp((form(*xs, d),), goal)), rule, children))
+        return steps, xs, goal
 
     res = _evaluate(head, ("domain",), (d,), tank, strategy)
     if isinstance(res, Verdict):
@@ -609,23 +626,24 @@ def _relate_forall(
     (dc,) = res
     inh = _inhabited(dc, tank, strategy)
     if inh is Inhabitation.DIVERGED:
-        return diverged(f"domain inhabitation diverged: {describe(dc)}", Trace((head,)))
+        return diverged(f"domain inhabitation diverged: {describe(dc)}", later(lambda: (head(),)))
     if inh is Inhabitation.UNINHABITED:
         # Material discharge: the hypothesis can never be verified, so
         # the whole hypothetical-general premise holds vacuously.
-        if len(lams) == 1:
-            # membership unfolds the hypothesis into an evaluation
-            m = "m" if "m" not in free_vars(bodies[0]) | {names[0]} else "m0"
-            unfolded = Both((Evals(xs[0], Var(m)), CanonIn(dc, (Var(m),))))
-        else:
-            unfolded = CanonIn(dc, xs)
-        return verified(Trace((
-            head, claim,
-            TraceStep(gen, "canon-forall"),
-            TraceStep(Gen(names, Hyp((CanonClosureIn(dc, xs),), goal)), "hypothesis-membership"),
-            TraceStep(Gen(names, Hyp((unfolded,), goal)), "membership-closure",
-                      (Trace((TraceStep(CanonEmpty(dc), "vacuous-discharge"),)),)),
-        )))
+        def discharge():
+            steps, xs, goal = opening("canon-forall")
+            if len(lams) == 1:
+                # membership unfolds the hypothesis into an evaluation
+                m = "m" if "m" not in free_vars(bodies[0]) | {names[0]} else "m0"
+                unfolded = Both((Evals(xs[0], Var(m)), CanonIn(dc, (Var(m),))))
+            else:
+                unfolded = CanonIn(dc, xs)
+            return steps + (
+                TraceStep(Gen(names, Hyp((CanonClosureIn(dc, xs),), goal)), "hypothesis-membership"),
+                TraceStep(Gen(names, Hyp((unfolded,), goal)), "membership-closure",
+                          (Trace((TraceStep(CanonEmpty(dc), "vacuous-discharge"),)),)),
+            )
+        return verified(later(discharge))
 
     if len(lams) == 1:
         ed = _enumerate(dc, depth, tank, strategy)
@@ -635,35 +653,40 @@ def _relate_forall(
     if failure is not None:
         if failure.status is Status.DIVERGED:
             return diverged(failure.fuel_report or "domain enumeration diverged",
-                            Trace((head,)))
-        return refuted(Trace((head,) + failure.trace.steps))
+                            later(lambda: (head(),)))
+        return refuted(later(lambda: (head(),) + failure.trace.steps))
 
     dependent = len(lams) == 2 and b in free_vars(f)
     subs: List[Verdict] = []
-    instances: List[Trace] = []
+    # per domain item: the item, the instances of the bodies, the family
+    # instance and their verdict, from which the trace writes the step
+    checked: List[tuple] = []
     for item in items:
         family = substitute(f, b, item[0])
         if dependent:
             # family precondition: related inputs give equal instance sets
             other = substitute(f, b, item[1])
             vfam = _check_eq_set(family, other, tank, depth, strategy)
-            subs.append(_blame(vfam, item, EqSet(family, other)))
+            subs.append(_blame(vfam, item, EqSet, family, other))
         inst = tuple(map(substitute, bodies, names, item))
-        statement = form(*inst, family)
         v = _relate(inst, family, tank, depth, strategy)
-        subs.append(_blame(v, item, statement))
-        label = f"instance [{', '.join(map(pretty, item))}]"
-        instances.append(Trace((TraceStep(statement, label, (v.trace,)),)))
-    out = Trace((head, claim, TraceStep(gen, "instances", tuple(instances))))
-    return _combine(out, subs, depth, complete)
+        subs.append(_blame(v, item, form, *inst, family))
+        checked.append((item, inst, family, v))
+
+    def instances():
+        return opening("instances", tuple([
+            Trace((TraceStep(form(*inst, family), f"instance [{', '.join(map(pretty, item))}]",
+                             (v.trace,)),))
+            for item, inst, family, v in checked]))[0]
+    return _combine(later(instances), subs, depth, complete)
 
 
-def _blame(v: Verdict, item: Tuple[Term, ...], statement) -> Verdict:
-    """A refuted instance names its statement and, in the binary model,
-    the related input pair."""
+def _blame(v: Verdict, item: Tuple[Term, ...], form: type, *fields) -> Verdict:
+    """A refuted instance names its statement, ``form(*fields)``, and, in
+    the binary model, the related input pair."""
     if not v.refuted:
         return v
-    return refuted(v.trace, pair=item if len(item) == 2 else None, instance=statement)
+    return refuted(v.trace, pair=item if len(item) == 2 else None, instance=form(*fields))
 
 
 def _related_pairs(domain: Term, depth: int, tank: Tank, strategy: Strategy):
@@ -716,37 +739,48 @@ def _check_eq_set(a: Term, b: Optional[Term], tank: Tank, depth: int, strategy: 
     domain is empty when ``_inhabited`` says so, or when its complete
     enumeration lists no witness."""
     diagonal = b is None
-    if diagonal:
-        head, roles, sides = TraceStep(IsSet(a), "set-formation"), ("type",), (a,)
-    else:
-        head, roles, sides = TraceStep(EqSet(a, b), "equal-sets"), ("left type", "right type"), (a, b)
+
+    def head():
+        if diagonal:
+            return TraceStep(IsSet(a), "set-formation")
+        return TraceStep(EqSet(a, b), "equal-sets")
+
+    roles, sides = (("type",), (a,)) if diagonal else (("left type", "right type"), (a, b))
     res = _evaluate(head, roles, sides, tank, strategy)
     if isinstance(res, Verdict):
         return res
     ac, bc = res[0], res[-1]
-    evals = (Evals(a, ac),) if ac is not a else ()
-    if bc is not b and not diagonal:
-        evals += (Evals(b, bc),)
+
+    def evals():
+        out = (Evals(a, ac),) if ac is not a else ()
+        if bc is not b and not diagonal:
+            out += (Evals(b, bc),)
+        return out
+
     for tc in res:
         if not is_type_former(tc):
-            return refuted(Trace((head, TraceStep(Both(evals + (CanonUndefined(tc),)), "no-former"))))
+            return refuted(later(lambda: (
+                head(), TraceStep(Both(evals() + (CanonUndefined(tc),)), "no-former"),
+            )))
     if type(ac) is not type(bc):
         # Two relations of different shapes can only coincide by both
         # being empty; canonical shapes are disjoint otherwise.
         v = _both_empty(ac, bc, evals, tank, depth, strategy, head)
         if v is not None:
             return v
-        return refuted(Trace((
-            head,
-            TraceStep(Both(evals), "evaluate"),
+        return refuted(later(lambda: (
+            head(),
+            TraceStep(Both(evals()), "evaluate"),
             TraceStep(CanonNeq(ac, bc), "distinct-relations"),
         )))
 
-    same = Both(evals + (CanonEq(ac, bc),))
+    def same():
+        return Both(evals() + (CanonEq(ac, bc),))
+
     # the two formers have one type, so the match reads the left one
     match ac:
         case TTrue() | TFalse():
-            return verified(Trace((head, TraceStep(same, "same-base"))))
+            return verified(later(lambda: (head(), TraceStep(same(), "same-base"))))
         case Disj(l1, r1):
             return _claim(head, same, "components", (
                 _check_eq_set(l1, None if diagonal else bc.left, tank, depth, strategy),
@@ -773,7 +807,7 @@ def _check_eq_set(a: Term, b: Optional[Term], tank: Tank, depth: int, strategy: 
                 ), depth)
             inh = _inhabited(d1, tank, strategy)
             if inh is Inhabitation.DIVERGED:
-                return diverged("domain inhabitation diverged", Trace((head,)))
+                return diverged("domain inhabitation diverged", later(lambda: (head(),)))
             empty = inh is Inhabitation.UNINHABITED
             ed = EnumResult((), True) if empty else _enumerate(d1, depth, tank, strategy)
             if ed.failure is not None:
@@ -815,8 +849,8 @@ def _relation_emptiness(tc: Term, tank: Tank, depth: int, strategy: Strategy):
 
 
 def _both_empty(
-    ac: Term, bc: Term, evals: Tuple, tank: Tank, depth: int,
-    strategy: Strategy, head: TraceStep,
+    ac: Term, bc: Term, evals: Callable[[], Tuple], tank: Tank, depth: int,
+    strategy: Strategy, head: Callable[[], TraceStep],
 ) -> Optional[Verdict]:
     """Equality of two canonical type formers by both relations being empty.
 
@@ -834,10 +868,14 @@ def _both_empty(
         return None
     for r in (decided, *readings):
         if isinstance(r, Verdict):
-            return Verdict(r.status, Trace((head,) + r.trace.steps), fuel_report=r.fuel_report)
+            return Verdict(r.status, later(lambda: (head(),) + r.trace.steps),
+                           fuel_report=r.fuel_report)
     if "unknown" in readings:
-        return unknown(depth, Trace((head,)))
-    statement = Both(evals + (CanonEmpty(ac), CanonEmpty(bc), CanonEq(ac, bc)))
+        return unknown(depth, later(lambda: (head(),)))
+
+    def statement():
+        return Both(evals() + (CanonEmpty(ac), CanonEmpty(bc), CanonEq(ac, bc)))
+
     return _claim(head, statement, "both-empty", (
         _check_eq_set(ac, None, tank, depth, strategy),
         _check_eq_set(bc, None, tank, depth, strategy),

@@ -87,6 +87,21 @@ def _step(t: Term, strategy: Strategy):
             raise AssertionError(f"no step for canonical term {t!r}")
 
 
+def _head(t: Term) -> Term:
+    """The innermost head of ``t``'s eliminators: a free variable there
+    leaves ``t`` stuck whatever fuel is left."""
+    while True:
+        match t:
+            case App(fn, _):
+                t = fn
+            case Fst(p) | Snd(p):
+                t = p
+            case Case(s, _, _, _, _):
+                t = s
+            case _:
+                return t
+
+
 def run(t: Term, tank: Tank, strategy: Strategy = Strategy.CALL_BY_NAME) -> EvalResult:
     """Reduce to canonical form, drawing steps from the shared tank."""
     steps = 0
@@ -94,7 +109,7 @@ def run(t: Term, tank: Tank, strategy: Strategy = Strategy.CALL_BY_NAME) -> Eval
         form = classify(t)
         if form is not None:
             return Canonical(t, form, steps)
-        if tank.remaining <= 0:
+        if tank.remaining <= 0 and type(_head(t)) is not Var:
             return FuelExhausted(describe(t))
         nxt = _step(t, strategy)
         if isinstance(nxt, _StuckAt):

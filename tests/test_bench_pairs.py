@@ -75,6 +75,31 @@ class TestVerdict:
         assert verdict(parent, change, "higher", bound)["verdict"] == expected
 
 
+class TestAgainstBound:
+    def test_median_change_is_relative_to_the_parent(self):
+        assert verdict(PARENT, shifted(15), "higher", 0.25)["median_change"] == pytest.approx(0.15)
+        assert verdict(PARENT, shifted(-5), "lower", 0.25)["median_change"] == pytest.approx(-0.05)
+
+    def test_worse_within_the_bound(self):
+        # worse by the pairs rule, yet by less than the bound
+        v = verdict(PARENT, shifted(4), "lower", 0.1)
+        assert (v["verdict"], v["within_bound"]) == ("worse", True)
+        assert v["median_change"] == pytest.approx(0.04)
+        assert verdict(PARENT, shifted(4), "lower", 0.03)["within_bound"] is False
+        assert verdict(PARENT, shifted(-4), "higher", 0.03)["within_bound"] is False
+
+    def test_better_is_always_within(self):
+        assert verdict(PARENT, shifted(-40), "lower", 0.01)["within_bound"] is True
+        assert verdict(PARENT, shifted(40), "higher", 0.01)["within_bound"] is True
+
+    def test_parent_median_zero(self):
+        zero, one = [0.0] * 10, [1.0] * 10
+        v = verdict(zero, zero, "higher", 0.01)
+        assert (v["median_change"], v["within_bound"]) == (None, True)
+        assert verdict(zero, one, "higher", 0.01)["within_bound"] is True
+        assert verdict(zero, one, "lower", 0.01)["within_bound"] is False
+
+
 class TestSides:
     def test_change_side_holds_uncommitted_edits(self, tmp_path):
         repo = tmp_path / "repo"

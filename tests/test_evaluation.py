@@ -48,6 +48,13 @@ class TestExamples:
         r = evaluate(Var("x"), 10)
         assert isinstance(r, Stuck)
 
+    @pytest.mark.parametrize("t", [Var("Z"), parse("Z it"), parse("fst (Z it)")])
+    def test_stuck_variable_head_needs_no_fuel(self, t):
+        # a free head takes no step, so a dry tank cannot hide it
+        tank = Tank(0)
+        assert run(t, tank) == Stuck(Var("Z"))
+        assert tank.remaining == 0
+
     def test_projections(self):
         assert evaluate(parse("fst <it, <it, it>>"), 10).term == IT
         assert evaluate(parse("snd <it, <it, it>>"), 10).term == Pair(IT, IT)

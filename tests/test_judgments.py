@@ -8,9 +8,12 @@ both.  ``replay`` must reject a verified trace with one edited step.
 """
 
 import copy
+import hashlib
 import itertools
+import json
 import pickle
 import random
+import weakref
 
 import pytest
 
@@ -222,3 +225,81 @@ class TestReplayRejectsEdits:
                 assert replay(tampered, 300) is False
                 edited += 1
         assert edited >= 20
+
+
+# -- traces built on first read ----------------------------------------------------
+
+
+def _deferred_and_eager(seed: int = 31, count: int = 40):
+    """The traces of a check pool as the checks return them, unread, and
+    the same traces again, built eagerly from their steps."""
+    deferred = [v.trace for v in pool_verdicts(seed, count)]
+    eager = [Trace(v.trace.steps) for v in pool_verdicts(seed, count)]
+    return deferred, eager
+
+
+_READS = {
+    "repr": repr,
+    "hash": hash,
+    "eq": lambda t: t,
+    "pickle": lambda t: pickle.loads(pickle.dumps(t)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+class TestDeferredTraces:
+    @pytest.mark.parametrize("read", _READS)
+    def test_same_as_the_eager_twin(self, read):
+        # the first pass reads each deferred trace first, through ``read``;
+        # the second reads it built
+        deferred, eager = _deferred_and_eager()
+        for _ in range(2):
+            for d, e in zip(deferred, eager):
+                x, y = _READS[read](d), _READS[read](e)
+                assert x == y and y == x
+
+    def test_builder_released_after_first_read(self):
+        step = TraceStep(Member(IT, TRUE), "canon-true")
+
+        def build():
+            return (step,)
+
+        released = weakref.ref(build)
+        trace = judgments.later(build)
+        del build
+        assert released() is not None
+        assert trace.steps == (step,) and trace == Trace((step,))
+        assert released() is None
+        with pytest.raises(AttributeError):
+            trace._build
+
+    def test_no_step_is_built_until_the_trace_is_read(self, monkeypatch):
+        built = []
+        init = TraceStep.__init__
+
+        def counting(self, *args, **kw):
+            built.append(args)
+            init(self, *args, **kw)
+
+        monkeypatch.setattr(TraceStep, "__init__", counting)
+        verdicts = list(pool_verdicts(seed=37, count=40))
+        member = check_member(parse("lam x. x"), parse("True \\/ False => True \\/ False"))
+        assert member.verified and built == []
+        assert {v.status.value for v in verdicts} >= {"verified", "refuted"} and built == []
+        member.trace.render()
+        assert built
+        for v in verdicts:
+            v.trace.to_json()
+
+    def test_trace_digest(self):
+        # recorded on traces built eagerly, with every check of the pool
+        # run before any trace is read
+        verdicts = [v for m, ty in generated_checks(7, 400) for v in (
+            check_member(m, ty), check_eq_member(m, m, ty), check_is_set(ty),
+            check_eq_set(ty, ty))]
+        digest = hashlib.sha256()
+        for v in verdicts:
+            digest.update(json.dumps(v.trace.to_json()).encode())
+        assert digest.hexdigest() == (
+            "25ccde90169c630c470d0c323ed7e0dcb37147004b619ce4b3eccad2202c1073")

@@ -240,6 +240,20 @@ class TestCheckDerivation:
         with pytest.raises(ValueError):
             extract_realizer(bad)
 
+    @stack_safe
+    def test_deep_chain_renders_and_counts(self):
+        # 3,000 deep: the text is quadratic in the depth, as each line
+        # prints its whole goal
+        n = 3_000
+        d = Derivation(Sequent((), TRUE), "truth-intro")
+        for _ in range(n):
+            d = Derivation(Sequent((), Disj(d.conclusion.goal, FALSE)), "or-intro-left", (d,))
+        assert derivation_size(d) == n + 1
+        lines = d.render(1).split("\n")
+        assert len(lines) == n + 1
+        assert lines[0] == f"  {d.conclusion.render()}    [or-intro-left]"
+        assert lines[-1] == f"{'  ' * (n + 1)}|- True true    [truth-intro]"
+
 
 class TestRealizers:
     def test_extraction_shapes(self):
