@@ -14,7 +14,9 @@ step binds its value in an environment instead of copying the body.
 Finding each step's redex therefore costs O(1) amortized whatever the
 depth of the head, firing it copies no body, and neither deep spines
 nor divergent programs touch the Python stack: divergence burns fuel.
-Fuel counts one step per beta, projection and case dispatch.
+Fuel counts one step per beta, projection and case dispatch, and is
+checked only where a step is charged: a stuck term takes no step, so it
+is stuck whatever fuel is left.
 
 Only results are read back into terms: the canonical form, the stuck
 subterm and what the fuel report writes.  An environment binds only
@@ -137,13 +139,12 @@ def run(t: Term, tank: Tank, strategy: Strategy = Strategy.CALL_BY_NAME) -> Eval
                 continue
             # The focus is a free variable, and the term is stuck on it
             # whatever fuel is left; or the focus is canonical, and the
-            # whole term is canonical or it must step.
+            # whole term is canonical, or stuck on the top frame, or it
+            # must step, which needs fuel.
             if kind is Var:
                 return Stuck(t)
             if not stack:
                 return Canonical(_read(t, env) if env else t, classify(t), steps)
-            if steps >= budget:
-                return FuelExhausted(_describe(stack, [t, env] if env else t))
             frame = pop()
             if type(frame) is not tuple:
                 if kind is not Lam:
@@ -153,11 +154,15 @@ def run(t: Term, tank: Tank, strategy: Strategy = Strategy.CALL_BY_NAME) -> Eval
                     t, env = frame, _NO_ENV
                     continue
                 x, body, value = t.binder, t.body, frame
+                scope = env
             else:
                 tag = frame[0]
                 if tag is Fst or tag is Snd:
                     if kind is not Pair:
                         return Stuck(tag(_read(t, env)))
+                    if steps >= budget:
+                        push(frame)
+                        return FuelExhausted(_describe(stack, [t, env] if env else t))
                     t = t.fst if tag is Fst else t.snd
                     steps += 1
                     continue
@@ -174,20 +179,22 @@ def run(t: Term, tank: Tank, strategy: Strategy = Strategy.CALL_BY_NAME) -> Eval
                         value = env.get(value.name, value) if type(value) is Var else [value, env]
                 else:
                     value = [t, env] if env and t.fv else t
-                    t = frame[1]
-                    x, body = t.binder, t.body
-                env = frame[2]
-            # Enter ``body`` with ``x`` bound to ``value``.
+                    x, body = frame[1].binder, frame[1].body
+                scope = frame[2]
+            if steps >= budget:
+                push(frame)
+                return FuelExhausted(_describe(stack, [t, env] if env else t))
+            # Enter ``body`` under ``scope`` with ``x`` bound to ``value``.
             steps += 1
             if x not in body.fv:
-                t = body
+                t, env = body, scope
             elif type(body) is Var:  # the body is x: the value is the focus
                 t, env = value, _NO_ENV
             elif open_input and not (value[0].fv <= value[1].keys() if type(value) is list
                                      else not value.fv):
-                t, env = substitute(_read(body, env, x), x, _readback(value)), _NO_ENV
+                t, env = substitute(_read(body, scope, x), x, _readback(value)), _NO_ENV
             else:
-                env = {**env, x: value} if env else {x: value}
+                env = {**scope, x: value} if scope else {x: value}
                 t = body
     finally:
         tank.remaining = budget - steps

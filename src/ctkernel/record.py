@@ -1,7 +1,7 @@
 """The base of the kernel's small value classes: verdicts, traces,
-statement forms, evaluation results, rule reports, world models and the
-run settings; and ``instantiate``, which compiles the functions that
-these classes and the term nodes build from their field lists."""
+statement forms, evaluation results, rule reports, world models, the
+run settings and the term nodes; and ``instantiate``, which compiles the
+functions that these classes build from their field lists."""
 
 from __future__ import annotations
 
@@ -20,8 +20,9 @@ class Record:
     the slot descriptor's ``__set__``: a plain assignment ``self.f = f``
     is not possible, as ``__setattr__`` raises, and the setter skips the
     attribute lookup that ``object.__setattr__`` makes for each field.
-    A class that writes its own ``__init__`` keeps it, and one that
-    declares no fields (an abstract base) gets none.
+    A class that writes its own ``__init__``, or whose base class set one
+    in ``__init_subclass__`` before this one runs (the term nodes'), keeps
+    it, and one that declares no fields (an abstract base) gets none.
 
     Equality, hash, ``repr`` and pickling are those of a frozen dataclass
     with these fields: the ``repr`` of a verdict is part of its recorded
@@ -62,18 +63,19 @@ class Record:
         return type(self), self._values()
 
 
-def _compile_init(cls: type) -> FunctionType:
+def _compile_init(cls: type, lines: tuple = (), namespace: dict = {}) -> FunctionType:
     """``def __init__(self, f1, f2=d2): _s0(self, f1); ...`` for the
-    class's fields, with the defaults of ``cls._defaults``: ``_s{i}`` is
-    the ``__set__`` of the slot of field i, bound in the function's own
-    globals."""
+    class's fields, with the defaults of ``cls._defaults``, then
+    ``lines``: ``_s{i}`` is the ``__set__`` of the slot of field i, bound
+    in the function's own globals beside ``namespace``, and field i is
+    the parameter ``_{i}`` in the source."""
     fields = cls.__match_args__
-    params = [f"_{i}" for i in range(len(fields))]
-    body = "".join(f"\n    _s{i}(self, {p})" for i, p in enumerate(params))
+    body = [f"_s{i}(self, _{i})" for i in range(len(fields))] + list(lines)
     setters = {f"_s{i}": cls.__dict__[f].__set__ for i, f in enumerate(fields)}
     tail = fields[len(fields) - len(cls._defaults):]
-    return instantiate(f"def __init__(self, {', '.join(params)}):{body}", fields, setters,
-                       cls, tuple(cls._defaults[f] for f in tail))
+    params = ", ".join(f"_{i}" for i in range(len(fields)))
+    return instantiate(f"def __init__(self, {params}):\n    " + "\n    ".join(body), fields,
+                       {**namespace, **setters}, cls, tuple(cls._defaults[f] for f in tail))
 
 
 _CODE: dict = {}  # source -> the code of the function it defines
@@ -83,11 +85,10 @@ def instantiate(source: str, names: tuple, namespace: dict, owner: type,
                 defaults: tuple = ()) -> FunctionType:
     """The one function that ``source`` defines, named as a method of
     ``owner``, with the placeholders ``_0``, ``_1``, ... renamed to
-    ``names[0]``, ``names[1]``, ... wherever they stand as parameters,
-    attribute names or string constants, the keys of a dict display
-    included.  Each source is compiled once,
-    in ``namespace``, which the function keeps as its globals; a later
-    call with the same source only renames."""
+    ``names[0]``, ``names[1]``, ... wherever they stand as parameters or
+    attribute names.  Each source is compiled once, in ``namespace``,
+    which the function keeps as its globals; a later call with the same
+    source only renames."""
     template = _CODE.get(source)
     if template is None:
         ns: dict = {}
@@ -97,9 +98,7 @@ def instantiate(source: str, names: tuple, namespace: dict, owner: type,
     rename = {f"_{i}": name for i, name in enumerate(names)}
     code = template.replace(
         co_varnames=tuple(rename.get(v, v) for v in template.co_varnames),
-        co_names=tuple(rename.get(v, v) for v in template.co_names),
-        co_consts=tuple(tuple(rename.get(k, k) for k in c) if type(c) is tuple
-                        else rename.get(c, c) for c in template.co_consts))
+        co_names=tuple(rename.get(v, v) for v in template.co_names))
     function = FunctionType(code, namespace, code.co_name, defaults)
     function.__qualname__ = f"{owner.__qualname__}.{code.co_name}"
     function.__module__ = owner.__module__

@@ -18,7 +18,7 @@ import itertools
 from enum import Enum
 from typing import Optional, Union
 
-from .record import instantiate
+from .record import Record, _compile_init, instantiate
 
 
 _EMPTY: frozenset = frozenset()
@@ -32,55 +32,41 @@ def _bind(fv: frozenset, binder: str) -> frozenset:
     return fv - {binder} if len(fv) > 1 else _EMPTY
 
 
-class _Node:
-    """Immutable term node.
+class _Node(Record):
+    """Immutable term node: a record whose fields are the constructor
+    fields, named in declaration order by the class's ``__slots__`` and
+    ``__match_args__``.
 
-    The constructor fields are slots, named in declaration order by the
-    class's ``__slots__`` and ``__match_args__``.  ``_values`` reads them
-    as a tuple, in that order, and ``_fields`` as a fresh ``{field:
-    value}`` map; the kernel reads fields through these, or by name.
-    ``vars(node)`` lists exactly the fields, through ``__dict__``, a
-    read-only view that returns ``_fields()``.  Beside them, in slots of
-    this class: ``fv``, the free variables, computed at construction
-    from the children's; and ``_meta``, the pair (hash, constructor
-    depth), computed on first use for the node and every subterm that
-    lacks it, by a loop rather than recursion, so that neither depends
-    on the Python stack.  One slot for the pair keeps a node that is
-    never hashed 8 bytes smaller.
+    The kernel reads fields by name over ``__match_args__``;
+    ``vars(node)`` lists exactly them, through ``__dict__``, a read-only
+    view that builds a fresh ``{field: value}`` map.  Beside them, in
+    slots of this class: ``fv``, the free variables, computed at
+    construction from the children's; and ``_meta``, the pair (hash,
+    constructor depth), computed on first use for the node and every
+    subterm that lacks it, by a loop rather than recursion, so that
+    neither depends on the Python stack.  One slot for the pair keeps a
+    node that is never hashed 8 bytes smaller.
 
     The binder rule: a string field other than ``Var.name`` is a binder,
     and its scope is the field right after it (``Lam``, ``Case``,
     ``Forall`` and ``Exists``).  ``alpha_eq``, ``term_key`` and ``repr``
     (the dataclass ``repr``) are loops over the fields that follow it.
-    Each subclass gets its readers compiled from its ``__match_args__``,
-    and one that names its fields there gets its constructor and its
-    substitution compiled from that list by the same rule (``_compile``),
-    a binder field being one named ``binder`` or ``*_binder``; ``Var``
-    writes its own constructor.
+    A subclass that names its fields in ``__match_args__`` gets its
+    constructor and its substitution compiled from that list by the same
+    rule (``_compile``), a binder field being one named ``binder`` or
+    ``*_binder``; ``Var`` writes its own constructor.
     """
 
     __slots__ = ("fv", "_meta")
-    __match_args__: tuple = ()
 
     def __init_subclass__(cls, **kw):
-        super().__init_subclass__(**kw)
-        fields = cls.__match_args__
-        values = "".join(f"self._{i}, " for i in range(len(fields)))
-        items = ", ".join(f"'_{i}': self._{i}" for i in range(len(fields)))
-        cls._values = instantiate(f"def _values(self):\n    return ({values})", fields, {}, cls)
-        cls._fields = instantiate(f"def _fields(self):\n    return {{{items}}}", fields, {}, cls)
         if "__match_args__" in cls.__dict__ and "__init__" not in cls.__dict__:
             cls.__init__, _SUBSTITUTE[cls] = _compile(cls)
+        super().__init_subclass__(**kw)
 
     @property
     def __dict__(self) -> dict:
-        return self._fields()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        return dict(zip(self.__match_args__, self._values()))
 
     def __eq__(self, other):
         if self is other:
@@ -104,53 +90,53 @@ class _Node:
     def __repr__(self):
         return _write(self, False)
 
-    def __reduce__(self):
-        return type(self), self._values()
-
 
 # The setters of the two slots of every node, each slot descriptor's
-# ``__set__``: a node's ``__setattr__`` raises.
+# ``__set__``: a record's ``__setattr__`` raises.
 _set_fv = _Node.fv.__set__
 _set_meta = _Node._meta.__set__
 
 
 def _fill(t: "_Node") -> None:
     """Cache the hash and constructor depth of ``t`` and of each of its
-    subterms that lacks them, children first."""
+    subterms that lacks them, children first: a node is filled once no
+    child it reads is pushed above it (a subterm shared and pushed twice
+    is filled twice, alike)."""
     stack = [t]
     while stack:
         node = stack[-1]
-        fields = node._values()
-        todo = [v for v in fields if type(v) is not str and not hasattr(v, "_meta")]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        if hasattr(node, "_meta"):
-            continue  # a shared subterm, pushed twice
+        pending = len(stack)
         key = [type(node)]
         depth = 1
-        for v in fields:
+        for f in node.__match_args__:
+            v = getattr(node, f)
             if type(v) is str:
                 key.append(v)
-            else:
+            elif hasattr(v, "_meta"):
                 h, d = v._meta
                 key.append(h)
                 if d >= depth:
                     depth = d + 1
-        _set_meta(node, (hash(tuple(key)), depth))
+            else:
+                stack.append(v)
+        if len(stack) == pending:
+            stack.pop()
+            _set_meta(node, (hash(tuple(key)), depth))
 
 
 def _write(t: "_Node", rename: bool) -> str:
     """The dataclass ``repr`` of ``t``, written by a loop.  With
     ``rename``, each binder is written as v0, v1, ... in the order the
-    walk reaches it, and so is each variable it binds."""
+    walk reaches it, and so is each variable it binds, while a free
+    variable ``x`` is written ``Var(free='x')``, which no bound one
+    equals."""
     out = []
-    env: dict = {}
+    env: dict = {}  # binder -> its new name, or None outside its scope
+    free = "free" if rename else "name"
     count = 0
     # An item is a piece of text, a subterm, or a binder with the field
     # it scopes and that field's label; below each scope lies the pair
-    # (binder, its name outside the scope), which puts that name back.
+    # (binder, its new name outside the scope), which puts that back.
     stack = [t]
     while stack:
         item = stack.pop()
@@ -163,30 +149,30 @@ def _write(t: "_Node", rename: bool) -> str:
                 continue
             name, scope, label = item
             if rename:
-                stack.append((name, env.get(name, name)))
+                stack.append((name, env.get(name)))
                 env[name] = f"v{count}"
                 count += 1
             out.append(f"{env.get(name, name)!r}{label}")
             stack.append(scope)
             continue
         if type(item) is Var:
-            name = item.name
-            out.append(f"Var(name={env.get(name, name)!r})")
+            name = env.get(item.name)
+            out.append(f"Var(name={name!r})" if name else f"Var({free}={item.name!r})")
             continue
-        fields = item._fields()
-        if not fields:
+        if not item.__match_args__:
             out.append(f"{type(item).__qualname__}()")
             continue
         out.append(f"{type(item).__qualname__}(")
         parts = []
         sep = ""
-        values = iter(fields.items())
-        for f, v in values:
+        fields = iter(item.__match_args__)
+        for f in fields:
+            v = getattr(item, f)
             parts.append(f"{sep}{f}=")
             sep = ", "
             if type(v) is str:
-                g, scope = next(values)
-                parts.append((v, scope, f", {g}="))
+                f = next(fields)
+                parts.append((v, getattr(item, f), f", {f}="))
             else:
                 parts.append(v)
         parts.append(")")
@@ -221,8 +207,9 @@ _SUBSTITUTE: dict = {}
 def _compile(cls: type) -> tuple:
     """The ``__init__`` and the substitution of ``cls``, from its fields.
 
-    The constructor sets each field, then ``fv``, through the setters of
-    their slots, bound in its own globals; ``fv`` is the union of the
+    The constructor is a record's (``record._compile_init``), which sets
+    each field through the setter of its slot, followed by the lines that
+    set ``fv``, the same way; ``fv`` is the union of the
     subterms' sets, a scope's less its binder.  It reuses an operand that
     already holds the union, so that most nodes share a child's set
     instead of owning a copy (written out, as a call would cost more than
@@ -234,7 +221,7 @@ def _compile(cls: type) -> tuple:
     fields = cls.__match_args__
     binds = [f == "binder" or f.endswith("_binder") for f in fields]
     params = [f"_{i}" for i in range(len(fields))]
-    init = [f"_s{i}(self, {p})" for i, p in enumerate(params)]
+    init = []
     parts = []
     fv = None  # the variable that holds the union so far
     for i, p in enumerate(params):
@@ -259,10 +246,7 @@ def _compile(cls: type) -> tuple:
         else:
             init.append(tie)
     init.append(f"_set_fv(self, {fv})")
-    body = "\n    ".join(init)
-    setters = {f"_s{i}": cls.__dict__[f].__set__ for i, f in enumerate(fields)}
-    return (instantiate(f"def __init__(self, {', '.join(params)}):\n    {body}",
-                        fields, {"_bind": _bind, "_set_fv": _set_fv, **setters}, cls),
+    return (_compile_init(cls, init, {"_bind": _bind, "_set_fv": _set_fv}),
             instantiate(f"def _substitute(t, name, value):\n"
                         f"    return type(t)({', '.join(parts)})", fields, globals(), cls))
 
@@ -499,10 +483,12 @@ def alpha_eq(a: Term, b: Term) -> bool:
             if ea.get(x, x) != eb.get(y, y):
                 return False
             continue
-        ia, ib = iter(a._values()), iter(b._values())
-        for x, y in zip(ia, ib):
+        fields = iter(a.__match_args__)
+        for f in fields:
+            x, y = getattr(a, f), getattr(b, f)
             if type(x) is str:
-                stack.append((next(ia), next(ib), k, x, y))
+                f = next(fields)
+                stack.append((getattr(a, f), getattr(b, f), k, x, y))
             else:
                 stack.append((x, y, k, None, None))
     return True
@@ -520,9 +506,9 @@ def constructor_depth(t: Term) -> int:
 def term_key(t: Term):
     """Total order on terms: constructor depth, then the tree written
     with every binder renamed v0, v1, ... in the order the walk reaches
-    it, so that alpha-equivalent terms get the same key.  Free variables
-    keep their names, so the key tells terms apart up to alpha only when
-    no free name has the form v<n>.
+    it, so that alpha-equivalent terms get the same key, and each free
+    variable written apart from every bound one, so that terms that are
+    not alpha-equivalent get different keys, open ones included.
 
     Used wherever enumerations must be order-canonical.
     """

@@ -87,21 +87,6 @@ def _step(t: Term, strategy: Strategy):
             raise AssertionError(f"no step for canonical term {t!r}")
 
 
-def _head(t: Term) -> Term:
-    """The innermost head of ``t``'s eliminators: a free variable there
-    leaves ``t`` stuck whatever fuel is left."""
-    while True:
-        match t:
-            case App(fn, _):
-                t = fn
-            case Fst(p) | Snd(p):
-                t = p
-            case Case(s, _, _, _, _):
-                t = s
-            case _:
-                return t
-
-
 def run(t: Term, tank: Tank, strategy: Strategy = Strategy.CALL_BY_NAME) -> EvalResult:
     """Reduce to canonical form, drawing steps from the shared tank."""
     steps = 0
@@ -109,11 +94,12 @@ def run(t: Term, tank: Tank, strategy: Strategy = Strategy.CALL_BY_NAME) -> Eval
         form = classify(t)
         if form is not None:
             return Canonical(t, form, steps)
-        if tank.remaining <= 0 and type(_head(t)) is not Var:
-            return FuelExhausted(describe(t))
+        # a stuck term takes no step, so it is stuck whatever fuel is left
         nxt = _step(t, strategy)
         if isinstance(nxt, _StuckAt):
             return Stuck(nxt.subterm)
+        if tank.remaining <= 0:
+            return FuelExhausted(describe(t))
         tank.remaining -= 1
         steps += 1
         t = nxt

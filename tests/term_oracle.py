@@ -172,8 +172,9 @@ def _alpha(a: Term, b: Term, ea: dict, eb: dict, k: int) -> bool:
             return False
 
 
-def normalize_binders(t: Term) -> Term:
-    """Rename every binder to v0, v1, ... in traversal order.
+def normalize_binders(t: Term, free=str) -> Term:
+    """Rename every binder to v0, v1, ... in traversal order, and each
+    free variable ``x`` to ``free(x)``.
 
     Alpha-equivalent terms normalize to identical trees, which gives a
     cheap canonical representative for ordering and deduplication.
@@ -183,7 +184,7 @@ def normalize_binders(t: Term) -> Term:
     def go(t: Term, env: dict) -> Term:
         match t:
             case Var(n):
-                return Var(env.get(n, n))
+                return Var(env[n] if n in env else free(n))
             case Lam(b, body):
                 nb = f"v{next(counter)}"
                 return Lam(nb, go(body, {**env, b: nb}))

@@ -55,6 +55,17 @@ class TestExamples:
         assert run(t, tank) == Stuck(Var("Z"))
         assert tank.remaining == 0
 
+    @pytest.mark.parametrize("text", [
+        "fst it", "snd (lam x. x)", "it it", "case lam x. x of inl a -> a | inr b -> b",
+    ])
+    @pytest.mark.parametrize("strategy", Strategy)
+    def test_stuck_head_needs_no_fuel(self, text, strategy):
+        # an eliminator on the wrong canonical shape takes no step either
+        for fuel in (0, 1):
+            tank = Tank(fuel)
+            assert run(parse(text), tank, strategy) == Stuck(parse(text))
+            assert tank.remaining == fuel
+
     def test_projections(self):
         assert evaluate(parse("fst <it, <it, it>>"), 10).term == IT
         assert evaluate(parse("snd <it, <it, it>>"), 10).term == Pair(IT, IT)
@@ -133,7 +144,7 @@ class TestStrategies:
             assert classify(cbn.term) == classify(cbv.term)
 
 
-ORACLE_FUELS = (1, 2, 3, 7, 50, 300)
+ORACLE_FUELS = (0, 1, 2, 3, 7, 50, 300)
 
 
 def assert_matches_oracle(t):

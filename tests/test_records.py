@@ -8,6 +8,7 @@ import dataclasses
 import inspect
 import pickle
 from dataclasses import MISSING, Field, field, make_dataclass
+from typing import get_args
 
 import pytest
 
@@ -24,7 +25,7 @@ from ctkernel.rules import (
     derive, parse_rule,
 )
 from ctkernel.syntax import Token, parse, tokenize
-from ctkernel.terms import FALSE, IT, TRUE, CanonicalForm, Inl, Var
+from ctkernel.terms import FALSE, IT, TRUE, CanonicalForm, Inl, Term, Var, _Node
 from ctkernel.unary import EnumResult, check_member, enumerate_canonical
 from ctkernel.worlds import Atom, HypForced, RuleValid, WorldModel, chain_model
 
@@ -70,6 +71,8 @@ FIELDS = {
     Both: ("parts",),
 }
 ABSTRACT = {Statement}
+# The term nodes are records too; tests/test_terms.py tests them.
+NODES = {_Node, *get_args(Term)}
 MUTABLE = {Tank}
 
 
@@ -157,9 +160,10 @@ def subclasses(cls):
 
 
 def test_every_record_class_pinned():
-    assert set(subclasses(Record)) == set(FIELDS) | ABSTRACT
+    assert set(subclasses(Record)) == set(FIELDS) | ABSTRACT | NODES
     assert set(FIELDS) == set(SAMPLES)
     assert len(FIELDS) == 19 + 17
+    assert len(NODES) == 1 + 15
 
 
 def test_statement_is_a_bare_record():

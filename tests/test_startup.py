@@ -65,3 +65,15 @@ def test_no_module_imports_dataclasses():
                               f"    importlib.import_module(name)\n"
                               f"print('dataclasses' in sys.modules)")
     assert proc.stdout.split() == ["False"]
+
+
+def test_compiled_sources_pinned():
+    # One source per record constructor shape (five field counts) and per
+    # node constructor and substitution shape (five each), compiled once
+    # at import: a source compiled per class would show up here.
+    proc = python("-c", f"import importlib\n"
+                        f"for name in {MODULES!r}:\n"
+                        f"    importlib.import_module(name)\n"
+                        f"from ctkernel import record\n"
+                        f"print(len(record._CODE))")
+    assert proc.stdout.split() == ["15"]

@@ -19,10 +19,11 @@ from hypothesis import example, given, settings
 
 import ctkernel
 import term_oracle as oracle
+from ctkernel.record import Record
 from ctkernel.syntax import ParseError, describe, parse, pretty
 from ctkernel.terms import (
     App, Case, Disj, Exists, Forall, Fst, IT, Inl, Inr, It, Lam, Pair, Snd,
-    TRUE, FALSE, TFalse, TTrue, Term, Var, alpha_eq, constructor_depth,
+    TRUE, FALSE, TFalse, TTrue, Term, Var, _Node, alpha_eq, constructor_depth,
     free_vars, is_closed, substitute, term_key,
 )
 from term_oracle import normalize_binders
@@ -270,8 +271,15 @@ SAMPLES = (
 )
 
 
+# A variable named FREE + x is written as the free variable x of a key.
+FREE = "free:"
+FREE_VAR = make_dataclass("Var", ["free"], frozen=True)
+
+
 def mirror(t):
     """The same tree built from frozen dataclasses."""
+    if type(t) is Var and t.name.startswith(FREE):
+        return FREE_VAR(t.name[len(FREE):])
     return MIRROR[type(t)](*(v if isinstance(v, str) else mirror(v)
                              for v in (getattr(t, f) for f in FIELDS[type(t)])))
 
@@ -314,6 +322,13 @@ class TestNodes:
                 renamed = cls(**{**x, fields[i]: "z", f: Var("z")})
                 assert alpha_eq(t, renamed) == (j == i + 1), (fields[i], f)
                 assert (term_key(t) == term_key(renamed)) == (j == i + 1)
+
+    def test_nodes_are_records(self):
+        # fields are read by name, through the base's readers alone
+        assert issubclass(_Node, Record)
+        own = {"_values", "_fields", "__reduce__", "__setattr__", "__delattr__"}
+        for cls in (_Node, *FIELDS):
+            assert own & set(vars(cls)) == set(), cls
 
     @pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
     def test_fields_in_slots(self, cls):
@@ -459,14 +474,16 @@ class TestAgainstTermOracle:
     @given(terms(names=CLASHING))
     @settings(max_examples=300)
     def test_term_key(self, t):
-        # the frozen-dataclass repr of the normalized tree, as term_key was
-        assert term_key(t) == (oracle.constructor_depth(t), repr(mirror(normalize_binders(t))))
+        # the frozen-dataclass repr of the normalized tree, with each free
+        # variable written Var(free=...)
+        marked = mirror(normalize_binders(t, lambda name: FREE + name))
+        assert term_key(t) == (oracle.constructor_depth(t), repr(marked))
         assert repr(t) == repr(mirror(t))
 
-    @given(terms(), terms())
+    @given(terms(names=CLASHING), terms(names=CLASHING))
     @settings(max_examples=200)
     def test_term_key_decides_alpha_eq(self, a, b):
-        # no free name of these terms has the form of a renamed binder
+        # free names include v0 and v1, the names of renamed binders
         assert (term_key(a) == term_key(b)) == oracle.alpha_eq(a, b)
 
     @pytest.mark.parametrize("a, b, expected", [
@@ -488,10 +505,11 @@ class TestAgainstTermOracle:
         assert oracle.alpha_eq(a, b) is expected
 
     def test_term_key_of_free_renamed_name(self):
-        # term_key writes a free v0 as it is, like the renamed first binder
+        # a free v0 is written apart from the renamed first binder
         a, b = Lam("x", Var("v0")), Lam("v0", Var("v0"))
         assert not alpha_eq(a, b)
-        assert term_key(a) == term_key(b) == (2, repr(b))
+        assert term_key(a) == (2, "Lam(binder='v0', body=Var(free='v0'))")
+        assert term_key(b) == (2, repr(b)) != term_key(a)
 
     @given(terms(), terms())
     @settings(max_examples=200)

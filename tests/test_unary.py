@@ -404,6 +404,12 @@ class TestRefinableVerdicts:
         fed = check_member(IT, ty, fuel=100)
         assert fed.status is Status.VERIFIED
 
+    def test_stuck_part_refutes_on_a_spent_tank(self):
+        # the left part spends the one step; the right part is stuck, which
+        # needs no fuel, so the type is no set rather than out of fuel
+        ty = parse("((lam x. x) True) /\\ (fst it)")
+        assert check_is_set(ty, fuel=1).status is Status.REFUTED
+
     def test_dependent_domain_falls_back_to_enumeration(self):
         # the quantifier domain is itself genuinely dependent: the exact
         # oracle abstains, enumeration takes over, and because a
