@@ -38,7 +38,16 @@ sections.  The sections:
   of the same schemes, and its admissibility verdict;
 * ``rules/derive``: ``derive`` of the same schemes at search depths 1-6:
   the rendered derivation with its realizer and ``check_derivation``
-  result, or the ``NotDerivable`` record.
+  result, or the ``NotDerivable`` record;
+* ``check_member``, the diagonal ``check_eq_member`` and ``check_is_set``
+  of the sections above again under call-by-value (``.../cbv``);
+* ``strategy/...``: 300 seeded pool witnesses applied as ``(lam _. M) D``
+  to an unused argument ``D`` that diverges (``OMEGA``) or gets stuck
+  (``fst inl it``, ``fst it``), checked against the pool type at fuel 50
+  under both strategies: ``check_member``, and ``check_eq_member`` of the
+  witness and ``OMEGA`` in both argument orders;
+* ``check_member/fuel``: the pools' ``check_member`` at fuel 1, 2, 3
+  and 5.
 
 Run it on two checkouts and compare the output; ``--records`` prints the
 status and a short hash per verdict instead, so that ``diff`` counts the
@@ -68,7 +77,9 @@ from ctkernel.rules import (  # noqa: E402
 from ctkernel.syntax import (  # noqa: E402
     PREC_ATOM, PREC_TERM, ParseError, parse, pretty, pretty_at,
 )
-from ctkernel.terms import IT, Case, Disj, Exists, Forall, TFalse, TTrue, Var, term_key  # noqa: E402
+from ctkernel.terms import (  # noqa: E402
+    IT, App, Case, Disj, Exists, Forall, Fst, Lam, TFalse, TTrue, Var, term_key,
+)
 from ctkernel.unary import check_is_set, check_member, enumerate_canonical  # noqa: E402
 from termgen import (  # noqa: E402
     OMEGA, STUCK_TERM, generated_checks, outside_fragment_schemes, random_rule_schemes,
@@ -86,6 +97,11 @@ ORDER_FUELS = (1, 2, 3, 5, 8, 13, 1000)
 RULE_SCHEMES = (14, 200)
 RULE_FUELS = (1, 2, 3, 5, 13, 10_000)
 SEARCH_DEPTHS = range(1, 7)
+CBV = Strategy.CALL_BY_VALUE
+STRATEGY_WITNESSES = 300
+STRATEGY_FUEL = 50
+UNUSED_ARGS = (OMEGA, STUCK_TERM, Fst(IT))
+MEMBER_FUELS = (1, 2, 3, 5)
 MALFORMED = (
     "", "(", ")", "lam", "lam x", "lam x.", "lam . x", "forall x . A", "forall x : A",
     "exists : A . B", "case x of inr a -> a | inl b -> b", "case x of inl a -> a",
@@ -237,6 +253,36 @@ def sections():
             else:
                 outcome = "exhaustive" if d.exhausted else "cut-off"
                 yield "rules/derive", outcome, [repr(d)]
+    for name, pairs in pools.items():
+        for m, ty in pairs:
+            v = check_member(m, ty, strategy=CBV)
+            yield f"check_member/{name}/cbv", v.status.value, verdict_record(v)
+        for m, ty in pairs:
+            v = check_eq_member(m, m, ty, strategy=CBV)
+            yield f"check_eq_member/{name}/cbv", v.status.value, verdict_record(v)
+    for ty in types:
+        v = check_is_set(ty, strategy=CBV)
+        yield "check_is_set/cbv", v.status.value, verdict_record(v)
+    # Witnesses whose unused argument call-by-value must evaluate: the
+    # strategy decides the verdict.
+    rng = random.Random(19)
+    checks = [pair for pairs in pools.values() for pair in pairs]
+    lazy = [(App(Lam("_", m), rng.choice(UNUSED_ARGS)), ty)
+            for m, ty in (rng.choice(checks) for _ in range(STRATEGY_WITNESSES))]
+    for strategy in Strategy:
+        tag = "cbv" if strategy is CBV else "cbn"
+        for m, ty in lazy:
+            v = check_member(m, ty, STRATEGY_FUEL, strategy=strategy)
+            yield f"strategy/member/{tag}", v.status.value, verdict_record(v)
+        for m, ty in lazy:
+            for x, y in ((m, OMEGA), (OMEGA, m)):
+                v = check_eq_member(x, y, ty, STRATEGY_FUEL, strategy=strategy)
+                yield f"strategy/eq_member/{tag}", v.status.value, verdict_record(v)
+    for fuel in MEMBER_FUELS:
+        for name, pairs in pools.items():
+            for m, ty in pairs:
+                v = check_member(m, ty, fuel)
+                yield f"check_member/fuel/{name}", v.status.value, verdict_record(v)
 
 
 def main() -> None:

@@ -53,7 +53,7 @@ def related_pairs(
     witness enumeration was complete and every pair decision was
     definitive."""
     require_closed("type", domain)
-    return _related_pairs(domain, depth, Tank(fuel), strategy)
+    return _related_pairs(domain, depth, Tank(fuel, strategy))
 
 
 def check_eq_member(
@@ -69,7 +69,7 @@ def check_eq_member(
     require_closed("right term", n)
     require_closed("type", a)
     _check_budgets(fuel, depth)
-    return _relate((m, n), a, Tank(fuel), depth, strategy)
+    return _relate((m, n), a, Tank(fuel, strategy), depth)
 
 
 def check_eq_set(
@@ -83,7 +83,7 @@ def check_eq_set(
     require_closed("left type", a)
     require_closed("right type", b)
     _check_budgets(fuel, depth)
-    return _check_eq_set(a, b, Tank(fuel), depth, strategy)
+    return _check_eq_set(a, b, Tank(fuel, strategy), depth)
 
 
 def check_functionality(
@@ -104,4 +104,4 @@ def check_functionality(
     require_closed("function", fn)
     require_closed("quantified type", ty)
     _check_budgets(fuel, depth)
-    return _relate((fn, fn), ty, Tank(fuel), depth, strategy)
+    return _relate((fn, fn), ty, Tank(fuel, strategy), depth)

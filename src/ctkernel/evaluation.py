@@ -30,7 +30,9 @@ as that machine does.
 The default strategy is call-by-name: beta binds the unevaluated
 argument.  A call-by-value variant (the argument is reduced to canonical
 form first, under one more frame) exists purely so tests can demonstrate
-that verdicts do not depend on the strategy; step counts do.
+that verdicts do not depend on the strategy; step counts do.  A check's
+tank carries its strategy with its fuel, so every run inside the check,
+and every copy of its tank, evaluates the same way.
 """
 
 from __future__ import annotations
@@ -72,8 +74,9 @@ EvalResult = Union[Canonical, FuelExhausted, Stuck]
 
 
 class Tank(Record):
-    """Mutable step budget shared across every evaluation inside one check."""
-    __slots__ = __match_args__ = ("remaining",)
+    """Mutable step budget shared across every evaluation inside one
+    check, and the check's strategy, which ``run`` reads."""
+    __slots__ = __match_args__ = ("remaining", "strategy")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
@@ -94,12 +97,13 @@ _NO_ENV: dict = {}  # the empty environment, never written to
 #   arg  (Fst,)  (Snd,)  (Case, case, env)  (Lam, lam, env)
 
 
-def run(t: Term, tank: Tank, strategy: Strategy = Strategy.CALL_BY_NAME) -> EvalResult:
-    """Reduce to canonical form, drawing steps from the shared tank."""
+def run(t: Term, tank: Tank) -> EvalResult:
+    """Reduce to canonical form under the tank's strategy, drawing steps
+    from the tank."""
     form = classify(t)
     if form is not None:
         return Canonical(t, form, 0)
-    by_value = strategy is Strategy.CALL_BY_VALUE
+    by_value = tank.strategy is Strategy.CALL_BY_VALUE
     # On closed input every value a step binds is closed; on open input
     # each one is checked.
     open_input = t.fv
@@ -323,4 +327,4 @@ def evaluate(t: Term, fuel: int, strategy: Strategy = Strategy.CALL_BY_NAME) -> 
     """Evaluate with a private fuel budget; fuel must be >= 1."""
     if fuel < 1:
         raise ValueError("fuel must be >= 1")
-    return run(t, Tank(fuel), strategy)
+    return run(t, Tank(fuel, strategy))

@@ -377,7 +377,7 @@ def admissible(
     trace, unless another valuation refutes."""
     if instance_depth < 1 or witness_depth < 1:
         raise ValueError("bounds must be >= 1")
-    tank = Tank(fuel)
+    tank = Tank(fuel, strategy)
     undecided: Optional[Term] = None
     checked = 0
     for values in itertools.product(_TRUTH_TERMS, repeat=len(rule.metavariables)):
@@ -385,12 +385,12 @@ def admissible(
         checked += 1
         premises = Inhabitation.INHABITED
         for p in rule.premises:
-            premises = _combine_and(premises, _inhabited(p.a, tank, strategy, valuation))
+            premises = _combine_and(premises, _inhabited(p.a, tank, valuation))
             if premises is Inhabitation.UNINHABITED:
                 break
         if premises is Inhabitation.UNINHABITED:
             continue
-        conclusion = _inhabited(rule.conclusion.a, tank, strategy, valuation)
+        conclusion = _inhabited(rule.conclusion.a, tank, valuation)
         if conclusion is Inhabitation.INHABITED:
             continue
         assignment = {name: _TRUTH_TERMS[v] for name, v in valuation.items()}
@@ -402,7 +402,7 @@ def admissible(
             continue
         return _refutation(assignment, [instantiate(p.a, assignment) for p in rule.premises],
                            instantiate(rule.conclusion.a, assignment),
-                           witness_depth, tank, strategy)
+                           witness_depth, tank)
 
     bounds = {
         "instance_depth": instance_depth,
@@ -427,12 +427,11 @@ def _refutation(
     conclusion_prop: Term,
     witness_depth: int,
     tank: Tank,
-    strategy: Strategy,
 ) -> Verdict:
     witnesses = []
     for prop in premise_props:
-        found = _enumerate(prop, witness_depth, tank, strategy).witnesses
-        w = found[0] if found else _member(prop, tank, strategy)
+        found = _enumerate(prop, witness_depth, tank).witnesses
+        w = found[0] if found else _member(prop, tank)
         if w is None:
             return diverged(f"premise witness diverged: {describe(prop)}")
         witnesses.append(w)

@@ -130,7 +130,7 @@ def inhabited_exact(a: Term, fuel: int = DEFAULT_FUEL, strategy: Strategy = CBN)
     families (the binder occurs in the family) are out of scope and
     report NOT_GROUND, as does anything that is not a set."""
     require_closed("type", a)
-    return _inhabited(a, Tank(fuel), strategy)
+    return _inhabited(a, Tank(fuel, strategy))
 
 
 # The proposition that stands for each truth value of a valuation.
@@ -139,8 +139,7 @@ _NO_VALUATION: Mapping[str, Inhabitation] = MappingProxyType({})
 
 
 def _inhabited(
-    a: Term, tank: Tank, strategy: Strategy,
-    valuation: Mapping[str, Inhabitation] = _NO_VALUATION,
+    a: Term, tank: Tank, valuation: Mapping[str, Inhabitation] = _NO_VALUATION,
 ) -> Inhabitation:
     """Inhabitation of ``a`` with each metavariable that ``valuation``
     names standing for True or False as valued, without building that
@@ -157,7 +156,7 @@ def _inhabited(
                 return valuation[a.name]
             for name, value in valuation.items():
                 a = substitute(a, name, _TRUTH_TERMS[value])
-        res = run(a, tank, strategy)
+        res = run(a, tank)
         if isinstance(res, FuelExhausted):
             return Inhabitation.DIVERGED
         if isinstance(res, Stuck):
@@ -169,19 +168,18 @@ def _inhabited(
         case TFalse():
             return Inhabitation.UNINHABITED
         case Disj(l, r):
-            il = _inhabited(l, tank, strategy, valuation)
-            ir = _inhabited(r, tank, strategy, valuation)
+            il = _inhabited(l, tank, valuation)
+            ir = _inhabited(r, tank, valuation)
             return _combine_or(il, ir)
         case Exists(d, b, f):
             if b in free_vars(f):
                 return Inhabitation.NOT_GROUND
-            return _combine_and(_inhabited(d, tank, strategy, valuation),
-                                _inhabited(f, tank, strategy, valuation))
+            return _combine_and(_inhabited(d, tank, valuation), _inhabited(f, tank, valuation))
         case Forall(d, b, f):
             if b in free_vars(f):
                 return Inhabitation.NOT_GROUND
-            idom = _inhabited(d, tank, strategy, valuation)
-            icod = _inhabited(f, tank, strategy, valuation)
+            idom = _inhabited(d, tank, valuation)
+            icod = _inhabited(f, tank, valuation)
             if idom is Inhabitation.UNINHABITED or icod is Inhabitation.INHABITED:
                 return Inhabitation.INHABITED
             if idom is Inhabitation.INHABITED:
@@ -213,13 +211,13 @@ def _combine_and(il: Inhabitation, ir: Inhabitation) -> Inhabitation:
     return Inhabitation.INHABITED
 
 
-def _member(a: Term, tank: Tank, strategy: Strategy) -> Optional[Term]:
+def _member(a: Term, tank: Tank) -> Optional[Term]:
     """A canonical member of a type that ``_inhabited`` finds inhabited,
     read off the same structure: ``it``, a pair, the first inhabited
     injection, a constant function, or the identity over an empty
     domain.  None when evaluation runs out of fuel."""
     if not is_canonical(a):
-        res = run(a, tank, strategy)
+        res = run(a, tank)
         if not isinstance(res, Canonical):
             return None
         a = res.term
@@ -227,20 +225,20 @@ def _member(a: Term, tank: Tank, strategy: Strategy) -> Optional[Term]:
         case TTrue():
             return IT
         case Exists(d, _, f):
-            m = _member(d, tank, strategy)
-            n = _member(f, tank, strategy) if m is not None else None
+            m = _member(d, tank)
+            n = _member(f, tank) if m is not None else None
             return Pair(m, n) if n is not None else None
         case Disj(l, r):
-            if _inhabited(l, tank, strategy) is Inhabitation.INHABITED:
-                m = _member(l, tank, strategy)
+            if _inhabited(l, tank) is Inhabitation.INHABITED:
+                m = _member(l, tank)
                 return Inl(m) if m is not None else None
-            m = _member(r, tank, strategy)
+            m = _member(r, tank)
             return Inr(m) if m is not None else None
         case Forall(d, _, f):
-            if _inhabited(f, tank, strategy) is Inhabitation.INHABITED:
-                m = _member(f, tank, strategy)
+            if _inhabited(f, tank) is Inhabitation.INHABITED:
+                m = _member(f, tank)
                 return Lam("_", m) if m is not None else None
-            if _inhabited(d, tank, strategy) is Inhabitation.UNINHABITED:
+            if _inhabited(d, tank) is Inhabitation.UNINHABITED:
                 return Lam("x", Var("x"))
     return None
 
@@ -261,7 +259,7 @@ def enumerate_canonical(
     require_closed("type", a)
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    return _enumerate(a, depth, Tank(fuel), strategy)
+    return _enumerate(a, depth, Tank(fuel, strategy))
 
 
 def _dedupe_sorted(ws: List[Term]) -> Tuple[Term, ...]:
@@ -273,9 +271,9 @@ def _dedupe_sorted(ws: List[Term]) -> Tuple[Term, ...]:
     return tuple(first[k] for k in sorted(first))
 
 
-def _enumerate(a: Term, depth: int, tank: Tank, strategy: Strategy) -> EnumResult:
+def _enumerate(a: Term, depth: int, tank: Tank) -> EnumResult:
     if not is_canonical(a):
-        res = run(a, tank, strategy)
+        res = run(a, tank)
         if isinstance(res, FuelExhausted):
             return EnumResult((), False, diverged(f"type diverged: {res.remaining}"))
         if isinstance(res, Stuck):
@@ -292,29 +290,29 @@ def _enumerate(a: Term, depth: int, tank: Tank, strategy: Strategy) -> EnumResul
         case TFalse():
             return EnumResult((), True)
         case Disj(l, r):
-            el = _enumerate(l, depth - 1, tank, strategy)
+            el = _enumerate(l, depth - 1, tank)
             if el.failure is not None:
                 return el
-            er = _enumerate(r, depth - 1, tank, strategy)
+            er = _enumerate(r, depth - 1, tank)
             if er.failure is not None:
                 return er
             ws = [Inl(w) for w in el.witnesses] + [Inr(w) for w in er.witnesses]
             return EnumResult(_dedupe_sorted(ws), el.complete and er.complete)
         case Exists(d, b, f):
-            ed = _enumerate(d, depth - 1, tank, strategy)
+            ed = _enumerate(d, depth - 1, tank)
             if ed.failure is not None:
                 return ed
             complete = ed.complete
             ws: List[Term] = []
             for m in ed.witnesses:
-                ef = _enumerate(substitute(f, b, m), depth - 1, tank, strategy)
+                ef = _enumerate(substitute(f, b, m), depth - 1, tank)
                 if ef.failure is not None:
                     return ef
                 complete = complete and ef.complete
                 ws.extend(Pair(m, n) for n in ef.witnesses)
             return EnumResult(_dedupe_sorted(ws), complete)
         case Forall(d, b, f):
-            return _enumerate_functions(d, b, f, depth, tank, strategy)
+            return _enumerate_functions(d, b, f, depth, tank)
         case _:
             return EnumResult(
                 (), False,
@@ -322,11 +320,9 @@ def _enumerate(a: Term, depth: int, tank: Tank, strategy: Strategy) -> EnumResul
             )
 
 
-def _enumerate_functions(
-    d: Term, b: str, f: Term, depth: int, tank: Tank, strategy: Strategy
-) -> EnumResult:
+def _enumerate_functions(d: Term, b: str, f: Term, depth: int, tank: Tank) -> EnumResult:
     identity = Lam("x", Var("x"))
-    ed = _enumerate(d, depth - 1, tank, strategy)
+    ed = _enumerate(d, depth - 1, tank)
     if ed.failure is not None:
         return ed
 
@@ -344,7 +340,7 @@ def _enumerate_functions(
     if not dependent and alpha_eq(d, f):
         candidates.append(identity)
     for w in ed.witnesses:
-        ef = _enumerate(substitute(f, b, w), depth - 1, tank, strategy)
+        ef = _enumerate(substitute(f, b, w), depth - 1, tank)
         if ef.failure is not None:
             return ef
         complete = complete and ef.complete
@@ -360,7 +356,7 @@ def _enumerate_functions(
         ok = True
         for w in ed.witnesses:
             instance = substitute(cand.body, cand.binder, w)
-            v = _relate((instance,), substitute(f, b, w), tank, depth, strategy)
+            v = _relate((instance,), substitute(f, b, w), tank, depth)
             if v.status is Status.REFUTED:
                 ok = False
                 break
@@ -387,7 +383,7 @@ def _enumerate_functions(
 
 def _evaluate(
     head: Callable[[], TraceStep], roles: Tuple[str, ...], terms: Tuple[Term, ...],
-    tank: Tank, strategy: Strategy,
+    tank: Tank,
 ) -> Union[List[Term], Verdict]:
     """Evaluate the terms in order, drawing on the shared tank; ``head()``
     builds the first step of a failure's trace.
@@ -406,7 +402,7 @@ def _evaluate(
             forms.append(t)
             continue
         before = tank.remaining
-        r = run(t, tank, strategy)
+        r = run(t, tank)
         if isinstance(r, Canonical):
             forms.append(r.term)
             continue
@@ -414,8 +410,8 @@ def _evaluate(
             tank.remaining += budget - before
         else:
             for j in range(i if before < budget else i + 1, len(terms)):
-                own = Tank(budget)
-                s = run(terms[j], own, strategy)
+                own = Tank(budget, tank.strategy)
+                s = run(terms[j], own)
                 if isinstance(s, Stuck):
                     i, r, tank.remaining = j, s, own.remaining
                     break
@@ -465,7 +461,7 @@ def check_is_set(
     families."""
     require_closed("type", a)
     _check_budgets(fuel, depth)
-    return _check_eq_set(a, None, Tank(fuel), depth, strategy)
+    return _check_eq_set(a, None, Tank(fuel, strategy), depth)
 
 
 # -- membership -------------------------------------------------------------
@@ -482,7 +478,7 @@ def check_member(
     require_closed("term", m)
     require_closed("type", a)
     _check_budgets(fuel, depth)
-    return _relate((m,), a, Tank(fuel), depth, strategy)
+    return _relate((m,), a, Tank(fuel, strategy), depth)
 
 
 def _check_budgets(fuel: int, depth: int) -> None:
@@ -510,7 +506,7 @@ def _same(x: Term, y: Term) -> bool:
     return x is y or alpha_eq(x, y)
 
 
-def _relate(args: Tuple[Term, ...], a: Term, tank: Tank, depth: int, strategy: Strategy) -> Verdict:
+def _relate(args: Tuple[Term, ...], a: Term, tank: Tank, depth: int) -> Verdict:
     """Membership of ``args[0]``, or equal membership of ``args``, in ``a``.
 
     The type and the terms are evaluated; the type's former picks the
@@ -522,11 +518,11 @@ def _relate(args: Tuple[Term, ...], a: Term, tank: Tank, depth: int, strategy: S
     def head():
         return TraceStep(form(*args, a), judged)
 
-    res = _evaluate(head, roles[:1], (a,), tank, strategy)
+    res = _evaluate(head, roles[:1], (a,), tank)
     if isinstance(res, Verdict):
         return res
     (ac,) = res
-    res = _evaluate(head, roles[1:], args, tank, strategy)
+    res = _evaluate(head, roles[1:], args, tank)
     if isinstance(res, Verdict):
         return res
     cs = tuple(res)
@@ -558,26 +554,25 @@ def _relate(args: Tuple[Term, ...], a: Term, tank: Tank, depth: int, strategy: S
             )))
         case Disj(l, _) if shape is Inl:
             rule = "canon-disj-left"
-            subs = (_relate(tuple([c.arg for c in cs]), l, tank, depth, strategy),)
+            subs = (_relate(tuple([c.arg for c in cs]), l, tank, depth),)
         case Disj(_, r) if shape is Inr:
             rule = "canon-disj-right"
-            subs = (_relate(tuple([c.arg for c in cs]), r, tank, depth, strategy),)
+            subs = (_relate(tuple([c.arg for c in cs]), r, tank, depth),)
         case Exists(d, b, f) if shape is Pair:
             rule = "canon-exists"
             firsts = tuple([c.fst for c in cs])
-            subs = [_relate(firsts, d, tank, depth, strategy)]
+            subs = [_relate(firsts, d, tank, depth)]
             if len(args) == 2 and subs[0].verified and b in free_vars(f):
                 # family precondition: related firsts must give equal
                 # instance sets, else the type is ill-formed
                 subs.append(_check_eq_set(
-                    substitute(f, b, firsts[0]), substitute(f, b, firsts[1]),
-                    tank, depth, strategy,
+                    substitute(f, b, firsts[0]), substitute(f, b, firsts[1]), tank, depth,
                 ))
             subs.append(_relate(
-                tuple([c.snd for c in cs]), substitute(f, b, firsts[0]), tank, depth, strategy,
+                tuple([c.snd for c in cs]), substitute(f, b, firsts[0]), tank, depth,
             ))
         case Forall() if shape is Lam:
-            return _relate_forall(cs, ac, head, evals, tank, depth, strategy)
+            return _relate_forall(cs, ac, head, evals, tank, depth)
         case _:
             # No clause matches the witnesses, or the canonical type has
             # no witness relation at all.
@@ -591,7 +586,7 @@ def _relate(args: Tuple[Term, ...], a: Term, tank: Tank, depth: int, strategy: S
 
 def _relate_forall(
     lams: Tuple[Lam, ...], ac: Forall, head: Callable[[], TraceStep], evals: Callable[[], Tuple],
-    tank: Tank, depth: int, strategy: Strategy,
+    tank: Tank, depth: int,
 ) -> Verdict:
     """The hypothetical-general clause: for all related domain arguments,
     the instances of the function bodies are related in the family."""
@@ -620,11 +615,11 @@ def _relate_forall(
                  TraceStep(Gen(names, Hyp((form(*xs, d),), goal)), rule, children))
         return steps, xs, goal
 
-    res = _evaluate(head, ("domain",), (d,), tank, strategy)
+    res = _evaluate(head, ("domain",), (d,), tank)
     if isinstance(res, Verdict):
         return res
     (dc,) = res
-    inh = _inhabited(dc, tank, strategy)
+    inh = _inhabited(dc, tank)
     if inh is Inhabitation.DIVERGED:
         return diverged(f"domain inhabitation diverged: {describe(dc)}", later(lambda: (head(),)))
     if inh is Inhabitation.UNINHABITED:
@@ -646,10 +641,10 @@ def _relate_forall(
         return verified(later(discharge))
 
     if len(lams) == 1:
-        ed = _enumerate(dc, depth, tank, strategy)
+        ed = _enumerate(dc, depth, tank)
         items, complete, failure = [(w,) for w in ed.witnesses], ed.complete, ed.failure
     else:
-        items, complete, failure = _related_pairs(dc, depth, tank, strategy)
+        items, complete, failure = _related_pairs(dc, depth, tank)
     if failure is not None:
         if failure.status is Status.DIVERGED:
             return diverged(failure.fuel_report or "domain enumeration diverged",
@@ -666,10 +661,10 @@ def _relate_forall(
         if dependent:
             # family precondition: related inputs give equal instance sets
             other = substitute(f, b, item[1])
-            vfam = _check_eq_set(family, other, tank, depth, strategy)
+            vfam = _check_eq_set(family, other, tank, depth)
             subs.append(_blame(vfam, item, EqSet, family, other))
         inst = tuple(map(substitute, bodies, names, item))
-        v = _relate(inst, family, tank, depth, strategy)
+        v = _relate(inst, family, tank, depth)
         subs.append(_blame(v, item, form, *inst, family))
         checked.append((item, inst, family, v))
 
@@ -689,15 +684,15 @@ def _blame(v: Verdict, item: Tuple[Term, ...], form: type, *fields) -> Verdict:
     return refuted(v.trace, pair=item if len(item) == 2 else None, instance=form(*fields))
 
 
-def _related_pairs(domain: Term, depth: int, tank: Tank, strategy: Strategy):
-    ed = _enumerate(domain, depth, tank, strategy)
+def _related_pairs(domain: Term, depth: int, tank: Tank):
+    ed = _enumerate(domain, depth, tank)
     if ed.failure is not None:
         return (), False, ed.failure
     complete = ed.complete
     pairs: List[Tuple[Term, Term]] = []
     for u in ed.witnesses:
         for v in ed.witnesses:
-            verdict = _relate((u, v), domain, tank, depth, strategy)
+            verdict = _relate((u, v), domain, tank, depth)
             if verdict.status is Status.DIVERGED:
                 return (), False, verdict
             if verdict.verified:
@@ -722,7 +717,7 @@ def _same_budget(sides: Sequence, test, tank: Tank, decisive):
     budget = tank.remaining
     readings = []
     for side in sides:
-        own = Tank(budget)
+        own = Tank(budget, tank.strategy)
         r = test(side, own)
         if decisive(r):
             tank.remaining = own.remaining
@@ -732,7 +727,7 @@ def _same_budget(sides: Sequence, test, tank: Tank, decisive):
     return None, readings
 
 
-def _check_eq_set(a: Term, b: Optional[Term], tank: Tank, depth: int, strategy: Strategy) -> Verdict:
+def _check_eq_set(a: Term, b: Optional[Term], tank: Tank, depth: int) -> Verdict:
     """Equality of the relations of two types.  With ``b`` None it is
     set-hood, the equality of ``a`` with itself: ``a`` is evaluated once,
     each family instance is built once, and the head is ``set(A)``.  A
@@ -746,7 +741,7 @@ def _check_eq_set(a: Term, b: Optional[Term], tank: Tank, depth: int, strategy: 
         return TraceStep(EqSet(a, b), "equal-sets")
 
     roles, sides = (("type",), (a,)) if diagonal else (("left type", "right type"), (a, b))
-    res = _evaluate(head, roles, sides, tank, strategy)
+    res = _evaluate(head, roles, sides, tank)
     if isinstance(res, Verdict):
         return res
     ac, bc = res[0], res[-1]
@@ -765,7 +760,7 @@ def _check_eq_set(a: Term, b: Optional[Term], tank: Tank, depth: int, strategy: 
     if type(ac) is not type(bc):
         # Two relations of different shapes can only coincide by both
         # being empty; canonical shapes are disjoint otherwise.
-        v = _both_empty(ac, bc, evals, tank, depth, strategy, head)
+        v = _both_empty(ac, bc, evals, tank, depth, head)
         if v is not None:
             return v
         return refuted(later(lambda: (
@@ -783,18 +778,18 @@ def _check_eq_set(a: Term, b: Optional[Term], tank: Tank, depth: int, strategy: 
             return verified(later(lambda: (head(), TraceStep(same(), "same-base"))))
         case Disj(l1, r1):
             return _claim(head, same, "components", (
-                _check_eq_set(l1, None if diagonal else bc.left, tank, depth, strategy),
-                _check_eq_set(r1, None if diagonal else bc.right, tank, depth, strategy),
+                _check_eq_set(l1, None if diagonal else bc.left, tank, depth),
+                _check_eq_set(r1, None if diagonal else bc.right, tank, depth),
             ), depth)
         case Forall(d1, b1, f1) | Exists(d1, b1, f1):
             d2, b2, f2 = bc.domain, bc.binder, bc.family
-            vd = _check_eq_set(d1, None if diagonal else d2, tank, depth, strategy)
+            vd = _check_eq_set(d1, None if diagonal else d2, tank, depth)
             # Different domains still give equal relations when both
             # relations are empty; the domains' refutation stands only
             # when one relation is nonempty.  In set-hood a refuted
             # domain is not a set, so neither is the type.
             if vd.status is Status.REFUTED and not diagonal:
-                v = _both_empty(ac, bc, evals, tank, depth, strategy, head)
+                v = _both_empty(ac, bc, evals, tank, depth, head)
                 if v is not None:
                     return v
             if vd.status is not Status.VERIFIED:
@@ -803,13 +798,13 @@ def _check_eq_set(a: Term, b: Optional[Term], tank: Tank, depth: int, strategy: 
                 # One non-dependent family: the relations agree exactly
                 # when it is a set, whatever the domain's witnesses.
                 return _claim(head, same, "same-family", (
-                    vd, _check_eq_set(f1, None, tank, depth, strategy),
+                    vd, _check_eq_set(f1, None, tank, depth),
                 ), depth)
-            inh = _inhabited(d1, tank, strategy)
+            inh = _inhabited(d1, tank)
             if inh is Inhabitation.DIVERGED:
                 return diverged("domain inhabitation diverged", later(lambda: (head(),)))
             empty = inh is Inhabitation.UNINHABITED
-            ed = EnumResult((), True) if empty else _enumerate(d1, depth, tank, strategy)
+            ed = EnumResult((), True) if empty else _enumerate(d1, depth, tank)
             if ed.failure is not None:
                 return _claim(head, same, "domains", (vd, ed.failure), depth)
             if ed.witnesses or not ed.complete:
@@ -817,7 +812,7 @@ def _check_eq_set(a: Term, b: Optional[Term], tank: Tank, depth: int, strategy: 
                 for w in ed.witnesses:
                     subs.append(_check_eq_set(
                         substitute(f1, b1, w), None if diagonal else substitute(f2, b2, w),
-                        tank, depth, strategy,
+                        tank, depth,
                     ))
                 return _claim(head, same, "pointwise-families", subs, depth, ed.complete)
             # The domain is provably empty, so no instance exists, but
@@ -826,21 +821,21 @@ def _check_eq_set(a: Term, b: Optional[Term], tank: Tank, depth: int, strategy: 
             subs = [vd]
             for bf, family in ((b1, f1),) if _same(f1, f2) else ((b1, f1), (b2, f2)):
                 if bf not in free_vars(family):
-                    subs.append(_check_eq_set(family, None, tank, depth, strategy))
+                    subs.append(_check_eq_set(family, None, tank, depth))
             return _claim(head, same, "vacuous-families", subs, depth)
     raise AssertionError("unreachable")
 
 
-def _relation_emptiness(tc: Term, tank: Tank, depth: int, strategy: Strategy):
+def _relation_emptiness(tc: Term, tank: Tank, depth: int):
     """'empty', 'nonempty', 'unknown' or a failed verdict for a type former."""
-    inh = _inhabited(tc, tank, strategy)
+    inh = _inhabited(tc, tank)
     if inh is Inhabitation.DIVERGED:
         return diverged(f"inhabitation diverged: {describe(tc)}")
     if inh is Inhabitation.INHABITED:
         return "nonempty"
     if inh is Inhabitation.UNINHABITED:
         return "empty"
-    ed = _enumerate(tc, depth, tank, strategy)
+    ed = _enumerate(tc, depth, tank)
     if ed.failure is not None:
         return ed.failure
     if ed.witnesses:
@@ -850,7 +845,7 @@ def _relation_emptiness(tc: Term, tank: Tank, depth: int, strategy: Strategy):
 
 def _both_empty(
     ac: Term, bc: Term, evals: Callable[[], Tuple], tank: Tank, depth: int,
-    strategy: Strategy, head: Callable[[], TraceStep],
+    head: Callable[[], TraceStep],
 ) -> Optional[Verdict]:
     """Equality of two canonical type formers by both relations being empty.
 
@@ -861,7 +856,7 @@ def _both_empty(
     side is tested on the same budget, so a nonempty or not-a-set side
     decides even when the other side's test diverges."""
     decided, readings = _same_budget(
-        (ac, bc), lambda tc, fuel: _relation_emptiness(tc, fuel, depth, strategy), tank,
+        (ac, bc), lambda tc, own: _relation_emptiness(tc, own, depth), tank,
         lambda r: r == "nonempty" or isinstance(r, Verdict) and r.refuted,
     )
     if decided == "nonempty":
@@ -877,6 +872,6 @@ def _both_empty(
         return Both(evals() + (CanonEmpty(ac), CanonEmpty(bc), CanonEq(ac, bc)))
 
     return _claim(head, statement, "both-empty", (
-        _check_eq_set(ac, None, tank, depth, strategy),
-        _check_eq_set(bc, None, tank, depth, strategy),
+        _check_eq_set(ac, None, tank, depth),
+        _check_eq_set(bc, None, tank, depth),
     ), depth)

@@ -124,7 +124,7 @@ def instance_admissible(
     the conclusion are instantiated by True/False before they are judged."""
     if instance_depth < 1 or witness_depth < 1:
         raise ValueError("bounds must be >= 1")
-    tank = Tank(fuel)
+    tank = Tank(fuel, strategy)
     undecided = None
     checked = 0
     for values in itertools.product((TRUE, FALSE), repeat=len(rule.metavariables)):
@@ -135,12 +135,12 @@ def instance_admissible(
 
         premises = Inhabitation.INHABITED
         for prop in premise_props:
-            premises = _combine_and(premises, _run_inhabited(prop, tank, strategy))
+            premises = _combine_and(premises, _run_inhabited(prop, tank))
             if premises is Inhabitation.UNINHABITED:
                 break
         if premises is Inhabitation.UNINHABITED:
             continue
-        conclusion = _run_inhabited(conclusion_prop, tank, strategy)
+        conclusion = _run_inhabited(conclusion_prop, tank)
         if conclusion is Inhabitation.INHABITED:
             continue
         if Inhabitation.DIVERGED in (premises, conclusion):
@@ -152,8 +152,8 @@ def instance_admissible(
             continue
         witnesses = []
         for prop in premise_props:
-            found = _enumerate(prop, witness_depth, tank, strategy).witnesses
-            w = found[0] if found else _member(prop, tank, strategy)
+            found = _enumerate(prop, witness_depth, tank).witnesses
+            w = found[0] if found else _member(prop, tank)
             if w is None:
                 return diverged(f"premise witness diverged: {describe(prop)}")
             witnesses.append(w)
@@ -186,10 +186,10 @@ def instance_admissible(
     return verified(cert, bounds=bounds)
 
 
-def _run_inhabited(a, tank: Tank, strategy: Strategy) -> Inhabitation:
+def _run_inhabited(a, tank: Tank) -> Inhabitation:
     """Inhabitation of a closed proposition: ``a`` and each part of it
     are run through the evaluator, canonical or not."""
-    res = run(a, tank, strategy)
+    res = run(a, tank)
     if isinstance(res, FuelExhausted):
         return Inhabitation.DIVERGED
     if isinstance(res, Stuck):
@@ -200,18 +200,16 @@ def _run_inhabited(a, tank: Tank, strategy: Strategy) -> Inhabitation:
         case TFalse():
             return Inhabitation.UNINHABITED
         case Disj(l, r):
-            return _combine_or(_run_inhabited(l, tank, strategy),
-                               _run_inhabited(r, tank, strategy))
+            return _combine_or(_run_inhabited(l, tank), _run_inhabited(r, tank))
         case Exists(d, b, f):
             if b in f.fv:
                 return Inhabitation.NOT_GROUND
-            return _combine_and(_run_inhabited(d, tank, strategy),
-                                _run_inhabited(f, tank, strategy))
+            return _combine_and(_run_inhabited(d, tank), _run_inhabited(f, tank))
         case Forall(d, b, f):
             if b in f.fv:
                 return Inhabitation.NOT_GROUND
-            idom = _run_inhabited(d, tank, strategy)
-            icod = _run_inhabited(f, tank, strategy)
+            idom = _run_inhabited(d, tank)
+            icod = _run_inhabited(f, tank)
             if idom is Inhabitation.UNINHABITED or icod is Inhabitation.INHABITED:
                 return Inhabitation.INHABITED
             if idom is Inhabitation.INHABITED:

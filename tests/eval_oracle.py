@@ -87,15 +87,16 @@ def _step(t: Term, strategy: Strategy):
             raise AssertionError(f"no step for canonical term {t!r}")
 
 
-def run(t: Term, tank: Tank, strategy: Strategy = Strategy.CALL_BY_NAME) -> EvalResult:
-    """Reduce to canonical form, drawing steps from the shared tank."""
+def run(t: Term, tank: Tank) -> EvalResult:
+    """Reduce to canonical form under the tank's strategy, drawing steps
+    from the tank."""
     steps = 0
     while True:
         form = classify(t)
         if form is not None:
             return Canonical(t, form, steps)
         # a stuck term takes no step, so it is stuck whatever fuel is left
-        nxt = _step(t, strategy)
+        nxt = _step(t, tank.strategy)
         if isinstance(nxt, _StuckAt):
             return Stuck(nxt.subterm)
         if tank.remaining <= 0:

@@ -8,7 +8,7 @@ from ctkernel.binary import (
 from ctkernel.evaluation import evaluate
 from ctkernel.judgments import EqMember, Evals, Gen, Status, replay
 from ctkernel.syntax import parse, pretty
-from ctkernel.terms import IT, Disj, Inl, Inr, TRUE, FALSE, substitute
+from ctkernel.terms import IT, Disj, Forall, Inl, Inr, TRUE, FALSE, substitute
 from ctkernel.unary import (
     Inhabitation, check_is_set, check_member, enumerate_canonical, ground_types,
     inhabited_exact,
@@ -325,7 +325,6 @@ class TestFamilyPrecondition:
                                parse("<inr it, <it, it>>"), ty).status is Status.VERIFIED
 
     def test_ill_formed_family_refuted(self):
-        from ctkernel.terms import Forall
         # one branch of the family is not a set, caught at the related
         # pair whose instance lands in it
         bad = parse("case g it of inl a -> True | inr b -> it")
@@ -361,3 +360,27 @@ class TestRelatedPairs:
         assert {(pretty(a), pretty(b)) for a, b in pairs} == {
             ("inl it", "inl it"), ("inr it", "inr it"),
         }
+
+    def test_stuck_domain_refutes(self):
+        lam = parse("lam x. it")
+        v = check_eq_member(lam, lam, parse("((fst it) \\/ True) => True"))
+        assert v.status is Status.REFUTED
+        assert [s.rule for s in v.trace.steps] == ["equal-membership", "stuck-type"]
+
+    def test_divergent_pair_ends_the_search(self):
+        # enumerating the domain spends the one step that relating the
+        # first pair needs
+        domain = parse("((lam y. y) True) \\/ True")
+        pairs, complete, failure = related_pairs(domain, fuel=1)
+        assert (pairs, complete, failure.status) == ((), False, Status.DIVERGED)
+        assert failure.fuel_report == "type diverged: (lam y. y) True"
+        lam = parse("lam x. it")
+        v = check_eq_member(lam, lam, Forall(domain, "_", TRUE), fuel=2)
+        assert (v.status, v.fuel_report) == (Status.DIVERGED, failure.fuel_report)
+
+    def test_undecided_pair_leaves_the_list_incomplete(self):
+        # the witness lam _. it relates to itself only over a dependent
+        # domain, whose enumeration is never complete: UNKNOWN, not kept
+        domain = parse("(forall z : True \\/ True . case z of inl a -> True | inr b -> True) => True")
+        assert enumerate_canonical(domain).witnesses == (parse("lam _. it"),)
+        assert related_pairs(domain) == ((), False, None)

@@ -95,6 +95,14 @@ class TestCheck:
         code, _ = run(["check", "it", ":", "it", "in", "True"])
         assert code == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["it", "True"], "check expects: <term> [: <term>] in <type>"),
+        (["--binary", "it", ":", "in", "True"], "check expects: <term> : <term> in <type>"),
+    ])
+    def test_malformed_check_exit_1(self, argv, message, capsys):
+        assert run(["check", *argv]) == (1, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestEnum:
     def test_complete_listing(self):
@@ -106,6 +114,9 @@ class TestEnum:
         code, text = run(["enum", "True \\/ True", "--depth", "1"])
         assert code == 5
         assert "incomplete" in text
+
+    def test_refuted_type_exit_4(self):
+        assert run(["enum", "fst it"]) == (4, "enumeration failed: refuted\n")
 
 
 class TestRule:
@@ -163,6 +174,19 @@ class TestRule:
         code, _ = run(["rule", "--file", str(path)])
         assert code == 4
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "provide exactly one of an inline rule or --file"),
+        ("# only comments\n\n# here\n", "no rules found in file"),
+    ])
+    def test_no_rule_exit_1(self, tmp_path, capsys, text, message):
+        argv = ["rule"]
+        if text is not None:
+            path = tmp_path / "rules.txt"
+            path.write_text(text)
+            argv += ["--file", str(path)]
+        assert run(argv) == (1, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestKripke:
     @pytest.fixture
@@ -195,6 +219,22 @@ class TestKripke:
     def test_unknown_atom_exit_1(self, model_file):
         code, _ = run(["kripke", model_file, "--judgment", "Z"])
         assert code == 1
+
+    @pytest.mark.parametrize("args, message", [
+        (["--judgment", "A B"], "trailing input in judgment: B"),
+        (["--judgment", "(A"], "missing closing parenthesis"),
+        (["--judgment", ")"], "unexpected ')'"),
+        (["--judgment", "A", "--world", "w"], "unknown world 'w'"),
+    ])
+    def test_bad_judgment_or_world_exit_1(self, model_file, capsys, args, message):
+        assert run(["kripke", model_file, *args]) == (1, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_verify_of_unknown_world_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "model.txt"
+        path.write_text("world u\natom A\nverify w A t0\n")
+        assert run(["kripke", str(path), "--judgment", "A"]) == (1, "")
+        assert capsys.readouterr().err == "error: verify line names unknown world 'w'\n"
 
 
 class TestMachineMode:

@@ -51,7 +51,7 @@ class TestExamples:
     @pytest.mark.parametrize("t", [Var("Z"), parse("Z it"), parse("fst (Z it)")])
     def test_stuck_variable_head_needs_no_fuel(self, t):
         # a free head takes no step, so a dry tank cannot hide it
-        tank = Tank(0)
+        tank = Tank(0, Strategy.CALL_BY_NAME)
         assert run(t, tank) == Stuck(Var("Z"))
         assert tank.remaining == 0
 
@@ -62,8 +62,8 @@ class TestExamples:
     def test_stuck_head_needs_no_fuel(self, text, strategy):
         # an eliminator on the wrong canonical shape takes no step either
         for fuel in (0, 1):
-            tank = Tank(fuel)
-            assert run(parse(text), tank, strategy) == Stuck(parse(text))
+            tank = Tank(fuel, strategy)
+            assert run(parse(text), tank) == Stuck(parse(text))
             assert tank.remaining == fuel
 
     def test_projections(self):
@@ -152,8 +152,8 @@ def assert_matches_oracle(t):
     the same fuel drawn as the reference evaluator, at every budget."""
     for strategy in Strategy:
         for fuel in ORACLE_FUELS:
-            tank, ref_tank = Tank(fuel), Tank(fuel)
-            assert run(t, tank, strategy) == eval_oracle.run(t, ref_tank, strategy)
+            tank, ref_tank = Tank(fuel, strategy), Tank(fuel, strategy)
+            assert run(t, tank) == eval_oracle.run(t, ref_tank)
             assert tank.remaining == ref_tank.remaining
 
 
@@ -192,6 +192,17 @@ class TestAgainstOracle:
         for i in range(40):
             t = Fst(t) if i % 2 else Case(t, "a", Var("a"), "b", big)
         assert_matches_oracle(t)
+
+    @pytest.mark.parametrize("text", [
+        "(lam f. (lam g. g) (f it)) (lam x. x)",
+        "(lam f. case inl (f it) of inl g -> g | inr h -> h) (lam x. x)",
+    ])
+    def test_focus_is_a_closure_with_its_own_environment(self, text):
+        # the bound value f it is a closure over f, and it becomes the
+        # focus when g is looked up
+        t = parse(text)
+        assert_matches_oracle(t)
+        assert evaluate(t, 100) == Canonical(IT, CanonicalForm.IT, 3)
 
     # Open inputs where a step substitutes an open value, so that
     # capture-avoiding substitution picks fresh names.

@@ -13,7 +13,7 @@ from typing import get_args
 import pytest
 
 from ctkernel.config import RunConfig
-from ctkernel.evaluation import Canonical, FuelExhausted, Stuck, Tank, evaluate
+from ctkernel.evaluation import Canonical, FuelExhausted, Strategy, Stuck, Tank, evaluate
 from ctkernel.judgments import (
     Blocked, Both, CanonClosureIn, CanonEmpty, CanonEq, CanonIn, CanonNeq, CanonNotIn,
     CanonUndefined, EqMember, EqSet, Evals, Gen, Hyp, IsSet, IsTrue, Member, Statement,
@@ -36,7 +36,7 @@ FIELDS = {
     Canonical: ("term", "form", "steps"),
     FuelExhausted: ("remaining",),
     Stuck: ("offending",),
-    Tank: ("remaining",),
+    Tank: ("remaining", "strategy"),
     TraceStep: ("statement", "rule", ("children", ())),
     Trace: (("steps", ()),),
     Verdict: ("status", ("trace", field(default_factory=Trace)), ("bound", None),
@@ -100,7 +100,7 @@ SAMPLES = {
     Canonical: (evaluate(parse("fst <it, it>"), 10), Canonical(IT, CanonicalForm.IT, 0)),
     FuelExhausted: (evaluate(parse("(lam x. x x) (lam x. x x)"), 5), FuelExhausted("it")),
     Stuck: (evaluate(parse("fst inl it"), 5), Stuck(IT)),
-    Tank: (Tank(3), Tank(4)),
+    Tank: (Tank(3, Strategy.CALL_BY_NAME), Tank(3, Strategy.CALL_BY_VALUE)),
     TraceStep: (TraceStep(Member(IT, TRUE), "intro"),
                 TraceStep(Member(IT, TRUE), "intro", (Trace(),))),
     Trace: (check_member(parse("lam x. <it, it>"), parse("False => True")).trace, Trace()),
@@ -226,7 +226,7 @@ class TestAgainstDataclass:
             setattr(y, first, 9)
             m = mirror(x)
             setattr(m, first, 9)
-            assert values(y) == values(m) == [9]
+            assert values(y) == values(m) == [9, *values(x)[1:]]
             return
         for target in (x, mirror(x)):
             with pytest.raises(AttributeError):

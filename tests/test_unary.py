@@ -216,6 +216,8 @@ class TestInhabited:
         dependent = Forall(parse("True \\/ True"), "x",
                            parse("case x of inl a -> True | inr b -> False"))
         assert inhabited_exact(dependent) is Inhabitation.NOT_GROUND
+        # a stuck disjunct beside an empty one
+        assert inhabited_exact(parse("(fst it) \\/ False")) is Inhabitation.NOT_GROUND
 
     def test_diverging_type(self):
         assert inhabited_exact(OMEGA, fuel=50) is Inhabitation.DIVERGED
@@ -240,9 +242,9 @@ class TestCanonicalInputNotRun:
         ran = []
         real = ctkernel.unary.run
 
-        def counted(t, tank, strategy=Strategy.CALL_BY_NAME):
+        def counted(t, tank):
             ran.append(t)
-            return real(t, tank, strategy)
+            return real(t, tank)
 
         monkeypatch.setattr(ctkernel.unary, "run", counted)
         return ran
@@ -260,16 +262,16 @@ class TestCanonicalInputNotRun:
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_answered_at_empty_tank_without_a_run(self, runs, text, valuation, expected,
                                                    strategy):
-        tank = Tank(0)
-        assert _inhabited(parse(text), tank, strategy, valuation) is expected
+        tank = Tank(0, strategy)
+        assert _inhabited(parse(text), tank, valuation) is expected
         assert runs == []
         assert tank.remaining == 0
 
     def test_only_the_parts_that_step_are_run(self, runs):
         redex = parse("(lam x. x) P")
-        tank = Tank(10)
+        tank = Tank(10, Strategy.CALL_BY_NAME)
         prop = Disj(FALSE, Forall(redex, "_", TRUE))
-        assert _inhabited(prop, tank, Strategy.CALL_BY_NAME, {"P": UNINHABITED}) is INHABITED
+        assert _inhabited(prop, tank, {"P": UNINHABITED}) is INHABITED
         assert runs == [parse("(lam x. x) False")]
         assert tank.remaining == 9
 
@@ -443,3 +445,54 @@ class TestMonotoneRefinement:
         large = check_member(m, ty, fuel=600, depth=4)
         if small.status in (Status.VERIFIED, Status.REFUTED):
             assert large.status is small.status
+
+
+class TestFailureBranches:
+    """Each input reaches a failure branch of the unary walk that no other
+    test reaches; the status and the rule or fuel report are pinned."""
+
+    @pytest.mark.parametrize("text", [
+        "fst it", "(fst it) \\/ True", "(fst it) /\\ True", "True /\\ fst it",
+    ])
+    def test_stuck_component_refutes_enumeration(self, text):
+        # the stuck part fails the whole enumeration, wherever it sits
+        r = enumerate_canonical(parse(text))
+        assert (r.witnesses, r.complete, r.failure.status) == ((), False, Status.REFUTED)
+        (step,) = r.failure.trace.steps
+        assert (step.rule, step.statement.term) == ("stuck-type", parse("fst it"))
+
+    def test_uncertified_candidate_leaves_enumeration_incomplete(self):
+        # the constant candidate's codomain needs a step the tank lacks
+        r = enumerate_canonical(parse("True => (lam x. x) True"), 3, fuel=1)
+        assert (r.witnesses, r.complete, r.failure) == ((), False, None)
+
+    def test_stuck_domain_refutes(self):
+        v = check_member(parse("lam x. x"), parse("forall y : fst it . True"))
+        assert v.status is Status.REFUTED
+        assert [s.rule for s in v.trace.steps] == ["membership", "stuck-type"]
+
+    @pytest.mark.parametrize("connective, report", [
+        ("/\\", f"domain inhabitation diverged: {pretty(OMEGA)} /\\ True"),
+        ("\\/", f"type diverged: {pretty(OMEGA)}"),
+    ])
+    def test_divergent_domain(self, connective, report):
+        # a conjunction diverges in the inhabitation test; a disjunction
+        # is inhabited by its right side and diverges in the enumeration
+        ty = parse(f"(({pretty(OMEGA)}) {connective} True) => True")
+        v = check_member(parse("lam x. it"), ty, fuel=50)
+        assert (v.status, v.fuel_report) == (Status.DIVERGED, report)
+        assert [s.rule for s in v.trace.steps] == ["membership"]
+
+    def test_set_hood_domain_enumeration_diverges(self):
+        # the domain is a set and inhabited on its right, but enumerating
+        # it needs the step that its set-hood spent
+        ty = parse("forall x : ((lam y. y) True) \\/ True . case x of inl a -> True | inr b -> True")
+        v = check_is_set(ty, fuel=1)
+        assert (v.status, v.fuel_report) == (Status.DIVERGED, "type diverged: (lam y. y) True")
+        assert [s.rule for s in v.trace.steps] == ["set-formation", "domains"]
+
+    def test_set_hood_domain_inhabitation_diverges(self):
+        ty = parse("forall x : ((lam y. y) True) /\\ True . (lam z. True) x")
+        v = check_is_set(ty, fuel=1)
+        assert (v.status, v.fuel_report) == (Status.DIVERGED, "domain inhabitation diverged")
+        assert [s.rule for s in v.trace.steps] == ["set-formation"]
