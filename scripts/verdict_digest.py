@@ -47,7 +47,15 @@ sections.  The sections:
   under both strategies: ``check_member``, and ``check_eq_member`` of the
   witness and ``OMEGA`` in both argument orders;
 * ``check_member/fuel``: the pools' ``check_member`` at fuel 1, 2, 3
-  and 5.
+  and 5;
+* ``parts/...``: the 108 types ``P op Q`` with ``op`` one of ``\\/``,
+  ``/\\`` and ``=>`` and each of ``P`` and ``Q`` one of ``True``,
+  ``False``, ``(lam x. x) True``, ``(lam x. x) False``, ``OMEGA`` and
+  ``fst it``: ``inhabited_exact`` and ``check_is_set`` of each, and
+  ``check_eq_set(P \\/ Q, Q /\\ P)`` in both orders, at fuel 1, 2, 3, 5,
+  8 and 13.  A part that computes, diverges or gets stuck costs fuel in
+  the order the parts are read, so these records see that order and
+  how the parts share the budget.
 
 Run it on two checkouts and compare the output; ``--records`` prints the
 status and a short hash per verdict instead, so that ``diff`` counts the
@@ -78,9 +86,12 @@ from ctkernel.syntax import (  # noqa: E402
     PREC_ATOM, PREC_TERM, ParseError, parse, pretty, pretty_at,
 )
 from ctkernel.terms import (  # noqa: E402
-    IT, App, Case, Disj, Exists, Forall, Fst, Lam, TFalse, TTrue, Var, term_key,
+    FALSE, IT, TRUE, App, Case, Disj, Exists, Forall, Fst, Lam, TFalse, TTrue, Var, conj,
+    imp, term_key,
 )
-from ctkernel.unary import check_is_set, check_member, enumerate_canonical  # noqa: E402
+from ctkernel.unary import (  # noqa: E402
+    check_is_set, check_member, enumerate_canonical, inhabited_exact,
+)
 from termgen import (  # noqa: E402
     OMEGA, STUCK_TERM, generated_checks, outside_fragment_schemes, random_rule_schemes,
     safe_wrap,
@@ -102,6 +113,9 @@ STRATEGY_WITNESSES = 300
 STRATEGY_FUEL = 50
 UNUSED_ARGS = (OMEGA, STUCK_TERM, Fst(IT))
 MEMBER_FUELS = (1, 2, 3, 5)
+IDENTITY = Lam("x", Var("x"))
+PARTS = (TRUE, FALSE, App(IDENTITY, TRUE), App(IDENTITY, FALSE), OMEGA, Fst(IT))
+PART_FUELS = (1, 2, 3, 5, 8, 13)
 MALFORMED = (
     "", "(", ")", "lam", "lam x", "lam x.", "lam . x", "forall x . A", "forall x : A",
     "exists : A . B", "case x of inr a -> a | inl b -> b", "case x of inl a -> a",
@@ -283,6 +297,21 @@ def sections():
             for m, ty in pairs:
                 v = check_member(m, ty, fuel)
                 yield f"check_member/fuel/{name}", v.status.value, verdict_record(v)
+    # Parts that are canonical, compute, diverge or get stuck, in both
+    # orders under each connective.
+    pairs = [(p, q) for p in PARTS for q in PARTS]
+    for fuel in PART_FUELS:
+        for build in (Disj, conj, imp):
+            for p, q in pairs:
+                ty = build(p, q)
+                value = inhabited_exact(ty, fuel).value
+                yield "parts/inhabited_exact", value, [value]
+                v = check_is_set(ty, fuel)
+                yield "parts/check_is_set", v.status.value, verdict_record(v)
+        for p, q in pairs:
+            for x, y in ((Disj(p, q), conj(q, p)), (conj(q, p), Disj(p, q))):
+                v = check_eq_set(x, y, fuel)
+                yield "parts/check_eq_set", v.status.value, verdict_record(v)
 
 
 def main() -> None:

@@ -97,12 +97,6 @@ def _config(args) -> RunConfig:
     )
 
 
-def _config_json(cfg: RunConfig, **extra) -> dict:
-    out = {"fuel": cfg.fuel, "depth": cfg.depth, "search_depth": cfg.search_depth}
-    out.update(extra)
-    return out
-
-
 def _parse_term(text: str, role: str):
     from .syntax import parse
     from .terms import free_vars
@@ -117,22 +111,23 @@ def _parse_term(text: str, role: str):
     return term
 
 
-def _emit(out, cfg: RunConfig, command: str, verdict: str, payload, human: str,
+def _emit(out, cfg: RunConfig, command: str, verdict: str, payload, human,
           exit_code: int, **extra_cfg) -> int:
     """Print the result, as one JSON document or as text, and return the
-    exit code."""
+    exit code.  ``payload()`` builds the document's trace and ``human()``
+    the text; only the one printed is built."""
     if cfg.output_mode == "machine":
         import json
 
-        doc = {
+        print(json.dumps({
             "command": command,
-            "config": _config_json(cfg, **extra_cfg),
+            "config": {"fuel": cfg.fuel, "depth": cfg.depth, "search_depth": cfg.search_depth,
+                       **extra_cfg},
             "verdict": verdict,
-            "trace": payload,
-        }
-        print(json.dumps(doc, indent=2), file=out)
+            "trace": payload(),
+        }, indent=2), file=out)
     else:
-        print(human, file=out)
+        print(human(), file=out)
     return exit_code
 
 
@@ -157,14 +152,16 @@ def _cmd_eval(args, cfg: RunConfig, out) -> int:
     result = evaluate(term, cfg.fuel)
     if isinstance(result, Canonical):
         text = pretty(result.term)
-        return _emit(out, cfg, "eval", "canonical", {"result": text, "steps": result.steps},
-                     f"{text}\ncanonical ({result.steps} steps)", EXIT_OK)
+        return _emit(out, cfg, "eval", "canonical",
+                     lambda: {"result": text, "steps": result.steps},
+                     lambda: f"{text}\ncanonical ({result.steps} steps)", EXIT_OK)
     if isinstance(result, FuelExhausted):
-        return _emit(out, cfg, "eval", "fuel-exhausted", {"remaining": result.remaining},
-                     f"fuel exhausted after {cfg.fuel} steps at: {result.remaining}",
+        return _emit(out, cfg, "eval", "fuel-exhausted", lambda: {"remaining": result.remaining},
+                     lambda: f"fuel exhausted after {cfg.fuel} steps at: {result.remaining}",
                      EXIT_DIVERGED)
     text = pretty(result.offending)
-    return _emit(out, cfg, "eval", "stuck", {"offending": text}, f"stuck at: {text}", EXIT_STUCK)
+    return _emit(out, cfg, "eval", "stuck", lambda: {"offending": text},
+                 lambda: f"stuck at: {text}", EXIT_STUCK)
 
 
 def _split_check_query(query: list[str]):
@@ -201,8 +198,8 @@ def _cmd_check(args, cfg: RunConfig, out) -> int:
 
         verdict = check_member(left, ty, cfg.fuel, cfg.depth)
     status = verdict.status.value
-    return _emit(out, cfg, "check", status, verdict.trace.to_json(),
-                 _verdict_human(verdict), _STATUS_EXIT[status], binary=args.binary)
+    return _emit(out, cfg, "check", status, verdict.trace.to_json,
+                 lambda: _verdict_human(verdict), _STATUS_EXIT[status], binary=args.binary)
 
 
 def _cmd_enum(args, cfg: RunConfig, out) -> int:
@@ -213,13 +210,13 @@ def _cmd_enum(args, cfg: RunConfig, out) -> int:
     result = enumerate_canonical(ty, cfg.depth, cfg.fuel)
     if result.failure is not None:
         verdict = result.failure.status.value
-        return _emit(out, cfg, "enum", verdict, {"witnesses": [], "complete": False},
-                     f"enumeration failed: {verdict}", _STATUS_EXIT[verdict])
+        return _emit(out, cfg, "enum", verdict, lambda: {"witnesses": [], "complete": False},
+                     lambda: f"enumeration failed: {verdict}", _STATUS_EXIT[verdict])
     verdict = "complete" if result.complete else "incomplete"
     witnesses = [pretty(w) for w in result.witnesses]
     return _emit(out, cfg, "enum", verdict,
-                 {"witnesses": witnesses, "complete": result.complete},
-                 "\n".join(witnesses + [verdict]),
+                 lambda: {"witnesses": witnesses, "complete": result.complete},
+                 lambda: "\n".join(witnesses + [verdict]),
                  EXIT_OK if result.complete else EXIT_UNKNOWN)
 
 
@@ -269,9 +266,10 @@ def _cmd_rule(args, cfg: RunConfig, out) -> int:
         for scheme in schemes
     ]
     status = worst(r.admissibility.status for r in reports).value
-    payload = [_report_json(r) for r in reports]
-    return _emit(out, cfg, "rule", status, payload if len(payload) > 1 else payload[0],
-                 "\n\n".join(r.render() for r in reports), _STATUS_EXIT[status],
+    return _emit(out, cfg, "rule", status,
+                 lambda: ([_report_json(r) for r in reports] if len(reports) > 1
+                          else _report_json(reports[0])),
+                 lambda: "\n\n".join(r.render() for r in reports), _STATUS_EXIT[status],
                  instance_depth=args.instance_depth)
 
 
@@ -284,30 +282,21 @@ def _cmd_kripke(args, cfg: RunConfig, out) -> int:
     if args.check_monotone:
         counterexample = worlds.check_monotone(model, judgment)
         if counterexample is None:
-            verdict, payload, human, exit_code = (
-                "pass", {"monotone": True}, "monotone: pass", EXIT_OK,
-            )
-        else:
-            u, v = counterexample
-            verdict = "counterexample"
-            payload = {"monotone": False, "at": [u, v]}
-            human = f"monotone: counterexample ({u} <= {v})"
-            exit_code = EXIT_REFUTED
-    elif args.world is not None:
+            return _emit(out, cfg, "kripke", "pass", lambda: {"monotone": True},
+                         lambda: "monotone: pass", EXIT_OK)
+        u, v = counterexample
+        return _emit(out, cfg, "kripke", "counterexample",
+                     lambda: {"monotone": False, "at": [u, v]},
+                     lambda: f"monotone: counterexample ({u} <= {v})", EXIT_REFUTED)
+    if args.world is not None:
         forced = worlds.forces(model, args.world, judgment)
         verdict = "forced" if forced else "not-forced"
-        payload = {"world": args.world, "forced": forced}
-        human = f"{args.world}: {verdict}"
-        exit_code = EXIT_OK if forced else EXIT_REFUTED
-    else:
-        table = {w: worlds.forces(model, w, judgment) for w in model.worlds}
-        verdict = "report"
-        payload = {"forces": table}
-        human = "\n".join(
-            f"{w}: {'forced' if ok else 'not-forced'}" for w, ok in table.items()
-        )
-        exit_code = EXIT_OK
-    return _emit(out, cfg, "kripke", verdict, payload, human, exit_code)
+        return _emit(out, cfg, "kripke", verdict, lambda: {"world": args.world, "forced": forced},
+                     lambda: f"{args.world}: {verdict}", EXIT_OK if forced else EXIT_REFUTED)
+    table = {w: worlds.forces(model, w, judgment) for w in model.worlds}
+    return _emit(out, cfg, "kripke", "report", lambda: {"forces": table},
+                 lambda: "\n".join(f"{w}: {'forced' if ok else 'not-forced'}"
+                                   for w, ok in table.items()), EXIT_OK)
 
 
 _COMMANDS = {"eval": _cmd_eval, "check": _cmd_check, "enum": _cmd_enum,

@@ -128,16 +128,31 @@ class Trace(Record):
         return steps
 
     def to_json(self) -> list:
-        return [_step_to_json(s) for s in self.steps]
+        """The {judgment, rule, children} tree, by a loop rather than
+        recursion: the children of a step are its premises' steps."""
+        out = []
+        stack = [(self, out)]
+        while stack:
+            trace, into = stack.pop()
+            for step in trace.steps:
+                children = []
+                into.append({"judgment": render_statement(step.statement), "rule": step.rule,
+                             "children": children})
+                stack.extend((child, children) for child in reversed(step.children))
+        return out
 
     def render(self, indent: int = 0) -> str:
+        """The tree of ``to_json`` as text: one line per step, numbered at
+        the top level, with each step's children indented under it."""
         lines: list[str] = []
-        for i, step in enumerate(self.steps, start=1):
-            pad = "    " * indent
-            label = f"({i}) " if indent == 0 else "- "
-            lines.append(f"{pad}{label}{render_statement(step.statement)}    [{step.rule}]")
-            for child in step.children:
-                lines.append(child.render(indent + 1))
+        stack = [(indent, node) for node in reversed(self.to_json())]
+        top = 0
+        while stack:
+            at, node = stack.pop()
+            top += at == 0
+            label = f"({top}) " if at == 0 else "- "
+            lines.append(f"{'    ' * at}{label}{node['judgment']}    [{node['rule']}]")
+            stack.extend((at + 1, child) for child in reversed(node["children"]))
         return "\n".join(lines)
 
 
@@ -152,14 +167,6 @@ def later(build) -> Trace:
     trace = _new(Trace)
     _set_build(trace, build)
     return trace
-
-
-def _step_to_json(step: TraceStep) -> dict:
-    return {
-        "judgment": render_statement(step.statement),
-        "rule": step.rule,
-        "children": [node for child in step.children for node in child.to_json()],
-    }
 
 
 def trace_json_valid(doc) -> bool:
@@ -218,13 +225,12 @@ def replay(trace: Trace, fuel: int, strategy=evaluation.Strategy.CALL_BY_NAME) -
             case _:
                 pass
 
-    def walk(tr: Trace) -> None:
-        for step in tr.steps:
+    # each step is checked on its own, so a loop visits them in any order
+    stack = [trace]
+    while stack:
+        for step in stack.pop().steps:
             visit(step.statement)
-            for child in step.children:
-                walk(child)
-
-    walk(trace)
+            stack.extend(step.children)
     return ok
 
 

@@ -56,7 +56,7 @@ from .terms import (
     alpha_eq, free_vars, substitute,
 )
 from .unary import (
-    Inhabitation, _TRUTH_TERMS, _combine_and, _enumerate, _inhabited, _member,
+    Inhabitation, _AND, _TRUTH_TERMS, _enumerate, _inhabited, _member,
 )
 
 CBN = Strategy.CALL_BY_NAME
@@ -385,7 +385,7 @@ def admissible(
         checked += 1
         premises = Inhabitation.INHABITED
         for p in rule.premises:
-            premises = _combine_and(premises, _inhabited(p.a, tank, valuation))
+            premises = _AND[premises, _inhabited(p.a, tank, valuation)]
             if premises is Inhabitation.UNINHABITED:
                 break
         if premises is Inhabitation.UNINHABITED:

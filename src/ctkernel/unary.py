@@ -168,47 +168,31 @@ def _inhabited(
         case TFalse():
             return Inhabitation.UNINHABITED
         case Disj(l, r):
-            il = _inhabited(l, tank, valuation)
-            ir = _inhabited(r, tank, valuation)
-            return _combine_or(il, ir)
-        case Exists(d, b, f):
-            if b in free_vars(f):
-                return Inhabitation.NOT_GROUND
-            return _combine_and(_inhabited(d, tank, valuation), _inhabited(f, tank, valuation))
-        case Forall(d, b, f):
-            if b in free_vars(f):
-                return Inhabitation.NOT_GROUND
-            idom = _inhabited(d, tank, valuation)
-            icod = _inhabited(f, tank, valuation)
-            if idom is Inhabitation.UNINHABITED or icod is Inhabitation.INHABITED:
-                return Inhabitation.INHABITED
-            if idom is Inhabitation.INHABITED:
-                return icod
-            if Inhabitation.DIVERGED in (idom, icod):
-                return Inhabitation.DIVERGED
-            return Inhabitation.NOT_GROUND
+            table = _OR
+        case Exists(l, b, r) if b not in r.fv:
+            table = _AND
+        case Forall(l, b, r) if b not in r.fv:
+            table = _IMP
         case _:
+            # a dependent family, or not a type former
             return Inhabitation.NOT_GROUND
+    # the left part, or the domain, is read first
+    return table[_inhabited(l, tank, valuation), _inhabited(r, tank, valuation)]
 
 
-def _combine_or(il: Inhabitation, ir: Inhabitation) -> Inhabitation:
-    if Inhabitation.INHABITED in (il, ir):
-        return Inhabitation.INHABITED
-    if Inhabitation.DIVERGED in (il, ir):
-        return Inhabitation.DIVERGED
-    if Inhabitation.NOT_GROUND in (il, ir):
-        return Inhabitation.NOT_GROUND
-    return Inhabitation.UNINHABITED
-
-
-def _combine_and(il: Inhabitation, ir: Inhabitation) -> Inhabitation:
-    if Inhabitation.UNINHABITED in (il, ir):
-        return Inhabitation.UNINHABITED
-    if Inhabitation.DIVERGED in (il, ir):
-        return Inhabitation.DIVERGED
-    if Inhabitation.NOT_GROUND in (il, ir):
-        return Inhabitation.NOT_GROUND
-    return Inhabitation.INHABITED
+# The value of a disjunction, a conjunction and an implication for each
+# pair of values of its parts, by one rule: a disjunction takes the first
+# of its parts' values in the order of ``_FIRST``; negation swaps the two
+# decided values; a conjunction is the negation of the disjunction of
+# the negated parts, and an implication the disjunction of the negated
+# domain and the codomain.  So a first value decides a connective
+# exactly when its row of the table is constant.
+_FIRST = (Inhabitation.INHABITED, Inhabitation.DIVERGED, Inhabitation.NOT_GROUND,
+          Inhabitation.UNINHABITED)
+_NOT = {v: v for v in _FIRST} | {_FIRST[0]: _FIRST[3], _FIRST[3]: _FIRST[0]}
+_OR = {(x, y): min(x, y, key=_FIRST.index) for x in _FIRST for y in _FIRST}
+_AND = {(x, y): _NOT[_OR[_NOT[x], _NOT[y]]] for x, y in _OR}
+_IMP = {(x, y): _OR[_NOT[x], y] for x, y in _OR}
 
 
 def _member(a: Term, tank: Tank) -> Optional[Term]:
@@ -705,28 +689,6 @@ def _related_pairs(domain: Term, depth: int, tank: Tank):
 # -- equal sets ---------------------------------------------------------------
 
 
-def _same_budget(sides: Sequence, test, tank: Tank, decisive):
-    """Readings of ``test(side, fuel)``, each side on its own copy of the
-    remaining budget.
-
-    Returns ``(reading, [])`` for the first side whose reading is
-    decisive, and the tank pays for that side alone; else ``(None,
-    readings)``, and the tank pays for every side.  So the readings do
-    not depend on the order of the sides, and one side's divergence
-    cannot hide the other side's decisive reading."""
-    budget = tank.remaining
-    readings = []
-    for side in sides:
-        own = Tank(budget, tank.strategy)
-        r = test(side, own)
-        if decisive(r):
-            tank.remaining = own.remaining
-            return r, []
-        readings.append(r)
-        tank.remaining = max(0, tank.remaining - (budget - own.remaining))
-    return None, readings
-
-
 def _check_eq_set(a: Term, b: Optional[Term], tank: Tank, depth: int) -> Verdict:
     """Equality of the relations of two types.  With ``b`` None it is
     set-hood, the equality of ``a`` with itself: ``a`` is evaluated once,
@@ -803,8 +765,8 @@ def _check_eq_set(a: Term, b: Optional[Term], tank: Tank, depth: int) -> Verdict
             inh = _inhabited(d1, tank)
             if inh is Inhabitation.DIVERGED:
                 return diverged("domain inhabitation diverged", later(lambda: (head(),)))
-            empty = inh is Inhabitation.UNINHABITED
-            ed = EnumResult((), True) if empty else _enumerate(d1, depth, tank)
+            ed = (EnumResult((), True) if inh is Inhabitation.UNINHABITED
+                  else _enumerate(d1, depth, tank))
             if ed.failure is not None:
                 return _claim(head, same, "domains", (vd, ed.failure), depth)
             if ed.witnesses or not ed.complete:
@@ -826,23 +788,6 @@ def _check_eq_set(a: Term, b: Optional[Term], tank: Tank, depth: int) -> Verdict
     raise AssertionError("unreachable")
 
 
-def _relation_emptiness(tc: Term, tank: Tank, depth: int):
-    """'empty', 'nonempty', 'unknown' or a failed verdict for a type former."""
-    inh = _inhabited(tc, tank)
-    if inh is Inhabitation.DIVERGED:
-        return diverged(f"inhabitation diverged: {describe(tc)}")
-    if inh is Inhabitation.INHABITED:
-        return "nonempty"
-    if inh is Inhabitation.UNINHABITED:
-        return "empty"
-    ed = _enumerate(tc, depth, tank)
-    if ed.failure is not None:
-        return ed.failure
-    if ed.witnesses:
-        return "nonempty"
-    return "empty" if ed.complete else "unknown"
-
-
 def _both_empty(
     ac: Term, bc: Term, evals: Callable[[], Tuple], tank: Tank, depth: int,
     head: Callable[[], TraceStep],
@@ -852,20 +797,37 @@ def _both_empty(
     None when one relation is provably nonempty, so the caller's
     refutation holds.  Short of that, a side that is not a set refutes,
     a divergent or undecided emptiness test gives DIVERGED or UNKNOWN,
-    and two empty relations are equal when both types are sets.  Each
-    side is tested on the same budget, so a nonempty or not-a-set side
-    decides even when the other side's test diverges."""
-    decided, readings = _same_budget(
-        (ac, bc), lambda tc, own: _relation_emptiness(tc, own, depth), tank,
-        lambda r: r == "nonempty" or isinstance(r, Verdict) and r.refuted,
-    )
-    if decided == "nonempty":
-        return None
-    for r in (decided, *readings):
+    and two empty relations are equal when both types are sets.  A side
+    is empty when ``_inhabited`` says so, or, outside the ground
+    fragment, when its complete enumeration lists no witness.  Each side
+    is tested on its own copy of the remaining budget, so the readings
+    do not depend on the order of the sides, and a nonempty or not-a-set
+    side decides even when the other side's test diverges; the tank pays
+    for the deciding side alone, else for both sides, down to 0."""
+    budget = tank.remaining
+    readings = []
+    for tc in (ac, bc):
+        own = Tank(budget, tank.strategy)
+        r = _inhabited(tc, own)
+        if r is Inhabitation.DIVERGED:
+            r = diverged(f"inhabitation diverged: {describe(tc)}")
+        elif r is Inhabitation.NOT_GROUND:
+            ed = _enumerate(tc, depth, own)
+            r = ed.failure or (Inhabitation.INHABITED if ed.witnesses else
+                               Inhabitation.UNINHABITED if ed.complete else r)
+        if r is Inhabitation.INHABITED or isinstance(r, Verdict) and r.refuted:
+            tank.remaining = own.remaining
+            readings = [r]
+            break
+        readings.append(r)
+        tank.remaining = max(0, tank.remaining - budget + own.remaining)
+    for r in readings:
+        if r is Inhabitation.INHABITED:
+            return None
         if isinstance(r, Verdict):
             return Verdict(r.status, later(lambda: (head(),) + r.trace.steps),
                            fuel_report=r.fuel_report)
-    if "unknown" in readings:
+    if Inhabitation.NOT_GROUND in readings:
         return unknown(depth, later(lambda: (head(),)))
 
     def statement():

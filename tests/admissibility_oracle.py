@@ -18,6 +18,10 @@ builds the instance of every proposition under every valuation and runs
 each one, and each of its parts, through the evaluator.
 ``rules.admissible`` reads each valuation off the metavariables instead,
 and must return the very same verdict, trace, bounds and fuel report.
+
+``combine_or``, ``combine_and`` and ``combine_imp`` are the connectives'
+rules written out case by case, as the kernel first wrote them; the
+kernel reads its tables ``unary._OR``, ``_AND`` and ``_IMP`` instead.
 """
 
 from __future__ import annotations
@@ -34,8 +38,7 @@ from ctkernel.rules import RuleScheme, instantiate
 from ctkernel.syntax import describe, pretty
 from ctkernel.terms import FALSE, TRUE, Disj, Exists, Forall, TFalse, TTrue
 from ctkernel.unary import (
-    Inhabitation, _combine_and, _combine_or, _enumerate, _member,
-    enumerate_canonical, ground_types,
+    Inhabitation, _enumerate, _member, enumerate_canonical, ground_types,
 )
 
 
@@ -135,7 +138,7 @@ def instance_admissible(
 
         premises = Inhabitation.INHABITED
         for prop in premise_props:
-            premises = _combine_and(premises, _run_inhabited(prop, tank))
+            premises = combine_and(premises, _run_inhabited(prop, tank))
             if premises is Inhabitation.UNINHABITED:
                 break
         if premises is Inhabitation.UNINHABITED:
@@ -200,22 +203,44 @@ def _run_inhabited(a, tank: Tank) -> Inhabitation:
         case TFalse():
             return Inhabitation.UNINHABITED
         case Disj(l, r):
-            return _combine_or(_run_inhabited(l, tank), _run_inhabited(r, tank))
+            return combine_or(_run_inhabited(l, tank), _run_inhabited(r, tank))
         case Exists(d, b, f):
             if b in f.fv:
                 return Inhabitation.NOT_GROUND
-            return _combine_and(_run_inhabited(d, tank), _run_inhabited(f, tank))
+            return combine_and(_run_inhabited(d, tank), _run_inhabited(f, tank))
         case Forall(d, b, f):
             if b in f.fv:
                 return Inhabitation.NOT_GROUND
-            idom = _run_inhabited(d, tank)
-            icod = _run_inhabited(f, tank)
-            if idom is Inhabitation.UNINHABITED or icod is Inhabitation.INHABITED:
-                return Inhabitation.INHABITED
-            if idom is Inhabitation.INHABITED:
-                return icod
-            if Inhabitation.DIVERGED in (idom, icod):
-                return Inhabitation.DIVERGED
-            return Inhabitation.NOT_GROUND
+            return combine_imp(_run_inhabited(d, tank), _run_inhabited(f, tank))
         case _:
             return Inhabitation.NOT_GROUND
+
+
+def combine_or(il: Inhabitation, ir: Inhabitation) -> Inhabitation:
+    if Inhabitation.INHABITED in (il, ir):
+        return Inhabitation.INHABITED
+    if Inhabitation.DIVERGED in (il, ir):
+        return Inhabitation.DIVERGED
+    if Inhabitation.NOT_GROUND in (il, ir):
+        return Inhabitation.NOT_GROUND
+    return Inhabitation.UNINHABITED
+
+
+def combine_and(il: Inhabitation, ir: Inhabitation) -> Inhabitation:
+    if Inhabitation.UNINHABITED in (il, ir):
+        return Inhabitation.UNINHABITED
+    if Inhabitation.DIVERGED in (il, ir):
+        return Inhabitation.DIVERGED
+    if Inhabitation.NOT_GROUND in (il, ir):
+        return Inhabitation.NOT_GROUND
+    return Inhabitation.INHABITED
+
+
+def combine_imp(idom: Inhabitation, icod: Inhabitation) -> Inhabitation:
+    if idom is Inhabitation.UNINHABITED or icod is Inhabitation.INHABITED:
+        return Inhabitation.INHABITED
+    if idom is Inhabitation.INHABITED:
+        return icod
+    if Inhabitation.DIVERGED in (idom, icod):
+        return Inhabitation.DIVERGED
+    return Inhabitation.NOT_GROUND

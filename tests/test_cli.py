@@ -2,11 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ctkernel
 from ctkernel.cli import main
-from ctkernel.judgments import trace_json_valid
+from ctkernel.judgments import Trace, trace_json_valid
+from ctkernel.rules import ReadingsReport
 
 
 def run(argv):
@@ -300,3 +306,47 @@ class TestMachineMode:
     def test_bad_budget_exit_1(self):
         code, _ = run(["check", "it", "in", "True", "--fuel", "0"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "(lam x. x) it"], ["check", "lam x. <it,it>", "in", "False => True"],
+        ["enum", "True \\/ True"], ["rule", "P /\\ Q true |- P true"],
+    ])
+    def test_each_mode_builds_only_what_it_prints(self, argv, monkeypatch):
+        def unused(*args, **kw):
+            raise AssertionError("built output that is not printed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(json, "dumps", unused)
+            assert run(argv)[0] == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(Trace, "render", unused)
+            patch.setattr(ReadingsReport, "render", unused)
+            assert run(argv + ["--machine"])[0] == 0
+
+
+class TestDeepTrace:
+    """A check whose trace is 300 levels deep: its text and its document
+    are built by a loop, and each mode builds only what it prints."""
+
+    DEPTH = 300
+    ARGV = ["check", "inl " * DEPTH + "it", "in", "True" + " \\/ False" * DEPTH]
+
+    def ctk(self, *extra):
+        src = Path(ctkernel.__file__).resolve().parent.parent
+        return subprocess.run(
+            [sys.executable, "-m", "ctkernel", *self.ARGV, *extra],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=120,
+        )
+
+    def test_human(self):
+        proc = self.ctk()
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.endswith("verdict: verified\n")
+
+    def test_machine(self):
+        proc = self.ctk("--machine")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        doc = json.loads(proc.stdout)
+        assert doc["verdict"] == "verified"
+        assert trace_json_valid(doc["trace"])

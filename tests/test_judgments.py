@@ -303,3 +303,75 @@ class TestDeferredTraces:
             digest.update(json.dumps(v.trace.to_json()).encode())
         assert digest.hexdigest() == (
             "25ccde90169c630c470d0c323ed7e0dcb37147004b619ce4b3eccad2202c1073")
+
+
+def recursive_to_json(trace: Trace) -> list:
+    """The trace's document as first written, one call per trace level:
+    the reference for the loop of ``Trace.to_json``."""
+    return [{"judgment": render_statement(step.statement), "rule": step.rule,
+             "children": [node for child in step.children for node in recursive_to_json(child)]}
+            for step in trace.steps]
+
+
+def recursive_render(trace: Trace, indent: int = 0) -> str:
+    """The trace's text as first written, one call per trace level; a
+    premise with no steps wrote an empty line."""
+    lines = []
+    for i, step in enumerate(trace.steps, start=1):
+        label = f"({i}) " if indent == 0 else "- "
+        lines.append(f"{'    ' * indent}{label}{render_statement(step.statement)}    [{step.rule}]")
+        for child in step.children:
+            lines.append(recursive_render(child, indent + 1))
+    return "\n".join(lines)
+
+
+def criterion_5_verdicts():
+    for m, ty in generated_checks(2026, 1000):
+        yield check_member(m, ty)
+        yield check_eq_member(m, m, ty)
+        yield check_is_set(ty)
+
+
+# A set-hood check whose domain enumeration diverges: the verdict keeps
+# the enumeration's empty trace as a premise.
+EMPTY_PREMISE = "forall x : (exists y : True . (lam z. True) y) . (lam w. True) x"
+
+
+class TestTraceWalks:
+    def test_to_json_is_the_recursive_document(self):
+        for v in criterion_5_verdicts():
+            assert v.trace.to_json() == recursive_to_json(v.trace)
+
+    def test_render_is_the_recursive_text_less_its_empty_lines(self):
+        verdicts = list(criterion_5_verdicts()) + [check_is_set(parse(EMPTY_PREMISE), fuel=1)]
+        changed = 0
+        for v in verdicts:
+            old = recursive_render(v.trace)
+            new = v.trace.render()
+            assert new == "\n".join(line for line in old.split("\n") if line)
+            changed += new != old
+        assert changed >= 1
+
+    def test_premise_without_steps_writes_no_line(self):
+        v = check_is_set(parse(EMPTY_PREMISE), fuel=1)
+        assert v.status.value == "diverged"
+        assert any(child.steps == () for step in v.trace.steps for child in step.children)
+        text = v.trace.render()
+        assert "" not in text.split("\n")
+        assert len(text.split("\n")) == 8
+
+    def test_deep_trace_by_loop(self):
+        # far deeper than the Python stack allows a recursive walk
+        trace = Trace((TraceStep(IsTrue(TRUE), "leaf"),))
+        for _ in range(3000):
+            trace = Trace((TraceStep(IsTrue(TRUE), "step", (Trace(), trace)),))
+        lines = trace.render().split("\n")
+        assert len(lines) == 3001
+        assert lines[0] == "(1) True true    [step]"
+        assert lines[-1] == "    " * 3000 + "- True true    [leaf]"
+        nodes, depth = trace.to_json(), 0
+        while nodes:
+            assert len(nodes) == 1 and set(nodes[0]) == {"judgment", "rule", "children"}
+            nodes, depth = nodes[0]["children"], depth + 1
+        assert depth == 3001
+        assert replay(trace, 10)

@@ -22,9 +22,10 @@ from ctkernel.terms import (
     FALSE, Var, alpha_eq, constructor_depth,
 )
 from ctkernel.unary import (
-    Inhabitation, _inhabited, check_is_set, check_member, enumerate_canonical,
-    ground_types, inhabited_exact,
+    _AND, _IMP, _OR, Inhabitation, _inhabited, check_is_set, check_member,
+    enumerate_canonical, ground_types, inhabited_exact,
 )
+from admissibility_oracle import combine_and, combine_imp, combine_or
 from termgen import OMEGA, STUCK_TERM, closed_terms, generated_checks
 
 CBV = Strategy.CALL_BY_VALUE
@@ -221,6 +222,23 @@ class TestInhabited:
 
     def test_diverging_type(self):
         assert inhabited_exact(OMEGA, fuel=50) is Inhabitation.DIVERGED
+
+    def test_connective_tables_are_the_written_rules(self):
+        # the tables come from one rule; the oracle writes out each
+        # connective case by case
+        pairs = set(itertools.product(Inhabitation, repeat=2))
+        for table, rule in ((_OR, combine_or), (_AND, combine_and), (_IMP, combine_imp)):
+            assert set(table) == pairs
+            for x, y in pairs:
+                assert table[x, y] is rule(x, y), (rule.__name__, x, y)
+
+    def test_first_value_decides_where_its_row_is_constant(self):
+        def deciding(table):
+            return {x for x in Inhabitation if len({table[x, y] for y in Inhabitation}) == 1}
+
+        assert deciding(_OR) == {Inhabitation.INHABITED}
+        assert deciding(_AND) == {Inhabitation.UNINHABITED}
+        assert deciding(_IMP) == {Inhabitation.UNINHABITED}
 
     def test_ground_predicate(self):
         ground = parse("(True /\\ False) => (True \\/ False)")
