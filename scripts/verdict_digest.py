@@ -30,6 +30,11 @@ sections.  The sections:
 * ``syntax/errors``: the message, line and column of the ``ParseError``
   (or the tree) of each text in ``MALFORMED``, and of each pool term's
   text cut at a seeded character;
+* ``syntax/rules``: the rendered scheme and its tree, or the message,
+  line and column of the ``ParseError``, that ``parse_rule`` gives for
+  each text in ``MALFORMED`` as the premise of ``... true |- A true``,
+  and for the rule text of each of the 200 seeded schemes below, whole
+  and cut at a seeded character;
 * ``rules/admissible``: ``admissible`` (with its bounds, instantiation
   and premise witnesses) of 200 seeded schemes of the propositional
   fragment (seed 14) and the hand-built schemes outside it, at fuel 1,
@@ -81,6 +86,7 @@ from ctkernel.binary import check_eq_member, check_eq_set, check_functionality  
 from ctkernel.evaluation import Strategy  # noqa: E402
 from ctkernel.rules import (  # noqa: E402
     Derivation, admissible, check_derivation, compare_readings, derive, extract_realizer,
+    parse_rule,
 )
 from ctkernel.syntax import (  # noqa: E402
     PREC_ATOM, PREC_TERM, ParseError, parse, pretty, pretty_at,
@@ -163,6 +169,14 @@ def parse_record(text: str) -> list:
         return ["parsed", repr(parse(text))]
     except ParseError as err:
         return ["error", err.message, err.line, err.col]
+
+
+def rule_record(text: str) -> list:
+    try:
+        scheme = parse_rule(text)
+    except ParseError as err:
+        return ["error", err.message, err.line, err.col]
+    return ["parsed", scheme.render(), repr(scheme)]
 
 
 def sections():
@@ -248,7 +262,16 @@ def sections():
     for text in texts:
         record = parse_record(text)
         yield "syntax/errors", record[0], record
-    schemes = random_rule_schemes(*RULE_SCHEMES) + outside_fragment_schemes()
+    seeded = random_rule_schemes(*RULE_SCHEMES)
+    rng = random.Random(23)
+    texts = [f"{text} true |- A true" for text in MALFORMED]
+    for rule in seeded:
+        text = rule.render()
+        texts += [text, text[:rng.randrange(len(text))]]
+    for text in texts:
+        record = rule_record(text)
+        yield "syntax/rules", record[0], record
+    schemes = seeded + outside_fragment_schemes()
     for strategy in Strategy:
         for fuel in RULE_FUELS:
             for rule in schemes:

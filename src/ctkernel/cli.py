@@ -315,6 +315,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except (ValueError, OSError) as exc:  # ParseError, OpenTermError and ModelError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except RecursionError:  # a walk that still recurses met input deeper than the stack
+        print("error: input nested too deep", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -141,11 +141,11 @@ class Trace(Record):
                 stack.extend((child, children) for child in reversed(step.children))
         return out
 
-    def render(self, indent: int = 0) -> str:
+    def render(self) -> str:
         """The tree of ``to_json`` as text: one line per step, numbered at
         the top level, with each step's children indented under it."""
         lines: list[str] = []
-        stack = [(indent, node) for node in reversed(self.to_json())]
+        stack = [(0, node) for node in reversed(self.to_json())]
         top = 0
         while stack:
             at, node = stack.pop()
@@ -170,16 +170,19 @@ def later(build) -> Trace:
 
 
 def trace_json_valid(doc) -> bool:
-    """Validate the {judgment, rule, children} tree schema."""
-    if not isinstance(doc, list):
-        return False
-    for node in doc:
-        if not isinstance(node, dict) or set(node) != {"judgment", "rule", "children"}:
+    """Validate the {judgment, rule, children} tree schema, by a loop
+    rather than recursion."""
+    stack = [doc]
+    while stack:
+        doc = stack.pop()
+        if not isinstance(doc, list):
             return False
-        if not isinstance(node["judgment"], str) or not isinstance(node["rule"], str):
-            return False
-        if not trace_json_valid(node["children"]):
-            return False
+        for node in doc:
+            if not isinstance(node, dict) or set(node) != {"judgment", "rule", "children"}:
+                return False
+            if not isinstance(node["judgment"], str) or not isinstance(node["rule"], str):
+                return False
+            stack.append(node["children"])
     return True
 
 

@@ -18,15 +18,17 @@ Grammar (ASCII), loosest binding first::
 The syntax of each node class is written once, in ``LAYOUT``: its
 precedence level and its pieces.  The printer is one loop over that
 table with an explicit stack, so it prints terms of any depth; the
-parser reads every keyword-led form (all but names, brackets and the
-infix operators) off the same table, and the evaluator's fuel report
-prints its pending frames from it.  ``A => B`` parses to a universal
-quantifier with an unused binder and ``A /\\ B`` to an existential with
-an unused binder; the printer folds a quantifier whose binder does not
-occur in the family back into the operator form (``SUGAR``).  Open
-terms parse fine (free variables are the caller's concern); syntax
-errors carry line and column, and so does text nested too deep for the
-recursive-descent parser.
+parser reads every keyword-led form and every infix operator off the
+same table (only names and brackets are written by hand), and the
+evaluator's fuel report prints its pending frames from it.  ``A => B``
+parses to a universal quantifier with an unused binder and ``A /\\ B``
+to an existential with an unused binder; the printer folds a
+quantifier whose binder does not occur in the family back into the
+operator form (``SUGAR``).  The parser is one precedence loop,
+``term``, over operands read by ``operand``; the two recurse into each
+other on nesting.  Open terms parse fine (free variables are the
+caller's concern); syntax errors carry line and column, and so does
+text nested too deep for the Python stack.
 """
 
 from __future__ import annotations
@@ -77,11 +79,17 @@ SUGAR = {
     Exists: (PREC_AND, (("domain", PREC_AND), " /\\ ", ("family", PREC_APP))),
 }
 
-# The keyword-led forms by their first word, and the words of the
-# loosest of them, which start a term but not an operand.
+# The keyword-led forms by their first word, and the words that start
+# an argument of an application: a bracket and the first word of each
+# form but the loosest, whose body would swallow the rest.
 _FORMS = {pieces[0].split()[0]: cls
           for cls, (_, pieces) in LAYOUT.items() if type(pieces[0]) is str}
-_BINDERS = {word for word, cls in _FORMS.items() if LAYOUT[cls][0] == PREC_TERM}
+_ARGUMENTS = {word for word, cls in _FORMS.items() if LAYOUT[cls][0] > PREC_TERM} | {"("}
+
+# The infix operators by their text: level, context of the right side
+# and builder, read off the layouts of a disjunction and of the sugar.
+_INFIX = {pieces[1].strip(): (level, pieces[2][1], build) for build, (level, pieces) in (
+    (Disj, LAYOUT[Disj]), (imp, SUGAR[Forall]), (conj, SUGAR[Exists]))}
 
 KEYWORDS = {word for _, pieces in LAYOUT.values() for piece in pieces
             if type(piece) is str for word in piece.split() if word.isalpha()}
@@ -185,68 +193,44 @@ class _Parser:
         """One term and the end of the input.  Text nested too deep for
         the Python stack is a ParseError at the token the parser reached."""
         try:
-            t = self.term()
+            t = self.term(PREC_TERM)
         except RecursionError:
             raise self.fail("input nested too deep") from None
         if self.peek().kind != "eof":
             raise self.fail("trailing input")
         return t
 
-    def term(self) -> Term:
-        word = self.peek().text
-        if word in _BINDERS:
-            return self.form(_FORMS[word])
-        return self.imp()
-
-    def form(self, cls: type) -> Term:
-        """The keyword-led form of ``cls``, read off its layout (``_STEPS``)."""
-        fields = {}
-        for step in _STEPS[cls]:
-            if type(step) is str:
-                self.expect(step)
+    def term(self, ctx: int) -> Term:
+        """A term where one of precedence ``ctx`` is expected: an operand,
+        then each application and infix operator (``_INFIX``) that binds
+        at least as tightly as ``ctx``, its right side in its layout's context."""
+        t = self.operand()
+        while True:
+            tok = self.peek()
+            op = _INFIX.get(tok.text)
+            if op is not None and op[0] >= ctx:
+                self.advance()
+                t = op[2](t, self.term(op[1]))
+            elif ctx <= PREC_APP and (tok.kind == "name" or tok.text in _ARGUMENTS):
+                t = App(t, self.operand())
             else:
-                field, read = step
-                fields[field] = read(self)
-        return cls(**fields)
+                return t
 
-    def imp(self) -> Term:
-        left = self.or_level()
-        if self.peek().text == "=>":
-            self.advance()
-            return imp(left, self.term())
-        return left
-
-    def or_level(self) -> Term:
-        t = self.and_level()
-        while self.peek().text == "\\/":
-            self.advance()
-            t = Disj(t, self.and_level())
-        return t
-
-    def and_level(self) -> Term:
-        t = self.app()
-        while self.peek().text == "/\\":
-            self.advance()
-            t = conj(t, self.app())
-        return t
-
-    def _starts_operand(self) -> bool:
-        tok = self.peek()
-        word = tok.text
-        return (tok.kind == "name" or word == "("
-                or word in _FORMS and word not in _BINDERS)
-
-    def app(self) -> Term:
-        t = self.prefix()
-        while self._starts_operand():
-            t = App(t, self.prefix())
-        return t
-
-    def prefix(self) -> Term:
+    def operand(self) -> Term:
+        """A keyword-led form read off its layout, a name or a bracketed term."""
         tok = self.peek()
         cls = _FORMS.get(tok.text)
         if cls is not None:
-            return self.form(cls)
+            fields = {}
+            for step in _STEPS[cls]:
+                if type(step) is str:
+                    self.expect(step)
+                    continue
+                field, ctx = step
+                # a term at PREC_ATOM is an operand: read it one frame shallower
+                fields[field] = (self.expect_name() if ctx is None
+                                 else self.operand() if ctx == PREC_ATOM else self.term(ctx))
+            return cls(**fields)
         if tok.kind == "name":
             self.advance()
             return Var(tok.text)
@@ -254,30 +238,24 @@ class _Parser:
             raise self.fail("unexpected keyword")
         if tok.text == "(":
             self.advance()
-            t = self.term()
+            t = self.term(PREC_TERM)
             self.expect(")")
             return t
         raise self.fail("expected a term")
 
 
 def _steps(pieces: tuple) -> tuple:
-    """How ``_Parser.form`` reads a layout: each word of literal text is
-    expected in turn, a name field is a variable name, and a subterm
-    field is a term when literal text follows it or it is at the loosest
-    level, else an operand of a prefix form."""
+    """How ``_Parser.operand`` reads a layout: each word of literal text
+    is expected in turn, a name field is a variable name, and a subterm
+    field followed by literal text is a whole term; any other field is
+    read in its own context."""
     steps = []
     for i, piece in enumerate(pieces):
         if type(piece) is str:
             steps.extend(piece.split())
             continue
         field, ctx = piece
-        if ctx is None:
-            read = _Parser.expect_name
-        elif i < len(pieces) - 1 or ctx == PREC_TERM:
-            read = _Parser.term
-        else:
-            read = _Parser.prefix
-        steps.append((field, read))
+        steps.append((field, PREC_TERM if ctx is not None and i < len(pieces) - 1 else ctx))
     return tuple(steps)
 
 

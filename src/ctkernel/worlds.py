@@ -191,10 +191,7 @@ def parse_model(text: str) -> WorldModel:
                     raise ModelError(f"unrecognized directive: {line!r}")
         except ModelError as exc:
             raise ModelError(f"line {lineno}: {exc}") from None
-    try:
-        return WorldModel.build(worlds, pairs, atoms, tokens)
-    except ModelError as exc:
-        raise ModelError(str(exc)) from None
+    return WorldModel.build(worlds, pairs, atoms, tokens)
 
 
 def forces(model: WorldModel, w: str, j: WJudgment) -> bool:

@@ -350,3 +350,33 @@ class TestDeepTrace:
         doc = json.loads(proc.stdout)
         assert doc["verdict"] == "verified"
         assert trace_json_valid(doc["trace"])
+
+
+DEEP_TYPE = "True" + " \\/ False" * 1000
+
+
+class TestTooDeep:
+    """Input that a walk still recursing on depth cannot take is an input
+    error, exit 1, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["enum", DEEP_TYPE],
+        ["rule", DEEP_TYPE + " true |- False true"],
+        ["kripke", "MODEL", "--judgment", "(" * 1000 + "A" + ")" * 1000],
+        ["kripke", "MODEL", "--judgment", "hyp A " * 1000 + "A"],
+        # the check verifies; the JSON encoder recurses on the trace
+        ["check", "inl " * 600 + "it", "in", "True" + " \\/ False" * 600, "--machine"],
+    ])
+    def test_exit_1_without_traceback(self, argv, tmp_path):
+        model = tmp_path / "model.txt"
+        model.write_text("world u\natom A\nverify u A t0\n")
+        argv = [str(model) if arg == "MODEL" else arg for arg in argv]
+        src = Path(ctkernel.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctkernel", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+        assert "nested too deep" in proc.stderr

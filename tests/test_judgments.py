@@ -23,6 +23,7 @@ from ctkernel.binary import check_eq_member, check_eq_set
 from ctkernel.judgments import (
     Both, CanonEmpty, CanonIn, CanonNotIn, CanonUndefined, EqMember, Evals, Gen,
     Hyp, IsTrue, Member, Statement, Trace, TraceStep, render_statement, replay,
+    trace_json_valid,
 )
 from ctkernel.rules import admissible, parse_rule
 from ctkernel.syntax import parse
@@ -375,3 +376,20 @@ class TestTraceWalks:
             nodes, depth = nodes[0]["children"], depth + 1
         assert depth == 3001
         assert replay(trace, 10)
+
+    def test_deep_document_validated_by_loop(self):
+        # the recursive validator raised RecursionError on this document
+        trace = Trace((TraceStep(IsTrue(TRUE), "leaf"),))
+        for _ in range(3000):
+            trace = Trace((TraceStep(IsTrue(TRUE), "step", (Trace(), trace)),))
+        doc = trace.to_json()
+        assert trace_json_valid(doc)
+        node = doc[0]
+        for _ in range(2500):
+            node = node["children"][0]
+        for field, bad in (("rule", None), ("children", {}), ("judgment", 1)):
+            good, node[field] = node[field], bad
+            assert not trace_json_valid(doc), field
+            node[field] = good
+        del node["rule"]
+        assert not trace_json_valid(doc)

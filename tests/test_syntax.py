@@ -15,7 +15,7 @@ from ctkernel.syntax import (
     KEYWORDS, PREC_ATOM, PREC_TERM, ParseError, describe, parse, pretty, pretty_at,
     tokenize,
 )
-from ctkernel.terms import IT, App, Case, Fst, Lam, Snd, Var, substitute
+from ctkernel.terms import IT, App, Case, Fst, Inl, Lam, Snd, Var, substitute
 from ctkernel.unary import ground_types
 from termgen import NAMES, closed_terms, generated_checks, terms
 
@@ -169,3 +169,14 @@ class TestFuelReport:
         assert _describe(stack, focus) == expected
         assert expected.startswith("case fst ((lam x. x) it it ")
         assert len(calls) < 100
+
+
+class TestDeepText:
+    def test_parse_deeper_than_a_method_per_level_allowed(self):
+        # a bracket cost six frames and an ``inl`` two when each level of
+        # the grammar was a method: both texts were too deep
+        assert parse("(" * 300 + "it" + ")" * 300) == IT
+        expected = IT
+        for _ in range(600):
+            expected = Inl(expected)
+        assert parse("inl " * 600 + "it") == expected
