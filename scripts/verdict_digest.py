@@ -61,6 +61,14 @@ sections.  The sections:
   8 and 13.  A part that computes, diverges or gets stuck costs fuel in
   the order the parts are read, so these records see that order and
   how the parts share the budget.
+* ``shared/...``: the shared-value family ``F_n(it, lam x. <x, x>)`` in
+  ``F_n(True, lam A. A /\\ A)``, with ``F_n(b, d)`` the term
+  ``(lam f. f (f (... f (b) ...))) (d)`` of n applications, and the
+  Python-built graphs ``Pair(t, t)`` in ``conj(A, A)`` repeated n times,
+  for n = 1 to 10: ``check_member``, the diagonal ``check_eq_member``,
+  ``check_is_set`` of the type and ``check_eq_set`` of the type and a
+  copy built apart, at fuel 200 under both strategies.  Each value has
+  2^n leaves that share their subterms.
 
 Run it on two checkouts and compare the output; ``--records`` prints the
 status and a short hash per verdict instead, so that ``diff`` counts the
@@ -92,8 +100,8 @@ from ctkernel.syntax import (  # noqa: E402
     PREC_ATOM, PREC_TERM, ParseError, parse, pretty, pretty_at,
 )
 from ctkernel.terms import (  # noqa: E402
-    FALSE, IT, TRUE, App, Case, Disj, Exists, Forall, Fst, Lam, TFalse, TTrue, Var, conj,
-    imp, term_key,
+    FALSE, IT, TRUE, App, Case, Disj, Exists, Forall, Fst, Lam, Pair, TFalse, TTrue, Var,
+    conj, imp, term_key,
 )
 from ctkernel.unary import (  # noqa: E402
     check_is_set, check_member, enumerate_canonical, inhabited_exact,
@@ -122,6 +130,8 @@ MEMBER_FUELS = (1, 2, 3, 5)
 IDENTITY = Lam("x", Var("x"))
 PARTS = (TRUE, FALSE, App(IDENTITY, TRUE), App(IDENTITY, FALSE), OMEGA, Fst(IT))
 PART_FUELS = (1, 2, 3, 5, 8, 13)
+SHARED_SIZES = range(1, 11)
+SHARED_FUEL = 200
 MALFORMED = (
     "", "(", ")", "lam", "lam x", "lam x.", "lam . x", "forall x . A", "forall x : A",
     "exists : A . B", "case x of inr a -> a | inl b -> b", "case x of inl a -> a",
@@ -162,6 +172,30 @@ def with_leaf_it(ty, index: int):
 
 def leaf_count(ty) -> int:
     return sum(leaf_count(v) for v in vars(ty).values() if not isinstance(v, str)) or 1
+
+
+def repeated(n: int, base, step):
+    """``F_n(base, step)``: ``(lam f. f (f (... f (base) ...))) (step)``."""
+    body = base
+    for _ in range(n):
+        body = App(Var("f"), body)
+    return App(Lam("f", body), step)
+
+
+def shared_checks(n: int):
+    """Yield (kind, term, type, type built apart) for the family and the
+    Python-built graph of size ``n``."""
+    def family():
+        return repeated(n, TRUE, Lam("A", conj(Var("A"), Var("A"))))
+
+    yield "family", repeated(n, IT, Lam("x", Pair(Var("x"), Var("x")))), family(), family()
+
+    def graph(leaf, node):
+        for _ in range(n):
+            leaf = node(leaf, leaf)
+        return leaf
+
+    yield "graph", graph(IT, Pair), graph(TRUE, conj), graph(TRUE, conj)
 
 
 def parse_record(text: str) -> list:
@@ -335,6 +369,18 @@ def sections():
             for x, y in ((Disj(p, q), conj(q, p)), (conj(q, p), Disj(p, q))):
                 v = check_eq_set(x, y, fuel)
                 yield "parts/check_eq_set", v.status.value, verdict_record(v)
+    # Values whose leaves share their subterms: a walk visits every path.
+    for strategy in Strategy:
+        for n in SHARED_SIZES:
+            for kind, t, ty, apart in shared_checks(n):
+                checks = (("check_member", check_member(t, ty, SHARED_FUEL, strategy=strategy)),
+                          ("check_eq_member",
+                           check_eq_member(t, t, ty, SHARED_FUEL, strategy=strategy)),
+                          ("check_is_set", check_is_set(ty, SHARED_FUEL, strategy=strategy)),
+                          ("check_eq_set",
+                           check_eq_set(ty, apart, SHARED_FUEL, strategy=strategy)))
+                for name, v in checks:
+                    yield f"shared/{kind}/{name}", v.status.value, verdict_record(v)
 
 
 def main() -> None:

@@ -117,18 +117,41 @@ def _emit(out, cfg: RunConfig, command: str, verdict: str, payload, human,
     exit code.  ``payload()`` builds the document's trace and ``human()``
     the text; only the one printed is built."""
     if cfg.output_mode == "machine":
-        import json
-
-        print(json.dumps({
+        print(_json_text({
             "command": command,
             "config": {"fuel": cfg.fuel, "depth": cfg.depth, "search_depth": cfg.search_depth,
                        **extra_cfg},
             "verdict": verdict,
             "trace": payload(),
-        }, indent=2), file=out)
+        }), file=out)
     else:
         print(human(), file=out)
     return exit_code
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2)``, written by a loop over a stack: the
+    standard encoder recurses about twice per trace level.  Keys are
+    strings; each scalar, and each empty list or dict, is ``json.dumps``'s."""
+    import json
+
+    out, todo = [], [(doc, 0)]
+    while todo:
+        value, depth = todo.pop()
+        if depth is None:  # literal text
+            out.append(value)
+        elif not (value and isinstance(value, (dict, list))):
+            out.append(json.dumps(value))
+        else:
+            pad = "\n" + "  " * (depth + 1)
+            if isinstance(value, dict):
+                brackets, items = "{}", [(pad + json.dumps(k) + ": ", v) for k, v in value.items()]
+            else:
+                brackets, items = "[]", [(pad, v) for v in value]
+            todo.append(("\n" + "  " * depth + brackets[1], None))
+            for i, (text, v) in reversed(list(enumerate(items))):
+                todo += [(v, depth + 1), (("," if i else brackets[0]) + text, None)]
+    return "".join(out)
 
 
 def _verdict_human(verdict) -> str:

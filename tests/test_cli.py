@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ctkernel
-from ctkernel.cli import main
+from ctkernel.cli import _json_text, main
 from ctkernel.judgments import Trace, trace_json_valid
 from ctkernel.rules import ReadingsReport
 
@@ -352,6 +352,66 @@ class TestDeepTrace:
         assert trace_json_valid(doc["trace"])
 
 
+class TestDeeperMachineTrace(TestDeepTrace):
+    """600 levels: the document is written by a loop, so both modes verify.
+    ``json.loads`` recurses on a document this deep, so the verdict is read
+    off its top level, which the trace follows."""
+
+    DEPTH = 600
+    ARGV = ["check", "inl " * DEPTH + "it", "in", "True" + " \\/ False" * DEPTH]
+
+    def test_machine(self):
+        human, machine = self.ctk(), self.ctk("--machine")
+        assert (machine.returncode, machine.stderr) == (human.returncode, human.stderr) == (0, "")
+        verdict = human.stdout.rsplit("verdict: ", 1)[1].strip()
+        head, trace = machine.stdout.split(',\n  "trace": ', 1)
+        assert json.loads(head + "\n}")["verdict"] == verdict == "verified"
+        assert trace.startswith("[") and trace.endswith("\n  ]\n}\n")
+
+
+class TestJsonText:
+    """The machine document is ``json.dumps(doc, indent=2)``, byte for byte."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        model = tmp_path / "model.txt"
+        model.write_text("world u\nworld v\norder u v\natom A\natom B\nverify v A t0\n")
+        rules = tmp_path / "rules.txt"
+        rules.write_text("P \\/ Q true |- P true\n\nP true; Q true |- P /\\ Q true\n")
+        return {"MODEL": str(model), "RULES": str(rules)}
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "(lam x. x) it"],
+        ["eval", "(lam x. x x x) (lam x. x x x)", "--fuel", "5"],
+        ["eval", "fst inl it"],
+        ["check", "lam x. <it,it>", "in", "False => True"],
+        ["check", "--binary", "lam x. x", ":", "lam y. it", "in", "True => True"],
+        ["check", "--binary", "inl it", ":", "inr it", "in", "True \\/ True"],
+        ["check", "(lam x. x x) (lam x. x x)", "in", "True", "--fuel", "40"],
+        ["check", "it", "in", "False"],
+        ["enum", "True \\/ True", "--depth", "2"],
+        ["enum", "fst it"],
+        ["rule", "P /\\ Q true |- P true"],
+        ["rule", "P \\/ Q true |- P true"],
+        ["rule", "--file", "RULES"],
+        ["kripke", "MODEL", "--judgment", "hyp A B", "--check-monotone"],
+        ["kripke", "MODEL", "--judgment", "rule A B", "--check-monotone"],
+        ["kripke", "MODEL", "--judgment", "rule A B"],
+        ["kripke", "MODEL", "--judgment", "A", "--world", "u"],
+        TestDeepTrace.ARGV,
+    ])
+    def test_same_text_as_json_dumps(self, argv, files):
+        _, text = run([files.get(arg, arg) for arg in argv] + ["--machine"])
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], None, 1.5, "\u00e9\n", {"a": {}, "b": []}, [[]], [[1, [2]], {"c": [None]}],
+    ])
+    def test_scalars_and_empty_containers(self, doc):
+        assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
 DEEP_TYPE = "True" + " \\/ False" * 1000
 
 
@@ -364,8 +424,6 @@ class TestTooDeep:
         ["rule", DEEP_TYPE + " true |- False true"],
         ["kripke", "MODEL", "--judgment", "(" * 1000 + "A" + ")" * 1000],
         ["kripke", "MODEL", "--judgment", "hyp A " * 1000 + "A"],
-        # the check verifies; the JSON encoder recurses on the trace
-        ["check", "inl " * 600 + "it", "in", "True" + " \\/ False" * 600, "--machine"],
     ])
     def test_exit_1_without_traceback(self, argv, tmp_path):
         model = tmp_path / "model.txt"

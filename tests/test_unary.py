@@ -19,13 +19,13 @@ from ctkernel.judgments import (
 from ctkernel.syntax import parse, pretty
 from ctkernel.terms import (
     Disj, Exists, Forall, IT, Inl, Inr, Lam, OpenTermError, Pair, TRUE,
-    FALSE, Var, alpha_eq, constructor_depth,
+    FALSE, Var, alpha_eq, conj, constructor_depth, imp,
 )
 from ctkernel.unary import (
     _AND, _IMP, _OR, Inhabitation, _inhabited, check_is_set, check_member,
     enumerate_canonical, ground_types, inhabited_exact,
 )
-from admissibility_oracle import combine_and, combine_imp, combine_or
+from admissibility_oracle import _run_inhabited, combine_and, combine_imp, combine_or
 from termgen import OMEGA, STUCK_TERM, closed_terms, generated_checks
 
 CBV = Strategy.CALL_BY_VALUE
@@ -292,6 +292,45 @@ class TestCanonicalInputNotRun:
         assert _inhabited(prop, tank, {"P": UNINHABITED}) is INHABITED
         assert runs == [parse("(lam x. x) False")]
         assert tank.remaining == 9
+
+    # The domain would have to be run: a walk that read it before the
+    # guard would find the empty tank and answer DIVERGED.
+    @pytest.mark.parametrize("text, valuation", [
+        ("exists x : (lam y. y) True . fst x", {}),
+        ("forall x : (lam y. y) True . x", {}),
+        ("exists x : (lam y. y) P . case x of inl a -> P | inr b -> Q",
+         {"P": INHABITED, "Q": UNINHABITED}),
+        ("forall x : (lam y. y) P . case x of inl a -> Q | inr b -> P",
+         {"P": UNINHABITED, "Q": INHABITED}),
+    ])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_dependent_family_not_ground_without_a_run(self, runs, text, valuation, strategy):
+        tank = Tank(0, strategy)
+        assert _inhabited(parse(text), tank, valuation) is Inhabitation.NOT_GROUND
+        assert runs == []
+        assert tank.remaining == 0
+
+
+# Parts that are canonical, compute, get stuck or diverge.
+PARTS = [parse(text) for text in
+         ("True", "False", "(lam x. x) True", "(lam x. x) False", "fst it")] + [OMEGA]
+
+
+class TestInhabitedAgainstRunOracle:
+    """``_inhabited`` reads canonical parts without a run; the oracle runs
+    every part.  Both must give the same status and leave the same fuel."""
+
+    TYPES = [build(p, q) for build in (Disj, conj, imp) for p in PARTS for q in PARTS]
+    TYPES += ground_types(3)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("fuel", [1, 2, 3, 5, 8, 13])
+    def test_status_and_remaining_fuel(self, fuel, strategy):
+        assert len(self.TYPES) == 108 + len(ground_types(3))
+        for ty in self.TYPES:
+            tank, oracle_tank = Tank(fuel, strategy), Tank(fuel, strategy)
+            assert _inhabited(ty, tank) is _run_inhabited(ty, oracle_tank), pretty(ty)
+            assert tank.remaining == oracle_tank.remaining, pretty(ty)
 
 
 class TestEnumerate:
