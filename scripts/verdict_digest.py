@@ -69,6 +69,13 @@ sections.  The sections:
   ``check_is_set`` of the type and ``check_eq_set`` of the type and a
   copy built apart, at fuel 200 under both strategies.  Each value has
   2^n leaves that share their subterms.
+* ``judgments/render``: the rendered trace of each ``check_member``
+  verdict of the two pools;
+* ``judgments/replay``: ``replay`` of those traces at fuel 1, 3 and
+  1000 (fuel 1 fails some closed evaluation steps);
+* ``worlds/forces`` and ``worlds/check_monotone``: 300 seeded
+  ``random_model`` draws, each with 5 seeded judgments of depth up to 4
+  over its own atoms: ``forces`` at every world, and ``check_monotone``.
 
 Run it on two checkouts and compare the output; ``--records`` prints the
 status and a short hash per verdict instead, so that ``diff`` counts the
@@ -92,6 +99,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from ctkernel.binary import check_eq_member, check_eq_set, check_functionality  # noqa: E402
 from ctkernel.evaluation import Strategy  # noqa: E402
+from ctkernel.judgments import replay  # noqa: E402
 from ctkernel.rules import (  # noqa: E402
     Derivation, admissible, check_derivation, compare_readings, derive, extract_realizer,
     parse_rule,
@@ -106,9 +114,10 @@ from ctkernel.terms import (  # noqa: E402
 from ctkernel.unary import (  # noqa: E402
     check_is_set, check_member, enumerate_canonical, inhabited_exact,
 )
+from ctkernel.worlds import check_monotone, forces, random_model, render_wjudgment  # noqa: E402
 from termgen import (  # noqa: E402
     OMEGA, STUCK_TERM, generated_checks, outside_fragment_schemes, random_rule_schemes,
-    safe_wrap,
+    random_wjudgment, safe_wrap,
 )
 
 POOLS = {"c5": (2026, 1000), "c9": (501, 500)}
@@ -132,6 +141,9 @@ PARTS = (TRUE, FALSE, App(IDENTITY, TRUE), App(IDENTITY, FALSE), OMEGA, Fst(IT))
 PART_FUELS = (1, 2, 3, 5, 8, 13)
 SHARED_SIZES = range(1, 11)
 SHARED_FUEL = 200
+REPLAY_FUELS = (1, 3, 1000)
+WORLD_MODELS = 300
+WORLD_JUDGMENTS = 5
 MALFORMED = (
     "", "(", ")", "lam", "lam x", "lam x.", "lam . x", "forall x . A", "forall x : A",
     "exists : A . B", "case x of inr a -> a | inl b -> b", "case x of inl a -> a",
@@ -217,9 +229,11 @@ def sections():
     """Yield (section, status or outcome, record) for every check."""
     pools = {name: generated_checks(seed=seed, count=count)
              for name, (seed, count) in POOLS.items()}
+    members = []
     for name, pairs in pools.items():
         for m, ty in pairs:
             v = check_member(m, ty)
+            members.append(v)
             yield f"check_member/{name}", v.status.value, verdict_record(v)
         for m, ty in pairs:
             v = check_eq_member(m, m, ty)
@@ -381,6 +395,23 @@ def sections():
                            check_eq_set(ty, apart, SHARED_FUEL, strategy=strategy)))
                 for name, v in checks:
                     yield f"shared/{kind}/{name}", v.status.value, verdict_record(v)
+    for v in members:
+        yield "judgments/render", v.status.value, [v.trace.render()]
+    for fuel in REPLAY_FUELS:
+        for v in members:
+            ok = replay(v.trace, fuel)
+            yield "judgments/replay", f"{ok}".lower(), [fuel, ok]
+    rng = random.Random(29)
+    for _ in range(WORLD_MODELS):
+        model = random_model(rng)
+        for _ in range(WORLD_JUDGMENTS):
+            j = random_wjudgment(rng, model.atoms)
+            forced = [w for w in model.worlds if forces(model, w, j)]
+            outcome = "all" if len(forced) == len(model.worlds) else "some" if forced else "none"
+            yield "worlds/forces", outcome, [render_wjudgment(j), forced]
+            pair = check_monotone(model, j)
+            outcome = "monotone" if pair is None else "counterexample"
+            yield "worlds/check_monotone", outcome, [render_wjudgment(j), pair]
 
 
 def main() -> None:

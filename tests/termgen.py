@@ -15,6 +15,7 @@ from ctkernel.terms import (
     TRUE, FALSE, Term, Var, free_vars, substitute,
 )
 from ctkernel.unary import enumerate_canonical, ground_types
+from ctkernel.worlds import Atom, HypForced, RuleValid, WJudgment
 
 NAMES = st.sampled_from(("x", "y", "z", "f"))
 
@@ -179,3 +180,15 @@ def outside_fragment_schemes() -> List[RuleScheme]:
     """Hand-built schemes outside the propositional fragment."""
     return [RuleScheme(names, tuple(IsTrue(parse(p)) for p in premises), IsTrue(parse(c)))
             for names, premises, c in _OUTSIDE_FRAGMENT]
+
+
+# -- world judgments ----------------------------------------------------------
+
+
+def random_wjudgment(rng: random.Random, atoms: Tuple[str, ...], depth: int = 4) -> WJudgment:
+    """A seeded ``rule``/``hyp`` judgment over ``atoms``, nested at most
+    ``depth`` deep."""
+    if depth == 0 or rng.random() < 0.3:
+        return Atom(rng.choice(atoms))
+    build = rng.choice((RuleValid, HypForced))
+    return build(random_wjudgment(rng, atoms, depth - 1), random_wjudgment(rng, atoms, depth - 1))
