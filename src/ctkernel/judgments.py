@@ -9,7 +9,8 @@ be rendered as a numbered derivation.  A check's trace is built on its
 first read (``later``), so a check whose trace is never read builds
 none of it.  ``replay`` only partly re-checks a trace: its closed
 evaluation steps and the shallow shape of its closed ``canon(T)``
-memberships.
+memberships.  Every walk over a trace, its document or a derivation is
+one loop, ``walk``.
 
 Each form is written once, as one row below: its name, its fields in
 order and its rendering template.  ``render_statement`` is one writer
@@ -24,12 +25,12 @@ witnesses of the type T; ``canon*(T)`` is its closure under evaluation
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Optional
 
 from . import evaluation
 from .record import Record
 from .syntax import pretty
-from .terms import Term, alpha_eq, classify, is_closed, CanonicalForm
+from .terms import Disj, Exists, Forall, Inl, Inr, It, Lam, Pair, TTrue, alpha_eq, is_closed
 
 
 # -- judgment and statement forms ---------------------------------------
@@ -101,6 +102,22 @@ def _write(v) -> str:
 
 # -- traces --------------------------------------------------------------
 
+def walk(roots, children):
+    """Yield ``(depth, node)`` for every node of the trees ``roots``,
+    depth first: a node before its children, first child first.
+    ``children(node)`` is read only when the walk resumes after yielding
+    ``node``, so a consumer may check a node before its children are
+    read.  A loop, not recursion: any depth that fits in memory."""
+    stack = [iter(roots)]
+    while stack:
+        for node in stack[-1]:
+            yield len(stack) - 1, node
+            stack.append(iter(children(node)))
+            break
+        else:
+            stack.pop()
+
+
 class TraceStep(Record):
     __slots__ = __match_args__ = ("statement", "rule", "children")
     _defaults = {"children": ()}
@@ -128,32 +145,31 @@ class Trace(Record):
         return steps
 
     def to_json(self) -> list:
-        """The {judgment, rule, children} tree, by a loop rather than
-        recursion: the children of a step are its premises' steps."""
-        out = []
-        stack = [(self, out)]
-        while stack:
-            trace, into = stack.pop()
-            for step in trace.steps:
-                children = []
-                into.append({"judgment": render_statement(step.statement), "rule": step.rule,
-                             "children": children})
-                stack.extend((child, children) for child in reversed(step.children))
-        return out
+        """The {judgment, rule, children} tree: each step's dict goes into
+        the list open at its depth."""
+        open_at: list = [[]]
+        for depth, step in walk(self.steps, _premises):
+            node = {"judgment": render_statement(step.statement), "rule": step.rule,
+                    "children": []}
+            open_at[depth].append(node)
+            open_at[depth + 1:] = [node["children"]]
+        return open_at[0]
 
     def render(self) -> str:
-        """The tree of ``to_json`` as text: one line per step, numbered at
-        the top level, with each step's children indented under it."""
-        lines: list[str] = []
-        stack = [(0, node) for node in reversed(self.to_json())]
-        top = 0
-        while stack:
-            at, node = stack.pop()
-            top += at == 0
-            label = f"({top}) " if at == 0 else "- "
-            lines.append(f"{'    ' * at}{label}{node['judgment']}    [{node['rule']}]")
-            stack.extend((at + 1, child) for child in reversed(node["children"]))
+        """One line per step, numbered at the top level, with each step's
+        children indented under it."""
+        lines, top = [], 0
+        for depth, step in walk(self.steps, _premises):
+            top += depth == 0
+            label = "- " if depth else f"({top}) "
+            lines.append(f"{'    ' * depth}{label}{render_statement(step.statement)}"
+                         f"    [{step.rule}]")
         return "\n".join(lines)
+
+
+def _premises(step: TraceStep):
+    """A step's children in a walk: its premises' steps, in order."""
+    return (s for child in step.children for s in child.steps)
 
 
 _new = object.__new__
@@ -170,71 +186,42 @@ def later(build) -> Trace:
 
 
 def trace_json_valid(doc) -> bool:
-    """Validate the {judgment, rule, children} tree schema, by a loop
-    rather than recursion."""
-    stack = [doc]
-    while stack:
-        doc = stack.pop()
-        if not isinstance(doc, list):
-            return False
-        for node in doc:
-            if not isinstance(node, dict) or set(node) != {"judgment", "rule", "children"}:
-                return False
-            if not isinstance(node["judgment"], str) or not isinstance(node["rule"], str):
-                return False
-            stack.append(node["children"])
-    return True
+    """Validate the {judgment, rule, children} tree schema; the walk reads
+    a node's children only once the node has passed."""
+    return isinstance(doc, list) and all(
+        isinstance(node, dict) and set(node) == {"judgment", "rule", "children"}
+        and isinstance(node["judgment"], str) and isinstance(node["rule"], str)
+        and isinstance(node["children"], list)
+        for _, node in walk(doc, lambda node: node["children"]))
 
 
-def _shallow_canon_match(ty: Term, args: Tuple[Term, ...]) -> bool:
-    form = classify(ty)
-    shapes = {classify(a) for a in args}
-    match form:
-        case CanonicalForm.TRUE:
-            return shapes == {CanonicalForm.IT}
-        case CanonicalForm.FALSE:
-            return False
-        case CanonicalForm.FORALL:
-            return shapes == {CanonicalForm.LAM}
-        case CanonicalForm.EXISTS:
-            return shapes == {CanonicalForm.PAIR}
-        case CanonicalForm.DISJ:
-            return shapes <= {CanonicalForm.INL, CanonicalForm.INR} and len(shapes) == 1
-        case _:
-            return False
+# The classes of the canonical witnesses of each type former: a closed
+# ``canon(T)(args)`` replays when the classes of ``args`` form one of
+# T's sets.  ``False`` has no witness, and a term that is no former has
+# no relation.
+_WITNESSES = {TTrue: ({It},), Forall: ({Lam},), Exists: ({Pair},), Disj: ({Inl}, {Inr})}
+
+
+def _parts(s: Statement) -> tuple:
+    return s.parts if type(s) is Both else ()
 
 
 def replay(trace: Trace, fuel: int, strategy=evaluation.Strategy.CALL_BY_NAME) -> bool:
     """Re-check the evaluation steps and shallow clause matches recorded
-    in a trace.  Statements with free variables are hypothetical display
-    lines and are skipped."""
-    ok = True
-
-    def visit(s: Statement) -> None:
-        nonlocal ok
+    in a trace, its steps' statements and the parts of a ``Both``.
+    Statements with free variables are hypothetical display lines and are
+    skipped."""
+    steps = walk(trace.steps, _premises)
+    for _, s in walk((step.statement for _, step in steps), _parts):
         match s:
-            case Evals(t, r):
-                if is_closed(t) and is_closed(r):
-                    res = evaluation.evaluate(t, fuel, strategy)
-                    if not (isinstance(res, evaluation.Canonical) and alpha_eq(res.term, r)):
-                        ok = False
-            case CanonIn(ty, args):
-                if is_closed(ty) and all(is_closed(a) for a in args):
-                    if not _shallow_canon_match(ty, args):
-                        ok = False
-            case Both(parts):
-                for p in parts:
-                    visit(p)
-            case _:
-                pass
-
-    # each step is checked on its own, so a loop visits them in any order
-    stack = [trace]
-    while stack:
-        for step in stack.pop().steps:
-            visit(step.statement)
-            stack.extend(step.children)
-    return ok
+            case Evals(t, r) if is_closed(t) and is_closed(r):
+                res = evaluation.evaluate(t, fuel, strategy)
+                if not (isinstance(res, evaluation.Canonical) and alpha_eq(res.term, r)):
+                    return False
+            case CanonIn(ty, args) if is_closed(ty) and all(map(is_closed, args)):
+                if {type(a) for a in args} not in _WITNESSES.get(type(ty), ()):
+                    return False
+    return True
 
 
 # -- verdicts ------------------------------------------------------------

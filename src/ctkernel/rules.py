@@ -47,7 +47,7 @@ from .config import (
 from .evaluation import Strategy, Tank
 from .judgments import (
     IsTrue, TraceStep, Verdict, diverged, later, refuted, render_statement, unknown,
-    verified,
+    verified, walk,
 )
 from .record import Record
 from .syntax import ParseError, _Parser, describe, pretty, tokenize
@@ -179,14 +179,13 @@ class Derivation(Record):
 
     def render(self, indent: int = 0) -> str:
         """One line per node, depth-first, each child indented under its
-        parent; by a loop rather than recursion."""
-        lines = []
-        stack = [(self, indent)]
-        while stack:
-            d, at = stack.pop()
-            lines.append(f"{'  ' * at}{d.conclusion.render()}    [{d.rule}]")
-            stack.extend((child, at + 1) for child in reversed(d.children))
-        return "\n".join(lines)
+        parent."""
+        return "\n".join(f"{'  ' * (indent + at)}{d.conclusion.render()}    [{d.rule}]"
+                         for at, d in walk((self,), _subderivations))
+
+
+def _subderivations(d: Derivation) -> tuple:
+    return d.children or ()
 
 
 class NotDerivable(Record):
@@ -291,12 +290,8 @@ def _step(d: Derivation) -> tuple:
 
 def _steps(d: Derivation) -> Iterator[tuple]:
     """The entry (``_step``) of each node of ``d``, depth-first, first
-    child first, by a loop rather than recursion."""
-    stack = [d]
-    while stack:
-        d = stack.pop()
-        yield _step(d)
-        stack.extend(reversed(d.children or ()))
+    child first; a node's children are read once it is a step."""
+    return (_step(node) for _, node in walk((d,), _subderivations))
 
 
 def check_derivation(d: Derivation) -> Tuple[bool, int]:
@@ -313,13 +308,8 @@ def check_derivation(d: Derivation) -> Tuple[bool, int]:
 
 
 def derivation_size(d: Derivation) -> int:
-    """The number of nodes of ``d``, counted by a loop rather than
-    recursion."""
-    size, stack = 0, [d]
-    while stack:
-        size += 1
-        stack.extend(stack.pop().children)
-    return size
+    """The number of nodes of ``d``."""
+    return sum(1 for _ in walk((d,), _subderivations))
 
 
 def extract_realizer(d: Derivation) -> Term:
@@ -486,7 +476,8 @@ class ReadingsReport(Record):
         elif adm.refuted:
             inst = _render_assignment(adm.instantiation or {})
             ws = ", ".join(pretty(w) for w in adm.premise_witnesses or ())
-            lines.append(f"admissible: refuted at [{inst}] with premise witness {ws}")
+            lines.append(f"admissible: refuted at [{inst}]"
+                         + (f" with premise witness {ws}" if ws else ""))
         else:
             lines.append(f"admissible: {adm.status.value}")
         if self.flagged:

@@ -198,25 +198,32 @@ def forces(model: WorldModel, w: str, j: WJudgment) -> bool:
     """Exhaustive forcing over the finite model."""
     if w not in model.worlds:
         raise ModelError(f"unknown world {w!r}")
+    return w in _forcing(model, j)
+
+
+def _forcing(model: WorldModel, j: WJudgment) -> FrozenSet[str]:
+    """The worlds that force ``j``, each part of it decided once at every
+    world; an undeclared atom is rejected wherever it stands."""
     match j:
         case Atom(name):
-            return bool(model.tokens(w, name))
+            return frozenset(w for w in model.worlds if model.tokens(w, name))
         case RuleValid(p, c):
-            return not forces(model, w, p) or forces(model, w, c)
+            return frozenset(model.worlds) - _forcing(model, p) | _forcing(model, c)
         case HypForced(p, c):
-            return all(not forces(model, v, p) or forces(model, v, c) for v in model.future(w))
+            rule = _forcing(model, RuleValid(p, c))
+            return frozenset(w for w in model.worlds if rule.issuperset(model.future(w)))
     raise TypeError(f"not a judgment: {j!r}")
 
 
 def check_monotone(model: WorldModel, j: WJudgment) -> Optional[Tuple[str, str]]:
     """None when forcing persists along the order; else the first pair
     u <= v with the judgment forced at u but not at v."""
+    forced = _forcing(model, j)
     for u in model.worlds:
-        if not forces(model, u, j):
-            continue
-        for v in model.worlds:
-            if u != v and model.leq(u, v) and not forces(model, v, j):
-                return (u, v)
+        if u in forced:
+            for v in model.worlds:
+                if v not in forced and model.leq(u, v):
+                    return (u, v)
     return None
 
 

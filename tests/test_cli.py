@@ -139,6 +139,14 @@ class TestRule:
         assert "P := False" in text and "Q := True" in text
         assert "inr it" in text
 
+    @pytest.mark.parametrize("text", ["|- P true", "; |- P true"])
+    def test_zero_premise_refutation_names_no_witness(self, text):
+        code, out = run(["rule", text])
+        assert code == 4
+        assert out.splitlines()[-1] == "admissible: refuted at [P := False]"
+        code, out = run(["rule", text, "--machine"])
+        assert code == 4 and json.loads(out)["trace"]["premise_witnesses"] == []
+
     def test_witness_beyond_depth_refuted(self):
         # the premise witness <it, it> is deeper than --depth 1
         code, text = run(["rule", "P /\\ P true |- False true", "--depth", "1"])
@@ -225,6 +233,11 @@ class TestKripke:
     def test_unknown_atom_exit_1(self, model_file):
         code, _ = run(["kripke", model_file, "--judgment", "Z"])
         assert code == 1
+
+    def test_undeclared_atom_anywhere_exit_1(self, model_file, capsys):
+        # A is not forced at u, yet the undeclared Z is still an error
+        assert run(["kripke", model_file, "--judgment", "rule A Z", "--world", "u"]) == (1, "")
+        assert capsys.readouterr().err == "error: unknown atom 'Z'\n"
 
     @pytest.mark.parametrize("args, message", [
         (["--judgment", "A B"], "trailing input in judgment: B"),

@@ -17,6 +17,7 @@ import weakref
 
 import pytest
 
+import replay_oracle
 import statement_oracle as oracle
 from ctkernel import judgments
 from ctkernel.binary import check_eq_member, check_eq_set
@@ -393,3 +394,75 @@ class TestTraceWalks:
             node[field] = good
         del node["rule"]
         assert not trace_json_valid(doc)
+
+
+# -- one walk for every tree -------------------------------------------------------
+
+
+class TestWalk:
+    TREE = {"r": ("a", "b"), "a": ("c", "d"), "b": ("e",)}
+
+    def test_order_and_depths(self):
+        nodes = list(judgments.walk(("r", "s"), lambda node: self.TREE.get(node, ())))
+        assert nodes == [(0, "r"), (1, "a"), (2, "c"), (2, "d"), (1, "b"), (2, "e"),
+                         (0, "s")]
+
+    def test_children_read_on_resume(self):
+        read = []
+
+        def children(node):
+            read.append(node)
+            if node == "a":
+                raise AssertionError("children of 'a' read")
+            return self.TREE.get(node, ())
+
+        for _, node in judgments.walk(("r",), children):
+            if node == "a":
+                break
+        assert read == ["r"]
+
+    def test_deep_chain_by_loop(self):
+        chain = judgments.walk((0,), lambda n: (n + 1,) if n < 10_000 else ())
+        assert [depth for depth, _ in chain] == list(range(10_001))
+
+
+def _pool_checks():
+    for seed, count in ((2026, 1000), (501, 500)):
+        for m, ty in generated_checks(seed, count):
+            yield check_member(m, ty)
+            yield check_eq_member(m, m, ty)
+
+
+@pytest.fixture(scope="module")
+def criteria_pools():
+    return list(_pool_checks())
+
+
+CANON_ARGS = ("it", "lam x. x", "<it, it>", "inl it", "inr it", "inl it; inr it", "",
+              "fst it")
+
+
+class TestReplayAgainstOracle:
+    @pytest.mark.parametrize("fuel", [1, 1000])
+    def test_pool_verdicts(self, criteria_pools, fuel):
+        answers = [replay(v.trace, fuel) for v in criteria_pools]
+        assert answers == [replay_oracle.replay(v.trace, fuel) for v in criteria_pools]
+        assert True in answers
+        assert fuel == 1000 or False in answers
+
+    @pytest.mark.parametrize("args", CANON_ARGS)
+    def test_canon_args_replaced(self, criteria_pools, args):
+        args = tuple(parse(a) for a in args.split(";") if a)
+
+        def replace(s):
+            if isinstance(s, CanonIn) and is_closed(s.ty) and all(map(is_closed, s.args)):
+                return CanonIn(s.ty, args)
+            return None
+
+        answers = []
+        for v in criteria_pools[::10]:
+            edited = _edit(v.trace, replace)
+            if edited is not None:
+                answers.append(replay(edited, 1000))
+                assert answers[-1] is replay_oracle.replay(edited, 1000)
+        assert len(answers) > 50

@@ -574,6 +574,14 @@ class TestCompareReadings:
         rep = compare_readings(parse_rule("P /\\ Q true |- P true"))
         assert "FLAGGED" in rep.render()
 
+    def test_zero_premise_refutation_names_no_witness(self):
+        rep = compare_readings(parse_rule("|- P true"))
+        assert rep.admissibility.premise_witnesses == ()
+        assert rep.render().splitlines()[-1] == "admissible: refuted at [P := False]"
+        rep = compare_readings(parse_rule("P \\/ Q true |- P true"))
+        assert rep.render().splitlines()[-1] == (
+            "admissible: refuted at [P := False, Q := True] with premise witness inr it")
+
 
 # -- derivability implies admissibility, over random schemes ---------------
 

@@ -14,6 +14,7 @@ from ctkernel.worlds import (
     check_monotone, forces, parse_model, parse_wjudgment, random_model,
     render_wjudgment,
 )
+from termgen import random_wjudgment
 
 A, B = Atom("A"), Atom("B")
 
@@ -220,3 +221,95 @@ class TestOrderClosure:
         assert len(m.order) == 300 * 301 // 2
         assert m.leq("w000", "w299") and not m.leq("w299", "w000")
         assert all(m.tokens(w, "A") == {"t"} for w in worlds)
+
+
+# -- forcing decided once per part ----------------------------------------------
+
+
+def oracle_forces(model, w, j):
+    """Forcing as first written: each part decided again at every world
+    it is asked at, so a ``hyp`` re-walks its parts at every future
+    world.  The reference for ``forces``."""
+    if w not in model.worlds:
+        raise ModelError(f"unknown world {w!r}")
+    match j:
+        case Atom(name):
+            return bool(model.tokens(w, name))
+        case RuleValid(p, c):
+            return not oracle_forces(model, w, p) or oracle_forces(model, w, c)
+        case HypForced(p, c):
+            return all(not oracle_forces(model, v, p) or oracle_forces(model, v, c)
+                       for v in model.future(w))
+    raise TypeError(f"not a judgment: {j!r}")
+
+
+def oracle_check_monotone(model, j):
+    for u in model.worlds:
+        if oracle_forces(model, u, j):
+            for v in model.worlds:
+                if u != v and model.leq(u, v) and not oracle_forces(model, v, j):
+                    return (u, v)
+    return None
+
+
+def nested_chain(n: int):
+    """A six-world chain with A and B verified at the bottom, and
+    ``hyp A (hyp A (... B))`` nested ``n`` deep."""
+    worlds = [f"w{i}" for i in range(6)]
+    model = WorldModel.build(worlds, list(zip(worlds, worlds[1:])), ["A", "B"],
+                             [("w0", "A", "a"), ("w0", "B", "b")])
+    j = B
+    for _ in range(n):
+        j = HypForced(A, j)
+    return model, j
+
+
+class TestForcingOnce:
+    def test_agrees_with_the_recursive_oracle(self):
+        rng = random.Random(41)
+        counterexamples = 0
+        for _ in range(2000):
+            m = random_model(rng)
+            j = random_wjudgment(rng, m.atoms, rng.randint(0, 4))
+            assert [forces(m, w, j) for w in m.worlds] == [
+                oracle_forces(m, w, j) for w in m.worlds], render_wjudgment(j)
+            pair = check_monotone(m, j)
+            assert pair == oracle_check_monotone(m, j), render_wjudgment(j)
+            counterexamples += pair is not None
+        assert counterexamples > 0
+
+    def test_each_atom_read_once_per_world(self, monkeypatch):
+        model, j = nested_chain(40)
+        calls = 0
+        tokens = WorldModel.tokens
+
+        def counting(self, w, atom):
+            nonlocal calls
+            calls += 1
+            if calls > 10_000:
+                raise AssertionError("more than 10,000 token reads")
+            return tokens(self, w, atom)
+
+        monkeypatch.setattr(WorldModel, "tokens", counting)
+        budget = 41 * len(model.worlds)  # atom occurrences times worlds
+        assert forces(model, "w0", j) is True
+        assert calls <= budget
+        calls = 0
+        assert check_monotone(model, j) is None
+        assert calls <= budget
+
+    def test_undeclared_atom_rejected_anywhere(self):
+        m = chain_model()
+        for j in (RuleValid(A, Atom("Z")), HypForced(B, Atom("Z")),
+                  RuleValid(RuleValid(B, Atom("Z")), A)):
+            with pytest.raises(ModelError, match="unknown atom 'Z'"):
+                forces(m, "u", j)
+            with pytest.raises(ModelError, match="unknown atom 'Z'"):
+                check_monotone(m, j)
+            # the world is checked first
+            with pytest.raises(ModelError, match="unknown world 'w'"):
+                forces(m, "w", j)
+
+    def test_not_a_judgment(self):
+        with pytest.raises(TypeError, match="not a judgment"):
+            forces(chain_model(), "u", RuleValid(B, "A"))
