@@ -76,6 +76,12 @@ sections.  The sections:
 * ``worlds/forces`` and ``worlds/check_monotone``: 300 seeded
   ``random_model`` draws, each with 5 seeded judgments of depth up to 4
   over its own atoms: ``forces`` at every world, and ``check_monotone``.
+* ``batch/...``: the 590 types of ``ground_types(3)`` and 30 seeded
+  dependent families ``forall``/``exists x : True \\/ True . case x of
+  inl a -> A | inr b -> B`` over ``ground_types(2)``: ``check_is_set``,
+  and ``check_eq_set`` against a seeded partner (the type itself 40 % of
+  the time), at fuel 1, 3 and the default, under both strategies.  Their
+  types and members are canonical, as in the benchmark's check batch.
 
 Run it on two checkouts and compare the output; ``--records`` prints the
 status and a short hash per verdict instead, so that ``diff`` counts the
@@ -111,8 +117,9 @@ from ctkernel.terms import (  # noqa: E402
     FALSE, IT, TRUE, App, Case, Disj, Exists, Forall, Fst, Lam, Pair, TFalse, TTrue, Var,
     conj, imp, term_key,
 )
+from ctkernel.config import DEFAULT_FUEL  # noqa: E402
 from ctkernel.unary import (  # noqa: E402
-    check_is_set, check_member, enumerate_canonical, inhabited_exact,
+    check_is_set, check_member, enumerate_canonical, ground_types, inhabited_exact,
 )
 from ctkernel.worlds import check_monotone, forces, random_model, render_wjudgment  # noqa: E402
 from termgen import (  # noqa: E402
@@ -144,6 +151,9 @@ SHARED_FUEL = 200
 REPLAY_FUELS = (1, 3, 1000)
 WORLD_MODELS = 300
 WORLD_JUDGMENTS = 5
+BATCH_FAMILIES = 30
+BATCH_FUELS = (1, 3, DEFAULT_FUEL)
+TRUE_OR_TRUE = Disj(TRUE, TRUE)
 MALFORMED = (
     "", "(", ")", "lam", "lam x", "lam x.", "lam . x", "forall x . A", "forall x : A",
     "exists : A . B", "case x of inr a -> a | inl b -> b", "case x of inl a -> a",
@@ -412,6 +422,21 @@ def sections():
             pair = check_monotone(model, j)
             outcome = "monotone" if pair is None else "counterexample"
             yield "worlds/check_monotone", outcome, [render_wjudgment(j), pair]
+    rng = random.Random(31)
+    g2 = ground_types(2)
+    batch = list(ground_types(3))
+    for _ in range(BATCH_FAMILIES):
+        family = Case(Var("x"), "a", rng.choice(g2), "b", rng.choice(g2))
+        batch.append(rng.choice((Forall, Exists))(TRUE_OR_TRUE, "x", family))
+    partners = [ty if rng.random() < 0.4 else rng.choice(batch) for ty in batch]
+    for strategy in Strategy:
+        tag = "cbv" if strategy is CBV else "cbn"
+        for fuel in BATCH_FUELS:
+            for ty, partner in zip(batch, partners):
+                v = check_is_set(ty, fuel, strategy=strategy)
+                yield f"batch/check_is_set/{tag}", v.status.value, verdict_record(v)
+                v = check_eq_set(ty, partner, fuel, strategy=strategy)
+                yield f"batch/check_eq_set/{tag}", v.status.value, verdict_record(v)
 
 
 def main() -> None:
