@@ -316,7 +316,8 @@ def _cmd_kripke(args, cfg: RunConfig, out) -> int:
         verdict = "forced" if forced else "not-forced"
         return _emit(out, cfg, "kripke", verdict, lambda: {"world": args.world, "forced": forced},
                      lambda: f"{args.world}: {verdict}", EXIT_OK if forced else EXIT_REFUTED)
-    table = {w: worlds.forces(model, w, judgment) for w in model.worlds}
+    forced = worlds._forcing(model, judgment)  # rejects an undeclared atom, worlds or none
+    table = {w: w in forced for w in model.worlds}
     return _emit(out, cfg, "kripke", "report", lambda: {"forces": table},
                  lambda: "\n".join(f"{w}: {'forced' if ok else 'not-forced'}"
                                    for w, ok in table.items()), EXIT_OK)

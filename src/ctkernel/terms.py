@@ -397,7 +397,7 @@ _CANONICAL_TAGS = {
     Disj: CanonicalForm.DISJ,
 }
 
-_TYPE_FORMERS = (TTrue, TFalse, Forall, Exists, Disj)
+_TYPE_FORMERS = frozenset((TTrue, TFalse, Forall, Exists, Disj))
 
 
 def classify(t: Term) -> Optional[CanonicalForm]:
@@ -407,10 +407,6 @@ def classify(t: Term) -> Optional[CanonicalForm]:
 
 def is_canonical(t: Term) -> bool:
     return type(t) in _CANONICAL_TAGS
-
-
-def is_type_former(t: Term) -> bool:
-    return isinstance(t, _TYPE_FORMERS)
 
 
 def free_vars(t: Term) -> frozenset:

@@ -68,22 +68,40 @@ def parse_wjudgment(text: str) -> WJudgment:
 
 
 def _parse_wj(tokens: List[str]) -> Tuple[WJudgment, List[str]]:
-    if not tokens:
-        raise ValueError("expected a judgment")
-    head, rest = tokens[0], tokens[1:]
-    if head == "(":
-        j, rest = _parse_wj(rest)
-        if not rest or rest[0] != ")":
-            raise ValueError("missing closing parenthesis")
-        return j, rest[1:]
-    if head in ("rule", "hyp"):
-        p, rest = _parse_wj(rest)
-        c, rest = _parse_wj(rest)
-        ctor = RuleValid if head == "rule" else HypForced
-        return ctor(p, c), rest
-    if head == ")":
-        raise ValueError("unexpected ')'")
-    return Atom(head), rest
+    """The judgment at the front of ``tokens``, and the tokens after it.
+    A loop over a stack of the open brackets (None) and of the ``rule``
+    and ``hyp`` heads with the parts read so far, so any depth parses."""
+    pending: list = []
+    i = 0
+    while True:
+        if i == len(tokens):
+            raise ValueError("expected a judgment")
+        head = tokens[i]
+        i += 1
+        if head == "(":
+            pending.append(None)
+            continue
+        if head in ("rule", "hyp"):
+            pending.append([RuleValid if head == "rule" else HypForced])
+            continue
+        if head == ")":
+            raise ValueError("unexpected ')'")
+        j = Atom(head)
+        # close every open part that ``j`` completes
+        while pending:
+            top = pending[-1]
+            if top is None:
+                if i == len(tokens) or tokens[i] != ")":
+                    raise ValueError("missing closing parenthesis")
+                i += 1
+            else:
+                top.append(j)
+                if len(top) < 3:
+                    break
+                j = top[0](top[1], top[2])
+            pending.pop()
+        else:
+            return j, tokens[i:]
 
 
 class ModelError(ValueError):
@@ -203,16 +221,35 @@ def forces(model: WorldModel, w: str, j: WJudgment) -> bool:
 
 def _forcing(model: WorldModel, j: WJudgment) -> FrozenSet[str]:
     """The worlds that force ``j``, each part of it decided once at every
-    world; an undeclared atom is rejected wherever it stands."""
-    match j:
-        case Atom(name):
-            return frozenset(w for w in model.worlds if model.tokens(w, name))
-        case RuleValid(p, c):
-            return frozenset(model.worlds) - _forcing(model, p) | _forcing(model, c)
-        case HypForced(p, c):
-            rule = _forcing(model, RuleValid(p, c))
-            return frozenset(w for w in model.worlds if rule.issuperset(model.future(w)))
-    raise TypeError(f"not a judgment: {j!r}")
+    world.  An undeclared atom, or a part that is not a judgment, is
+    rejected wherever it stands, before any world is read: the parts are
+    listed first, in pre-order, then decided in the reverse order, so
+    that the parts of a rule are decided before it.  Loops, not
+    recursion: any depth that fits in memory."""
+    parts, stack = [], [j]
+    while stack:
+        part = stack.pop()
+        kind = type(part)
+        if kind is Atom:
+            if part.name not in model.atoms:
+                raise ModelError(f"unknown atom {part.name!r}")
+        elif kind is RuleValid or kind is HypForced:
+            stack += (part.conclusion, part.premise)
+        else:
+            raise TypeError(f"not a judgment: {part!r}")
+        parts.append(part)
+    everywhere = frozenset(model.worlds)
+    forced: List[FrozenSet[str]] = []  # a premise's set above its conclusion's
+    for part in reversed(parts):
+        if type(part) is Atom:
+            forced.append(frozenset(w for w in model.worlds if model.tokens(w, part.name)))
+            continue
+        premise, conclusion = forced.pop(), forced.pop()
+        rule = everywhere - premise | conclusion
+        if type(part) is HypForced:
+            rule = frozenset(w for w in model.worlds if rule.issuperset(model.future(w)))
+        forced.append(rule)
+    return forced[0]
 
 
 def check_monotone(model: WorldModel, j: WJudgment) -> Optional[Tuple[str, str]]:

@@ -239,6 +239,14 @@ class TestKripke:
         assert run(["kripke", model_file, "--judgment", "rule A Z", "--world", "u"]) == (1, "")
         assert capsys.readouterr().err == "error: unknown atom 'Z'\n"
 
+    @pytest.mark.parametrize("extra", [[], ["--check-monotone"]])
+    def test_undeclared_atom_without_worlds_exit_1(self, tmp_path, capsys, extra):
+        # no world reads the atom's tokens, yet the undeclared Z is an error
+        path = tmp_path / "model.txt"
+        path.write_text("atom A\n")
+        assert run(["kripke", str(path), "--judgment", "rule A Z", *extra]) == (1, "")
+        assert capsys.readouterr().err == "error: unknown atom 'Z'\n"
+
     @pytest.mark.parametrize("args, message", [
         (["--judgment", "A B"], "trailing input in judgment: B"),
         (["--judgment", "(A"], "missing closing parenthesis"),
@@ -435,19 +443,32 @@ class TestTooDeep:
     @pytest.mark.parametrize("argv", [
         ["enum", DEEP_TYPE],
         ["rule", DEEP_TYPE + " true |- False true"],
-        ["kripke", "MODEL", "--judgment", "(" * 1000 + "A" + ")" * 1000],
-        ["kripke", "MODEL", "--judgment", "hyp A " * 1000 + "A"],
     ])
-    def test_exit_1_without_traceback(self, argv, tmp_path):
-        model = tmp_path / "model.txt"
-        model.write_text("world u\natom A\nverify u A t0\n")
-        argv = [str(model) if arg == "MODEL" else arg for arg in argv]
-        src = Path(ctkernel.__file__).resolve().parent.parent
-        proc = subprocess.run(
-            [sys.executable, "-m", "ctkernel", *argv],
-            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
-            timeout=120,
-        )
+    def test_exit_1_without_traceback(self, argv):
+        proc = ctk_process(argv)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
         assert "nested too deep" in proc.stderr
+
+
+class TestDeepKripke:
+    """A Kripke judgment 1,000 levels deep is parsed and forced by loops,
+    so ``ctk kripke`` prints its verdict."""
+
+    @pytest.mark.parametrize("judgment", ["(" * 1000 + "A" + ")" * 1000, "hyp A " * 1000 + "A"],
+                             ids=["brackets", "hyp"])
+    def test_exit_0(self, judgment, tmp_path):
+        model = tmp_path / "model.txt"
+        model.write_text("world u\natom A\nverify u A t0\n")
+        proc = ctk_process(["kripke", str(model), "--judgment", judgment])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "u: forced\n", "")
+
+
+def ctk_process(argv):
+    """``ctk`` run as a subprocess, with the stack of a fresh interpreter."""
+    src = Path(ctkernel.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-m", "ctkernel", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=120,
+    )

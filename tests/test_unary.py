@@ -7,23 +7,25 @@ assertions; the oracles never call the code paths they check.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 
 import ctkernel.unary
 from ctkernel.evaluation import Strategy, Tank, evaluate, Canonical
+from ctkernel.binary import check_eq_member, check_eq_set
 from ctkernel.judgments import (
-    CanonEmpty, Gen, Hyp, Member, Status, replay,
+    Both, CanonEmpty, Evals, Gen, Hyp, Member, Status, Trace, Verdict, replay, walk, worst,
 )
 from ctkernel.syntax import parse, pretty
 from ctkernel.terms import (
-    Disj, Exists, Forall, IT, Inl, Inr, Lam, OpenTermError, Pair, TRUE,
+    App, Disj, Exists, Forall, IT, Inl, Inr, Lam, OpenTermError, Pair, TRUE,
     FALSE, Var, alpha_eq, conj, constructor_depth, imp,
 )
 from ctkernel.unary import (
-    _AND, _IMP, _OR, Inhabitation, _inhabited, check_is_set, check_member,
-    enumerate_canonical, ground_types, inhabited_exact,
+    _AND, _IMP, _OR, Inhabitation, _combine, _inhabited, _member, check_is_set,
+    check_member, enumerate_canonical, ground_types, inhabited_exact,
 )
 from admissibility_oracle import _run_inhabited, combine_and, combine_imp, combine_or
 from termgen import OMEGA, STUCK_TERM, closed_terms, generated_checks
@@ -553,3 +555,96 @@ class TestFailureBranches:
         v = check_is_set(ty, fuel=1)
         assert (v.status, v.fuel_report) == (Status.DIVERGED, "domain inhabitation diverged")
         assert [s.rule for s in v.trace.steps] == ["set-formation"]
+
+
+class TestCanonicalInputNotEvaluated:
+    """A canonical type or term is its own value: the relational clauses
+    skip the evaluation prelude, ``_evaluate``, and run nothing."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"_evaluate": 0, "run": 0}
+        for name in counts:
+            def counted(*args, name=name, real=getattr(ctkernel.unary, name)):
+                counts[name] += 1
+                return real(*args)
+            monkeypatch.setattr(ctkernel.unary, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_ground_types_with_a_member(self, calls, strategy):
+        rng = random.Random(27)
+        types = ground_types(3)
+        checks = [(ty, _member(ty, Tank(100, strategy)) or IT,
+                   ty if rng.random() < 0.4 else rng.choice(types)) for ty in types]
+        assert calls == {"_evaluate": 0, "run": 0}
+        for ty, m, partner in checks:
+            check_member(m, ty, strategy=strategy)
+            check_eq_member(m, m, ty, strategy=strategy)
+            check_is_set(ty, strategy=strategy)
+            check_eq_set(ty, partner, strategy=strategy)
+        assert calls == {"_evaluate": 0, "run": 0}
+
+    def test_a_wrapped_input_is_evaluated(self, calls):
+        check_member(IT, App(Lam("w", Var("w")), TRUE))
+        assert calls["_evaluate"] == 1
+
+    @pytest.mark.parametrize("term, ty", [
+        ("it", "True"), ("it", "False"), ("inl it", "True \\/ False"),
+        ("inr it", "True \\/ False"), ("<it, inl it>", "True /\\ (True \\/ True)"),
+        ("lam x. x", "(True \\/ True) => (True \\/ True)"), ("lam x. it", "False => True"),
+        ("lam x. it", "True => False"), ("it", "True => True"),
+    ])
+    def test_wrapped_input_keeps_its_evals_step(self, term, ty):
+        m, a = parse(term), parse(ty)
+        wm, wa = (App(Lam("w", Var("w")), t) for t in (m, a))
+        checks = (
+            (check_member, (m, a), [(wm, a), (m, wa), (wm, wa)]),
+            (check_eq_member, (m, m, a), [(wm, m, a), (m, wm, a), (wm, wm, a), (m, m, wa)]),
+            (check_is_set, (a,), [(wa,)]),
+            (check_eq_set, (a, a), [(wa, a), (a, wa)]),
+        )
+        for check, args, variants in checks:
+            status = check(*args).status
+            for argv in variants:
+                v = check(*argv)
+                assert v.status is status, (check.__name__, argv)
+                for w, t in ((wm, m), (wa, a)):
+                    if w in argv:
+                        assert Evals(w, t) in evals_steps(v.trace), (check.__name__, argv)
+
+
+def evals_steps(trace):
+    """The ``Evals`` parts of the statements of ``trace``, at any depth."""
+    found = set()
+    for _, step in walk(trace.steps, lambda s: [x for t in s.children for x in t.steps]):
+        if type(step.statement) is Both:
+            found.update(p for p in step.statement.parts if type(p) is Evals)
+    return found
+
+
+class TestCombine:
+    """``_combine`` reads the all-VERIFIED case off one loop; otherwise it
+    reports ``worst``'s status with the diagnostics of the first
+    sub-verdict that has it."""
+
+    def test_every_status_tuple_up_to_three(self):
+        out = Trace()
+        for n in range(4):
+            for statuses in itertools.product(Status, repeat=n):
+                subs = [Verdict(s, Trace(), bound=i, fuel_report=f"r{i}", pair=(IT, Var(f"x{i}")),
+                                instance=Member(Var(f"x{i}"), TRUE))
+                        for i, s in enumerate(statuses)]
+                expected = worst(statuses)
+                for complete in (True, False):
+                    v = _combine(out, subs, 7, complete)
+                    assert v.trace is out
+                    if expected is Status.VERIFIED:
+                        assert (v.status, v.bound) == (
+                            (Status.VERIFIED, None) if complete else (Status.UNKNOWN, 7))
+                        assert (v.fuel_report, v.pair, v.instance) == (None, None, None)
+                        continue
+                    picked = next(x for x in subs if x.status is expected)
+                    assert v.status is expected
+                    assert (v.bound, v.fuel_report, v.pair, v.instance) == (
+                        picked.bound, picked.fuel_report, picked.pair, picked.instance)

@@ -310,6 +310,70 @@ class TestForcingOnce:
             with pytest.raises(ModelError, match="unknown world 'w'"):
                 forces(m, "w", j)
 
+    def test_undeclared_atom_rejected_without_worlds(self):
+        m = WorldModel.build([], [], ["A"], [])
+        assert check_monotone(m, RuleValid(A, A)) is None
+        with pytest.raises(ModelError, match="unknown atom 'Z'"):
+            check_monotone(m, RuleValid(A, Atom("Z")))
+
+    def test_deep_judgments_by_loops(self):
+        model, j = nested_chain(5000)
+        assert forces(model, "w0", j) is True
+        assert check_monotone(model, j) is None
+        text = "hyp A " * 5000 + "(" * 5000 + "B" + ")" * 5000
+        assert forces(model, "w0", parse_wjudgment(text)) is True
+
     def test_not_a_judgment(self):
         with pytest.raises(TypeError, match="not a judgment"):
             forces(chain_model(), "u", RuleValid(B, "A"))
+
+
+def oracle_parse(tokens):
+    """The judgment parser as first written, one call per nesting level:
+    the reference for ``parse_wjudgment``."""
+    if not tokens:
+        raise ValueError("expected a judgment")
+    head, rest = tokens[0], tokens[1:]
+    if head == "(":
+        j, rest = oracle_parse(rest)
+        if not rest or rest[0] != ")":
+            raise ValueError("missing closing parenthesis")
+        return j, rest[1:]
+    if head in ("rule", "hyp"):
+        p, rest = oracle_parse(rest)
+        c, rest = oracle_parse(rest)
+        return (RuleValid if head == "rule" else HypForced)(p, c), rest
+    if head == ")":
+        raise ValueError("unexpected ')'")
+    return Atom(head), rest
+
+
+class TestParseByLoop:
+    def test_agrees_with_the_recursive_oracle(self):
+        rng = random.Random(43)
+        vocab = ("(", ")", "rule", "hyp", "A", "B")
+        parsed = 0
+        for _ in range(20_000):
+            # a rendered judgment, with one token dropped or put in half the time
+            j = random_wjudgment(rng, ("A", "B"), rng.randint(0, 6))
+            tokens = render_wjudgment(j).replace("(", " ( ").replace(")", " ) ").split()
+            if rng.random() < 0.25:
+                del tokens[rng.randrange(len(tokens))]
+            elif rng.random() < 0.33:
+                tokens.insert(rng.randint(0, len(tokens)), rng.choice(vocab))
+            outcomes = []
+            for parse_with in (parse_wjudgment, oracle_parse_text):
+                try:
+                    outcomes.append(parse_with(" ".join(tokens)))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], tokens
+            parsed += not isinstance(outcomes[0], str)
+        assert 5000 < parsed < 19_000
+
+
+def oracle_parse_text(text):
+    j, rest = oracle_parse(text.replace("(", " ( ").replace(")", " ) ").split())
+    if rest:
+        raise ValueError(f"trailing input in judgment: {' '.join(rest)}")
+    return j
